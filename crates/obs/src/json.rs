@@ -4,9 +4,16 @@
 //! report, the CLI `--json` output and the benchmark dumps share this
 //! hand-rolled encoder instead of `serde_json`. A small recursive-descent
 //! parser ([`Json::parse`]) reads the same dialect back — `xmltc
-//! bench-diff` uses it to compare benchmark dumps.
+//! bench-diff` uses it to compare benchmark dumps, and `xmltc serve` parses
+//! every request line with it.
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap a single hostile line of
+/// nested `[` would overflow the stack and abort the process; every
+/// document this workspace writes or reads nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -93,10 +100,13 @@ impl Json {
     /// Parses a JSON document. Numbers without a fraction or exponent
     /// become [`Json::U64`]/[`Json::I64`] (falling back to [`Json::F64`]
     /// on overflow); everything else numeric becomes [`Json::F64`].
+    /// Nesting deeper than [`MAX_DEPTH`] is an error at the offset of the
+    /// first bracket past the cap.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -224,6 +234,8 @@ impl std::error::Error for JsonParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -268,8 +280,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -657,6 +680,29 @@ mod tests {
         assert!(e.message.contains("trailing"));
         assert_eq!(e.offset, 4);
         assert!(e.to_string().contains("at byte 4"));
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        // Exactly at the cap parses, for arrays and objects alike.
+        assert!(Json::parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        let objects = "{\"k\":".repeat(MAX_DEPTH - 1) + "{}" + &"}".repeat(MAX_DEPTH - 1);
+        assert!(Json::parse(&objects).is_ok());
+        // One level past it is an error pointing at the offending bracket.
+        let e = Json::parse(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+        assert!(e.message.contains("nesting"), "{e}");
+        let mixed = "[{\"k\":".repeat(MAX_DEPTH / 2) + "[";
+        assert_eq!(Json::parse(&mixed).unwrap_err().offset, mixed.len() - 1);
+        // A hostile line far past the cap fails fast instead of
+        // overflowing the stack, whether or not it is closed.
+        let deep = "[".repeat(300_000);
+        assert_eq!(Json::parse(&deep).unwrap_err().offset, MAX_DEPTH);
+        assert_eq!(
+            Json::parse(&nested("[", "]", 300_000)).unwrap_err().offset,
+            MAX_DEPTH
+        );
     }
 
     #[test]

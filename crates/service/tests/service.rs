@@ -295,6 +295,29 @@ fn protocol_errors_are_reported_not_fatal() {
     handle.join().unwrap();
 }
 
+/// One request line of 300 000 `[` used to overflow the parser's stack and
+/// abort the whole server. It must now be an ordinary protocol error, and
+/// the server must keep answering other connections.
+#[test]
+fn deeply_nested_request_line_is_rejected_not_fatal() {
+    let (addr, handle, _state) = start(false);
+    let mut hostile = Client::connect(&addr).expect("connect");
+    let resp = hostile.roundtrip_line(&"[".repeat(300_000)).unwrap();
+    let resp = Json::parse(&resp).unwrap();
+    assert_eq!(field(&resp, "ok"), &Json::Bool(false));
+    let error = field(&resp, "error").as_str().unwrap();
+    assert!(error.contains("nesting"), "{error}");
+    let mut other = Client::connect(&addr).expect("server still accepts");
+    let stats = other
+        .roundtrip(&Json::obj(vec![("cmd", Json::Str("stats".into()))]))
+        .unwrap();
+    assert_eq!(field(&stats, "ok"), &Json::Bool(true));
+    other
+        .roundtrip(&Json::obj(vec![("cmd", Json::Str("shutdown".into()))]))
+        .unwrap();
+    handle.join().unwrap();
+}
+
 #[test]
 fn oneshot_serves_one_connection_then_exits_with_report() {
     let (addr, handle, state) = start(true);

@@ -53,14 +53,16 @@ pub enum Family {
 /// `xmltc corpus` CLI use unless overridden).
 ///
 /// Corpus machines are tiny, but a rare draw — deep nesting combined with
-/// a depth-bounding τ₂ — makes the walk construction's behaviour fixpoints
-/// grow super-linearly *per DBTA state*: the construction honours its
-/// budget, yet reaching even 5 000 classes can take minutes. Every
-/// surveyed case that terminates promptly needs at most ~260 classes, so a
-/// budget of 800 gives 3× headroom while capping a pathological case at a
-/// few seconds before it surfaces as an explicit resource skip
-/// (`TooManyStates`) instead of a hang. Harness runs count such skips and
-/// bound their rate; they never silently pass.
+/// a depth-bounding τ₂ — gives the walk construction thousands of DBTA
+/// states whose signatures do not collapse (`deep-nesting` #335 at seed
+/// `0xc0de` reaches 8 640), and its explicit transition table grows with
+/// the square of the state count. Cases that terminate promptly need a
+/// few hundred DBTA states at most (397 for the largest seen,
+/// `silent-chains` #2214 at seed `0xeeb13198ca6b3a5`), so a budget of 800
+/// gives 2× headroom while turning a pathological case into an explicit
+/// resource skip (`TooManyStates`) within milliseconds instead of a hang.
+/// Harness runs count such skips and bound their rate; they never
+/// silently pass.
 pub const CORPUS_STATE_LIMIT: u32 = 800;
 
 /// Every family, in canonical order (stable: new families append).

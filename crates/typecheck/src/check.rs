@@ -2,7 +2,7 @@
 //! counterexample extraction.
 
 use crate::error::TypecheckError;
-use crate::inverse::violation_nta;
+use crate::inverse::violation_nta_sized;
 use xmltc_automata::{lazy, LazyError, Nta};
 use xmltc_core::{eval, PebbleTransducer};
 use xmltc_obs as obs;
@@ -50,9 +50,8 @@ pub struct TypecheckOptions {
     pub route: Route,
     /// Emptiness-engine selection.
     pub engine: Engine,
-    /// Budget for intermediate automata (MSO subset constructions,
-    /// behaviour classes, lazy product configurations). `u32::MAX` =
-    /// unlimited.
+    /// Budget for intermediate automata (MSO subset constructions, walk
+    /// DBTA states, lazy product configurations). `u32::MAX` = unlimited.
     pub state_limit: u32,
     /// Worker threads for the walk route's composition frontier. `0`
     /// (the default) resolves via [`crate::walk::resolve_threads`]: the
@@ -158,6 +157,10 @@ impl TypecheckOutcome {
 /// emptiness. A nonempty intersection yields a counterexample input; the
 /// Proposition 3.8 output automaton of that input, intersected with the
 /// complement of `τ₂`, yields a concrete bad output.
+///
+/// After a walk whose DBTA had 2¹⁴ or more transitions, the heap the
+/// construction freed is handed back to the OS before returning (glibc
+/// only; see `release_free_memory`).
 pub fn typecheck(
     t: &PebbleTransducer,
     input_type: &Nta,
@@ -176,9 +179,44 @@ pub fn typecheck(
             xmltc_trees::TreeError::AlphabetMismatch,
         ));
     }
-    let violations = violation_nta(t, output_type, opts)?;
-    decide_with_violations(t, input_type, output_type, &violations, engine, opts)
+    let (violations, dbta_transitions) = violation_nta_sized(t, output_type, opts)?;
+    let outcome = decide_with_violations(t, input_type, output_type, &violations, engine, opts);
+    drop(violations);
+    if dbta_transitions >= RELEASE_AFTER_DBTA_TRANSITIONS {
+        release_free_memory();
+    }
+    outcome
 }
+
+/// Walk DBTAs with at least this many transitions leave megabytes of freed
+/// heap behind them: the DBTA, its NTA expansion, the trimmed copy and the
+/// emptiness search peak at ~200 bytes per transition (~68 MB at 315 000).
+const RELEASE_AFTER_DBTA_TRANSITIONS: usize = 1 << 14;
+
+/// Returns the allocator's free pages to the OS (glibc `malloc_trim`).
+///
+/// glibc keeps freed heap resident while its free top stays under a trim
+/// threshold, and it raises that threshold to twice the largest block it
+/// ever unmapped. After one large violation automaton is freed, tens of MB
+/// would stay resident for the rest of the process, so one big walk would
+/// set the resident set of every later call; [`typecheck`] calls this once
+/// such an automaton is gone.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+#[allow(unsafe_code)]
+fn release_free_memory() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> std::ffi::c_int;
+    }
+    // SAFETY: `malloc_trim` takes the allocator's own locks and only
+    // returns pages no live allocation uses.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+/// Nothing to do where the allocator is not glibc's.
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_free_memory() {}
 
 /// **Theorem 4.4 with a precomputed violation automaton**: the final
 /// emptiness check (and counterexample extraction) against an already

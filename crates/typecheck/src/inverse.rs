@@ -40,6 +40,18 @@ pub fn violation_nta(
     output_type: &Nta,
     opts: &TypecheckOptions,
 ) -> Result<Nta, TypecheckError> {
+    violation_nta_sized(t, output_type, opts).map(|(nta, _)| nta)
+}
+
+/// [`violation_nta`], plus the number of transitions of the walk DBTA the
+/// walk route expanded into it (0 for the MSO route): the size of what the
+/// construction allocated and freed on the way.
+pub(crate) fn violation_nta_sized(
+    t: &PebbleTransducer,
+    output_type: &Nta,
+    opts: &TypecheckOptions,
+) -> Result<(Nta, usize), TypecheckError> {
+    let mut dbta_transitions = 0;
     let v = {
         let _span = obs::span("typecheck.violation");
         let v = violation_automaton(t, output_type)?.trim_states();
@@ -68,14 +80,13 @@ pub fn violation_nta(
             obs::record("walk.threads", ws.threads);
             obs::record("walk.parallel_batches", ws.parallel_batches);
             obs::record("walk.parallel_threshold", ws.parallel_threshold);
-            obs::record("walk.masks_interned", ws.masks_interned);
-            obs::record("walk.behaviors_interned", ws.behaviors_interned);
             obs::record("walk.kernel.words", ws.words);
             obs::record("walk.kernel.rows", ws.kernel_rows);
             obs::record("walk.kernel.row_peak", ws.kernel_row_peak);
             obs::record("walk.kernel.projections", ws.projections_interned);
             obs::record("walk.kernel.chunk_size", ws.chunk_size);
             obs::record("walk.kernel.chunks", ws.chunks);
+            dbta_transitions = d.n_transitions();
             d.to_nta().trim()
         }
         ResolvedRoute::Mso => {
@@ -89,5 +100,5 @@ pub fn violation_nta(
     };
     obs::record("violation.states", nta.n_states() as u64);
     obs::record("violation.transitions", nta.n_transitions() as u64);
-    Ok(nta)
+    Ok((nta, dbta_transitions))
 }

@@ -18,17 +18,22 @@
 //! rows); resolving to the empty set means outright acceptance inside `s`.
 //! Whether up-moves may exit depends on which child position `s` occupies,
 //! so a subtree carries a behaviour for each position (left/right), plus an
-//! "accepts as a whole tree" bit. This triple is a finite congruence:
-//! composing a node from its children's triples is a small least fixpoint
-//! over the node's local rules. The resulting deterministic bottom-up
-//! automaton, built lazily over reachable triples, recognizes exactly
-//! `inst(A)`.
+//! "accepts as a whole tree" bit. Composing an `a`-node from its children
+//! is a small least fixpoint over `a`'s local rules, and it reads the
+//! children only at `a`'s `Down`-rule targets: the left child's
+//! left-position behaviour at the `DownLeft` targets, the right child's
+//! right-position behaviour at the `DownRight` targets.
+//!
+//! A DBTA state is therefore a **signature** ([`Signature`]): the
+//! acceptance bit plus, for every binary symbol, those two child
+//! projections ([`Projection`]). Subtrees with equal signatures compose
+//! identically under every parent and agree on acceptance, so signatures
+//! form a congruence and merging the behaviour triples that share one is
+//! exact. The resulting deterministic bottom-up automaton, built over
+//! reachable signatures, recognizes exactly `inst(A)`, with never more
+//! states than there are triples.
 //!
 //! # Performance architecture
-//!
-//! The construction is organized around a dense bitset kernel, projected
-//! memo keys, and a work-stealing frontier, while staying bit-identical to
-//! the reference nested-loop build:
 //!
 //! * **Dense kernel** — exit sets are flat `u64` rows of a fixed width
 //!   (`words` per machine) living in one contiguous per-composition arena
@@ -47,35 +52,25 @@
 //!   increments, and the root solution in turn seeds the left/right
 //!   positional runs with just the up-move increments (sound because
 //!   chaotic iteration from any point below the least fixpoint converges
-//!   to it).
-//! * **Projected memoization** — a composition reads a child behaviour
-//!   only at the symbol's `Down`-rule targets, so the memo key is the
-//!   *projection* of each child behaviour onto those targets
-//!   ([`Projection`], interned main-thread-only). Distinct behaviour pairs
-//!   that agree on the targets — or any pair under a symbol with no `Down`
-//!   rules on a side — collapse to one fixpoint run;
-//!   [`WalkStats::memo_hits`] counts the collapses. Frontier jobs are
-//!   deduped per round on the same key.
-//! * **Work-stealing frontier** — each generation of unmemoized
-//!   compositions is split into contiguous chunks ([`resolve_chunk`])
-//!   dealt round-robin onto per-worker deques; idle workers steal the back
-//!   half of a victim's deque, so stragglers cannot serialize the round.
-//!   Workers only evaluate pure compositions against frozen arenas; the
-//!   results are then interned sequentially in canonical (job-list) order
-//!   and the reference discovery loop is replayed verbatim, so state
-//!   numbering — and therefore every downstream artifact — is identical at
-//!   any thread count and any chunk size.
-//! * **Incremental discovery** — the frontier scan keeps a `scanned`
-//!   cursor over the triple arena: a round enumerates only pairs
-//!   involving triples interned since the previous round (older pairs
-//!   already resolved their memo key the round the younger member
-//!   appeared), and the replay keeps persistent per-row column cursors
-//!   instead of restarting from zero. Each ordered pair is therefore
-//!   visited O(1) times across the whole run — `O(m²·B)` total instead of
-//!   `O(rounds·m²·B)` — which is what keeps the sequential bookkeeping a
-//!   fraction of the parallelizable job work on saturated frontiers. Both
-//!   cursors are pure functions of the interned-triple sequence, so the
-//!   canonical order (and the DBTA) stays thread-invariant.
+//!   to it). A composition returns only its acceptance bit and the
+//!   projections of its positional behaviours, never whole behaviours.
+//! * **Projection-pair discovery** — discovery keeps, per binary symbol,
+//!   the left and right projections seen so far and pairs each new one
+//!   with every opposite-side projection as one `(symbol, left, right)`
+//!   job, so each distinct composition runs exactly once
+//!   ([`WalkStats::memo_misses`]). The transition table is expanded once
+//!   at the end as `δ(a, S₁, S₂) = memo[a, S₁.left(a), S₂.right(a)]`;
+//!   [`WalkStats::memo_hits`] counts the entries that share a composition.
+//! * **Work-stealing frontier** — each generation of jobs is split into
+//!   contiguous chunks ([`resolve_chunk`]) dealt round-robin onto
+//!   per-worker deques; idle workers steal the back half of a victim's
+//!   deque, so stragglers cannot serialize the round. Workers only
+//!   evaluate pure compositions against frozen projections; the results
+//!   are interned sequentially in canonical job order, and job order is a
+//!   pure function of the interned-signature sequence. State numbering,
+//!   the point where [`WalkOptions::limit`] aborts, and therefore every
+//!   downstream artifact are identical at any thread count and any chunk
+//!   size.
 
 use crate::error::TypecheckError;
 use std::collections::VecDeque;
@@ -90,9 +85,7 @@ use xmltc_trees::{FxHashMap, FxHashSet, Symbol};
 /// Arena id of a bitset row (in row units: the row occupies words
 /// `id * words .. (id + 1) * words` of its arena).
 type RowId = u32;
-/// Arena id of an interned behaviour.
-type BehaviorId = u32;
-/// Arena id of an interned behaviour projection.
+/// Arena id of an interned [`Projection`].
 type ProjId = u32;
 
 /// An antichain member: arena row id plus the row's cached popcount.
@@ -170,75 +163,11 @@ fn ac_insert_min(ac: &mut Vec<RowRef>, arena: &mut Vec<u64>, words: usize, cand:
     true
 }
 
-/// A behaviour in flat, canonical form: entry state `q`'s antichain is the
-/// rows `offsets[q]..offsets[q + 1]` (row units), each antichain sorted
-/// lexicographically by row words. Serves as both the interning key and
-/// the stored representation — two allocations per behaviour.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct FlatBehavior {
-    offsets: Vec<u32>,
-    rows: Vec<u64>,
-}
-
-impl FlatBehavior {
-    fn ac(&self, q: usize, words: usize) -> &[u64] {
-        &self.rows[self.offsets[q] as usize * words..self.offsets[q + 1] as usize * words]
-    }
-}
-
-/// Flattens solved antichain lists into canonical (lexicographically
-/// row-sorted) flat form.
-fn flatten(lists: &[Vec<RowRef>], arena: &[u64], words: usize) -> FlatBehavior {
-    let mut offsets = Vec::with_capacity(lists.len() + 1);
-    offsets.push(0u32);
-    let mut rows: Vec<u64> = Vec::new();
-    let mut order: Vec<RowId> = Vec::new();
-    for list in lists {
-        order.clear();
-        order.extend(list.iter().map(|e| e.id));
-        order.sort_unstable_by(|&a, &b| row_at(arena, a, words).cmp(row_at(arena, b, words)));
-        for &id in &order {
-            rows.extend_from_slice(row_at(arena, id, words));
-        }
-        offsets.push((rows.len() / words) as u32);
-    }
-    FlatBehavior { offsets, rows }
-}
-
-/// Content-addressed behaviour store; equal behaviours share one id, so
-/// triple identity and memo keys compare `u32`s. `rows_seen` tracks the
-/// distinct exit-set rows occurring in interned behaviours (the kernel
-/// analogue of the old mask arena, reported as
-/// [`WalkStats::masks_interned`]).
-#[derive(Default)]
-struct BehaviorArena {
-    index: FxHashMap<FlatBehavior, BehaviorId>,
-    behaviors: Vec<FlatBehavior>,
-    rows_seen: FxHashSet<Vec<u64>>,
-}
-
-impl BehaviorArena {
-    fn intern(&mut self, b: FlatBehavior, words: usize) -> BehaviorId {
-        if let Some(&id) = self.index.get(&b) {
-            return id;
-        }
-        for row in b.rows.chunks_exact(words) {
-            if !self.rows_seen.contains(row) {
-                self.rows_seen.insert(row.to_vec());
-            }
-        }
-        let id = self.behaviors.len() as BehaviorId;
-        self.index.insert(b.clone(), id);
-        self.behaviors.push(b);
-        id
-    }
-}
-
 /// A behaviour restricted to one symbol side's `Down`-rule targets: slot
 /// `s` (the index into [`SymTable::targets`]) maps to the antichain rows
-/// `offsets[s]..offsets[s + 1]` (row units). Compositions read children
-/// *only* through projections, which is what makes the projected memo key
-/// sound.
+/// `offsets[s]..offsets[s + 1]` (row units), each antichain sorted
+/// lexicographically by row words. Compositions read children *only*
+/// through projections, which is what makes signature states exact.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct Projection {
     offsets: Vec<u32>,
@@ -249,6 +178,32 @@ impl Projection {
     fn ac(&self, slot: usize, words: usize) -> &[u64] {
         &self.rows[self.offsets[slot] as usize * words..self.offsets[slot + 1] as usize * words]
     }
+}
+
+/// Projects solved antichain lists onto `targets` in canonical form.
+/// `order` is a reusable sort buffer.
+fn project(
+    lists: &[Vec<RowRef>],
+    arena: &[u64],
+    words: usize,
+    targets: &[u32],
+    order: &mut Vec<RowId>,
+) -> Projection {
+    let mut p = Projection {
+        offsets: Vec::with_capacity(targets.len() + 1),
+        rows: Vec::new(),
+    };
+    p.offsets.push(0);
+    for &t in targets {
+        order.clear();
+        order.extend(lists[t as usize].iter().map(|e| e.id));
+        order.sort_unstable_by(|&a, &b| row_at(arena, a, words).cmp(row_at(arena, b, words)));
+        for &id in order.iter() {
+            p.rows.extend_from_slice(row_at(arena, id, words));
+        }
+        p.offsets.push((p.rows.len() / words) as u32);
+    }
+    p
 }
 
 /// Content-addressed projection store (main-thread only).
@@ -270,64 +225,19 @@ impl ProjArena {
     }
 }
 
-/// Computes and caches behaviour → projection ids per `(table, side)`.
-/// Lives on the main thread; projection ids are assigned in canonical
-/// frontier-scan order, hence deterministic.
-struct Projector {
-    arena: ProjArena,
-    /// `cache[table][side][behavior]` = interned projection id, or
-    /// `u32::MAX` when not yet computed.
-    cache: Vec<[Vec<u32>; 2]>,
-}
-
-impl Projector {
-    fn new(n_tables: usize) -> Projector {
-        Projector {
-            arena: ProjArena::default(),
-            cache: (0..n_tables).map(|_| [Vec::new(), Vec::new()]).collect(),
-        }
-    }
-
-    fn id(
-        &mut self,
-        walker: &Walker,
-        behaviors: &BehaviorArena,
-        ti: u32,
-        side: usize,
-        b: BehaviorId,
-    ) -> ProjId {
-        let cache = &mut self.cache[ti as usize][side];
-        if b as usize >= cache.len() {
-            cache.resize(b as usize + 1, u32::MAX);
-        }
-        if cache[b as usize] != u32::MAX {
-            return cache[b as usize];
-        }
-        let words = walker.words;
-        let targets = walker.tables[ti as usize].targets(side);
-        let fb = &behaviors.behaviors[b as usize];
-        let mut p = Projection {
-            offsets: Vec::with_capacity(targets.len() + 1),
-            rows: Vec::new(),
-        };
-        p.offsets.push(0);
-        for &t in targets {
-            p.rows.extend_from_slice(fb.ac(t as usize, words));
-            p.offsets.push((p.rows.len() / words) as u32);
-        }
-        let id = self.arena.intern(p);
-        self.cache[ti as usize][side][b as usize] = id;
-        id
-    }
-}
-
-/// An interned subtree triple: left/right behaviour ids plus the
-/// whole-tree acceptance bit.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct TripleIds {
-    left: BehaviorId,
-    right: BehaviorId,
+/// A DBTA state: the whole-tree acceptance bit plus, for every binary
+/// table `b` (indexing [`Walker::binaries`]), the left-position behaviour
+/// projected onto `b`'s `DownLeft` targets (`left[b]`) and the
+/// right-position behaviour projected onto its `DownRight` targets
+/// (`right[b]`). A parent's composition reads exactly these, so subtrees
+/// with equal signatures are interchangeable under every context. Workers
+/// return signatures over raw [`Projection`]s; [`intern_signature`] turns
+/// them into signatures over [`ProjId`]s.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Signature<P> {
     accepting: bool,
+    left: Vec<P>,
+    right: Vec<P>,
 }
 
 /// One pre-compiled local action (everything but up-moves, which are
@@ -529,8 +439,8 @@ struct JobStats {
 }
 
 /// Reusable buffers of the solver inner loop: flat candidate rows, a row
-/// build buffer, and the exit-resolution double buffer (`acc`/`tmp` refs
-/// into the private `pool` row arena).
+/// build buffer, the exit-resolution double buffer (`acc`/`tmp` refs into
+/// the private `pool` row arena), and the [`project`] sort buffer.
 #[derive(Default)]
 struct Scratch {
     cands: Vec<u64>,
@@ -538,13 +448,14 @@ struct Scratch {
     pool: Vec<u64>,
     acc: Vec<RowRef>,
     tmp: Vec<RowRef>,
+    order: Vec<RowId>,
 }
 
 /// Per-worker reusable solver state: the composition-local row arena, the
 /// two behaviour list buffers, the worklist with its membership flags, the
 /// candidate scratch, and the down-dependency edge buffer. Compositions
 /// run entirely inside one workspace, so after warm-up they allocate only
-/// their (flat) results.
+/// their projected results.
 struct Workspace {
     /// Composition-local row storage; reset per composition, seeded from
     /// the symbol base.
@@ -574,16 +485,6 @@ impl Workspace {
             down_rdeps: vec![Vec::new(); n_states],
         }
     }
-}
-
-/// The raw (un-interned) result of one composition. `left`/`right` are
-/// `None` when that child position admits no up-moves, in which case the
-/// positional behaviour equals the root one (no copy, no re-interning).
-struct RawTriple {
-    root: FlatBehavior,
-    left: Option<FlatBehavior>,
-    right: Option<FlatBehavior>,
-    accepting: bool,
 }
 
 /// Rebuilds the reverse edges induced by `Down` actions into `deps`:
@@ -619,6 +520,9 @@ fn fill_down_rdeps(
 struct Walker {
     tables: Vec<SymTable>,
     sym_index: FxHashMap<Symbol, u32>,
+    /// Table ids of the alphabet's binary symbols, in alphabet order: the
+    /// tables a [`Signature`] projects onto.
+    binaries: Vec<u32>,
     n_states: usize,
     words: usize,
     initial: usize,
@@ -685,9 +589,11 @@ impl Walker {
                 }
             }
         }
+        let binaries = alphabet.binaries().iter().map(|s| sym_index[s]).collect();
         let mut walker = Walker {
             tables: builders.into_iter().map(TableBuilder::freeze).collect(),
             sym_index,
+            binaries,
             n_states,
             words: n_states.div_ceil(64).max(1),
             initial: a.core().initial().index(),
@@ -810,6 +716,7 @@ impl Walker {
             pool,
             acc,
             tmp,
+            ..
         } = scratch;
         pool.clear();
         pool.resize(words, 0); // row 0 = the empty union
@@ -893,8 +800,8 @@ impl Walker {
     /// iteration from any such point converges to it — only the up
     /// increments need re-propagation. The `pos` lists share the arena
     /// with `root` (rows are immutable, so the restart copies refs, not
-    /// rows). Returns `None` when there are no up-moves for this position
-    /// (behaviour = root's).
+    /// rows). Returns `false`, leaving `pos` untouched, when there are no
+    /// up-moves for this position (behaviour = root's).
     #[allow(clippy::too_many_arguments)]
     fn extend_up(
         &self,
@@ -907,9 +814,9 @@ impl Walker {
         inq: &mut [bool],
         scratch: &mut Scratch,
         stats: &mut JobStats,
-    ) -> Option<FlatBehavior> {
+    ) -> bool {
         if ups.is_empty() {
-            return None;
+            return false;
         }
         for (p, r) in pos.iter_mut().zip(root) {
             p.clone_from(r);
@@ -937,11 +844,12 @@ impl Walker {
             }
         }
         self.solve(ctx, pos, arena, wl, inq, scratch, stats);
-        Some(flatten(pos, arena, self.words))
+        true
     }
 
     /// One full composition: the root fixpoint (restarted from the symbol
-    /// base) plus its left/right up-move extensions. Pure apart from the
+    /// base) plus its left/right up-move extensions, each projected onto
+    /// every binary table's targets for its side. Pure apart from the
     /// workspace buffers — reads only frozen tables and projections, so it
     /// is safe to run from worker threads with per-worker workspaces.
     fn compose(
@@ -950,7 +858,7 @@ impl Walker {
         children: Option<(&Projection, &Projection)>,
         ws: &mut Workspace,
         stats: &mut JobStats,
-    ) -> RawTriple {
+    ) -> Signature<Projection> {
         let table = &self.tables[table_idx as usize];
         let words = self.words;
         let Workspace {
@@ -998,36 +906,27 @@ impl Walker {
         // Accepting iff the initial configuration resolves with no exits
         // (the popcount-sorted list puts an empty row first if present).
         let accepting = root[self.initial].first().is_some_and(|e| e.pc == 0);
-        let left = self.extend_up(
-            &ctx,
-            root,
-            pos,
-            arena,
-            &table.up_left,
-            wl,
-            inq,
-            scratch,
-            stats,
-        );
-        let right = self.extend_up(
-            &ctx,
-            root,
-            pos,
-            arena,
-            &table.up_right,
-            wl,
-            inq,
-            scratch,
-            stats,
-        );
+        let mut sides: [Vec<Projection>; 2] = Default::default();
+        for (side, ups) in [&table.up_left, &table.up_right].into_iter().enumerate() {
+            let extended = self.extend_up(&ctx, root, pos, arena, ups, wl, inq, scratch, stats);
+            let lists: &[Vec<RowRef>] = if extended { pos } else { root };
+            sides[side] = self
+                .binaries
+                .iter()
+                .map(|&b| {
+                    let targets = self.tables[b as usize].targets(side);
+                    project(lists, arena, words, targets, &mut scratch.order)
+                })
+                .collect();
+        }
         let rows = (arena.len() / words) as u64;
         stats.rows += rows;
         stats.row_peak = stats.row_peak.max(rows);
-        RawTriple {
-            root: flatten(root, arena, words),
+        let [left, right] = sides;
+        Signature {
+            accepting,
             left,
             right,
-            accepting,
         }
     }
 }
@@ -1060,7 +959,8 @@ struct Job {
 /// spawning a worker crew plus the loss of the sequential run's warm
 /// workspace outweighs the speedup, and `--threads auto` would *lose* to
 /// `--threads 1` (BENCH_typecheck.json schema 4 recorded 147.7 ms parallel
-/// vs 116.5 ms sequential on Q2/mod-3, whose batches peak at 2 448 jobs).
+/// vs 116.5 ms sequential on Q2/mod-3, whose batches then peaked at 2 448
+/// jobs).
 #[allow(clippy::too_many_arguments)]
 fn compute_batch(
     walker: &Walker,
@@ -1070,9 +970,9 @@ fn compute_batch(
     parallel_threshold: usize,
     chunk: usize,
     agg: &mut JobStats,
-) -> Vec<RawTriple> {
+) -> Vec<Signature<Projection>> {
     let jour = journal::enabled();
-    let run_one = |job: &Job, ws: &mut Workspace, stats: &mut JobStats| -> RawTriple {
+    let run_one = |job: &Job, ws: &mut Workspace, stats: &mut JobStats| -> Signature<Projection> {
         if jour {
             journal::begin("walk.job");
         }
@@ -1106,7 +1006,7 @@ fn compute_batch(
     }
     let remaining = AtomicUsize::new(jobs.len());
     let steals = AtomicU64::new(0);
-    let mut out: Vec<Option<RawTriple>> = Vec::with_capacity(jobs.len());
+    let mut out: Vec<Option<Signature<Projection>>> = Vec::with_capacity(jobs.len());
     out.resize_with(jobs.len(), || None);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -1123,7 +1023,7 @@ fn compute_batch(
                         if jour {
                             journal::begin("walk.worker");
                         }
-                        let mut local: Vec<(usize, RawTriple)> = Vec::new();
+                        let mut local: Vec<(usize, Signature<Projection>)> = Vec::new();
                         let mut ws = Workspace::new(walker.n_states);
                         let mut stats = JobStats::default();
                         'work: loop {
@@ -1196,47 +1096,38 @@ fn compute_batch(
         .collect()
 }
 
-/// Interns a raw composition result: the root behaviour, then the
-/// positional ones (which alias the root when the position admits no
-/// up-moves). Main-thread only, in canonical job order — arena ids are
-/// therefore thread-count independent.
-fn intern_raw(raw: RawTriple, behaviors: &mut BehaviorArena, words: usize) -> TripleIds {
-    let root_id = behaviors.intern(raw.root, words);
-    let position = |b: Option<FlatBehavior>, behaviors: &mut BehaviorArena| match b {
-        Some(b) => behaviors.intern(b, words),
-        None => root_id,
-    };
-    TripleIds {
-        left: position(raw.left, behaviors),
-        right: position(raw.right, behaviors),
-        accepting: raw.accepting,
-    }
-}
-
-/// Assigns (or retrieves) the DBTA state of an interned triple, honoring
-/// the class budget exactly as the reference build did.
-fn intern_triple(
-    ids: TripleIds,
-    triples: &mut Vec<TripleIds>,
-    index: &mut FxHashMap<TripleIds, State>,
+/// Interns a composition result: its projections, then the signature as a
+/// DBTA state, honouring the state budget. Main-thread only, in canonical
+/// job order — projection and state ids are therefore thread-count
+/// independent, and so is the point where the budget aborts.
+fn intern_signature(
+    raw: Signature<Projection>,
+    projs: &mut ProjArena,
+    states: &mut Vec<Signature<ProjId>>,
+    index: &mut FxHashMap<Signature<ProjId>, State>,
     limit: u32,
 ) -> Result<State, TypecheckError> {
-    if let Some(&q) = index.get(&ids) {
+    let sig = Signature {
+        accepting: raw.accepting,
+        left: raw.left.into_iter().map(|p| projs.intern(p)).collect(),
+        right: raw.right.into_iter().map(|p| projs.intern(p)).collect(),
+    };
+    if let Some(&q) = index.get(&sig) {
         return Ok(q);
     }
-    let q = State(triples.len() as u32);
+    let q = State(states.len() as u32);
     if q.0 >= limit {
         return Err(TypecheckError::TooManyStates { n: q.0 + 1 });
     }
-    index.insert(ids, q);
-    triples.push(ids);
+    index.insert(sig.clone(), q);
+    states.push(sig);
     Ok(q)
 }
 
 /// Options for [`walking_to_dbta_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct WalkOptions {
-    /// Budget on behaviour classes (congruence states); `u32::MAX` =
+    /// Budget on DBTA states (child-projection signatures); `u32::MAX` =
     /// unlimited.
     pub limit: u32,
     /// Worker threads for the composition frontier; `0` resolves via
@@ -1272,22 +1163,23 @@ impl Default for WalkOptions {
 /// deterministic — independent of the thread count used.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalkStats {
-    /// Transition-table pairs `(symbol, s₁, s₂)` resolved.
+    /// Transition-table entries `(symbol, s₁, s₂)` of the DBTA: the binary
+    /// symbols times the squared state count.
     pub pairs: u64,
     /// Composition requests: one per leaf symbol plus one per
-    /// transition-table pair (`compositions = memo_hits + memo_misses`).
+    /// transition-table entry (`compositions = memo_hits + memo_misses`).
     pub compositions: u64,
-    /// Pair requests resolved from the projected-key memo without a
-    /// fixpoint run.
+    /// Transition-table entries that share their composition with an
+    /// earlier entry of the same projection pair.
     pub memo_hits: u64,
     /// Requests that *did* require a fixpoint run: the leaf symbols plus
-    /// the distinct projected memo keys.
+    /// the distinct `(symbol, left, right)` projection pairs.
     pub memo_misses: u64,
     /// Total worklist pops across all fixpoint runs.
     pub fixpoint_steps: u64,
     /// Peak worklist length of any single fixpoint run.
     pub worklist_peak: u64,
-    /// Frontier generations (compute → intern → replay cycles).
+    /// Frontier generations (batches of projection-pair jobs).
     pub rounds: u64,
     /// Worker threads the frontier was evaluated with.
     pub threads: u64,
@@ -1296,10 +1188,6 @@ pub struct WalkStats {
     pub parallel_batches: u64,
     /// The resolved parallel threshold the run was gated on.
     pub parallel_threshold: u64,
-    /// Distinct exit-set rows (masks) occurring in interned behaviours.
-    pub masks_interned: u64,
-    /// Distinct behaviours interned.
-    pub behaviors_interned: u64,
     /// States of the resulting DBTA.
     pub dbta_states: u64,
     /// Bitset row width of the kernel, in `u64` words.
@@ -1308,7 +1196,7 @@ pub struct WalkStats {
     pub kernel_rows: u64,
     /// Peak arena rows of any single composition.
     pub kernel_row_peak: u64,
-    /// Distinct behaviour projections interned for memo keys.
+    /// Distinct child projections interned.
     pub projections_interned: u64,
     /// The resolved work-stealing chunk size (jobs per chunk).
     pub chunk_size: u64,
@@ -1352,9 +1240,9 @@ pub fn resolve_threads(requested: usize) -> usize {
 }
 
 /// Default minimum frontier-batch size for the parallel path, measured on
-/// the flagship Q2/mod-3 instance (see DESIGN.md "Walk-route performance"):
-/// its batches peak at 2 448 jobs and 4-thread evaluation is still ~27%
-/// *slower* than sequential there, while crews pay for themselves once a
+/// the flagship Q2/mod-3 instance (see DESIGN.md "Walk-route performance")
+/// when its batches peaked at 2 448 jobs: 4-thread evaluation was still
+/// ~27% *slower* than sequential there, while crews pay for themselves once a
 /// batch carries several thousand ≈10 µs jobs. Below this bound the
 /// spawn-and-join overhead plus the cold per-worker workspaces dominate.
 pub const PARALLEL_JOB_THRESHOLD: usize = 4096;
@@ -1406,10 +1294,10 @@ pub fn resolve_chunk(requested: usize) -> usize {
 /// equivalent deterministic bottom-up tree automaton, returning the
 /// construction counters alongside.
 ///
-/// Errors when `k ≠ 1` or the behaviour-class budget is exceeded. The
-/// output is bit-identical for every thread count and chunk size: workers
-/// only evaluate pure compositions, and all interning happens sequentially
-/// in a canonical order.
+/// Errors when `k ≠ 1` or the DBTA-state budget is exceeded. The output is
+/// bit-identical for every thread count and chunk size: workers only
+/// evaluate pure compositions, and all interning happens sequentially in a
+/// canonical order.
 pub fn walking_to_dbta_with(
     a: &PebbleAutomaton,
     opts: &WalkOptions,
@@ -1421,18 +1309,23 @@ pub fn walking_to_dbta_with(
     let chunk = resolve_chunk(opts.chunk);
     let limit = opts.limit;
     let alphabet = a.input_alphabet();
-    let words = walker.words;
+    let run = |jobs: &[Job], projs: &ProjArena, job_stats: &mut JobStats| {
+        compute_batch(
+            &walker,
+            jobs,
+            &projs.projs,
+            threads,
+            parallel_threshold,
+            chunk,
+            job_stats,
+        )
+    };
 
-    let mut behaviors = BehaviorArena::default();
-    let mut projector = Projector::new(walker.tables.len());
-    let mut triples: Vec<TripleIds> = Vec::new();
-    let mut index: FxHashMap<TripleIds, State> = FxHashMap::default();
-    let mut memo: FxHashMap<(u32, ProjId, ProjId), TripleIds> = FxHashMap::default();
-    let mut leaf: FxHashMap<Symbol, State> = FxHashMap::default();
-    let mut node: FxHashMap<(Symbol, State, State), State> = FxHashMap::default();
-    let mut rounds = 0u64;
+    let mut projs = ProjArena::default();
+    let mut states: Vec<Signature<ProjId>> = Vec::new();
+    let mut index: FxHashMap<Signature<ProjId>, State> = FxHashMap::default();
 
-    // Leaf triples, in alphabet order (canonical).
+    // Leaf states, in alphabet order (canonical).
     let leaf_syms = alphabet.leaves();
     let leaf_jobs: Vec<Job> = leaf_syms
         .iter()
@@ -1441,166 +1334,95 @@ pub fn walking_to_dbta_with(
             children: None,
         })
         .collect();
-    let raws = compute_batch(
-        &walker,
-        &leaf_jobs,
-        &projector.arena.projs,
-        threads,
-        parallel_threshold,
-        chunk,
-        &mut job_stats,
-    );
-    for (&sym, raw) in leaf_syms.iter().zip(raws) {
-        let ids = intern_raw(raw, &mut behaviors, words);
-        let q = intern_triple(ids, &mut triples, &mut index, limit)?;
+    let leaf_raws = run(&leaf_jobs, &projs, &mut job_stats);
+    let mut leaf: FxHashMap<Symbol, State> = FxHashMap::default();
+    for (&sym, raw) in leaf_syms.iter().zip(leaf_raws) {
+        let q = intern_signature(raw, &mut projs, &mut states, &mut index, limit)?;
         leaf.insert(sym, q);
     }
 
-    let binaries = alphabet.binaries();
-    // Incremental scan state: `scanned` counts triples whose pair-space
-    // the frontier has already enumerated, and `col[s]` is the replay's
-    // per-row column cursor. Both only advance, so across the whole
-    // construction every `(x, y)` pair is enumerated exactly once by the
-    // frontier and processed exactly once by the replay — rescanning
-    // per round was the dominant sequential cost on saturated frontiers
-    // (O(rounds · m²) hash probes for an m-class machine).
-    let mut scanned = 0usize;
-    let mut col: Vec<u32> = Vec::new();
-    loop {
-        rounds += 1;
-        // Frontier: every composition key over pairs involving a triple
-        // interned since the last scan — a pair between older triples
-        // already has its key in `memo` (enumerated in a previous round),
-        // so only the new rows and columns can need jobs. Enumeration
-        // order (new-triple-major, `(t, 0..=t)` then `(0..t, t)`, symbols
-        // innermost) is a pure function of the interned-triple sequence,
-        // hence thread-invariant; jobs are deduped on the projected key so
-        // identical jobs solve once per round.
+    // Discovery over projection pairs. `sides[b]` lists the left and right
+    // projections binary table `b` has seen, in discovery order; a new one
+    // is paired with every opposite-side projection seen so far, so each
+    // `(table, left, right)` composition is enumerated exactly once, the
+    // generation after the later of its two projections first appears.
+    // Job order is a pure function of the interned-state sequence, hence
+    // thread-invariant.
+    let mut sides: Vec<[Vec<ProjId>; 2]> = vec![Default::default(); walker.binaries.len()];
+    let mut seen: FxHashSet<(usize, usize, ProjId)> = FxHashSet::default();
+    let mut memo: FxHashMap<(u32, ProjId, ProjId), State> = FxHashMap::default();
+    let mut enumerated = 0;
+    let mut rounds = 0u64;
+    while enumerated < states.len() {
         let mut jobs: Vec<Job> = Vec::new();
-        let mut seen: FxHashSet<(u32, ProjId, ProjId)> = FxHashSet::default();
-        let len = triples.len();
-        for t in scanned..len {
-            for p in 0..=2 * t {
-                let (x, y) = if p <= t { (t, p) } else { (p - t - 1, t) };
-                for &sym in &binaries {
-                    if node.contains_key(&(sym, State(x as u32), State(y as u32))) {
-                        continue;
-                    }
-                    let ti = walker.slot(sym);
-                    let key = (
-                        ti,
-                        projector.id(&walker, &behaviors, ti, 0, triples[x].left),
-                        projector.id(&walker, &behaviors, ti, 1, triples[y].right),
-                    );
-                    if !memo.contains_key(&key) && seen.insert(key) {
-                        jobs.push(Job {
-                            table: ti,
-                            children: Some((key.1, key.2)),
-                        });
-                    }
+        for sig in &states[enumerated..] {
+            for (b, [lefts, rights]) in sides.iter_mut().enumerate() {
+                let table = walker.binaries[b];
+                let (l, r) = (sig.left[b], sig.right[b]);
+                let job = |l, r| Job {
+                    table,
+                    children: Some((l, r)),
+                };
+                if seen.insert((b, 0, l)) {
+                    jobs.extend(rights.iter().map(|&r| job(l, r)));
+                    lefts.push(l);
+                }
+                if seen.insert((b, 1, r)) {
+                    jobs.extend(lefts.iter().map(|&l| job(l, r)));
+                    rights.push(r);
                 }
             }
         }
-        scanned = len;
+        enumerated = states.len();
+        if jobs.is_empty() {
+            break;
+        }
+        rounds += 1;
         if journal::enabled() {
             journal::instant("walk.round");
             journal::counter("walk.frontier_jobs", jobs.len() as u64);
         }
-        if !jobs.is_empty() {
-            let raws = compute_batch(
-                &walker,
-                &jobs,
-                &projector.arena.projs,
-                threads,
-                parallel_threshold,
-                chunk,
-                &mut job_stats,
-            );
-            for (job, raw) in jobs.iter().zip(raws) {
-                let (l, r) = job.children.expect("binary job");
-                let ids = intern_raw(raw, &mut behaviors, words);
-                memo.insert((job.table, l, r), ids);
-            }
-        }
-
-        // Canonical replay: interns triples and transitions in a fixed
-        // deterministic order — row-major over the triple table, each row
-        // advancing its persistent column cursor, repeated in passes until
-        // every row has caught up with the (growing) table. The order is a
-        // pure function of the interned-triple sequence, so the DBTA
-        // numbering is identical at every thread count. Aborts (for
-        // another frontier round) at the first composition not yet
-        // memoized — necessarily one involving a triple first discovered
-        // during this very replay; the cursors make the retry resume where
-        // it stopped instead of rescanning resolved pairs.
-        let mut complete = true;
-        'replay: loop {
-            if col.len() < triples.len() {
-                col.resize(triples.len(), 0);
-            }
-            let mut progressed = false;
-            let mut s1i = 0usize;
-            while s1i < triples.len() {
-                let s1 = State(s1i as u32);
-                while (col[s1i] as usize) < triples.len() {
-                    let s2 = State(col[s1i]);
-                    for &sym in &binaries {
-                        for (x, y) in [(s1, s2), (s2, s1)] {
-                            if node.contains_key(&(sym, x, y)) {
-                                continue;
-                            }
-                            let ti = walker.slot(sym);
-                            let key = (
-                                ti,
-                                projector.id(&walker, &behaviors, ti, 0, triples[x.index()].left),
-                                projector.id(&walker, &behaviors, ti, 1, triples[y.index()].right),
-                            );
-                            let Some(&ids) = memo.get(&key) else {
-                                complete = false;
-                                break 'replay;
-                            };
-                            let q = intern_triple(ids, &mut triples, &mut index, limit)?;
-                            node.insert((sym, x, y), q);
-                        }
-                    }
-                    col[s1i] += 1;
-                    progressed = true;
-                    if col.len() < triples.len() {
-                        col.resize(triples.len(), 0);
-                    }
-                }
-                s1i += 1;
-            }
-            if !progressed {
-                break;
-            }
+        for (job, raw) in jobs.iter().zip(run(&jobs, &projs, &mut job_stats)) {
+            let (l, r) = job.children.expect("binary job");
+            let q = intern_signature(raw, &mut projs, &mut states, &mut index, limit)?;
+            memo.insert((job.table, l, r), q);
         }
         if journal::enabled() {
-            journal::counter("walk.triples", triples.len() as u64);
-            journal::counter("walk.masks_arena", behaviors.rows_seen.len() as u64);
-            journal::counter("walk.behaviors_arena", behaviors.behaviors.len() as u64);
-            journal::counter("walk.projections_arena", projector.arena.projs.len() as u64);
+            journal::counter("walk.dbta_states", states.len() as u64);
+            journal::counter("walk.projections_arena", projs.projs.len() as u64);
             journal::counter("walk.memo_misses", (leaf.len() + memo.len()) as u64);
-            journal::counter(
-                "walk.memo_hits",
-                node.len().saturating_sub(memo.len()) as u64,
-            );
-        }
-        if complete {
-            break;
         }
     }
 
-    let finals: StateSet = triples
+    // Expansion: δ(a, S₁, S₂) = memo[table(a), S₁.left(a), S₂.right(a)],
+    // inserted in (symbol, S₁, S₂) order so the table is canonical too.
+    let mut node: FxHashMap<(Symbol, State, State), State> = FxHashMap::default();
+    node.reserve(walker.binaries.len() * states.len() * states.len());
+    for (b, (&sym, &table)) in alphabet.binaries().iter().zip(&walker.binaries).enumerate() {
+        for (s1, x) in states.iter().enumerate() {
+            for (s2, y) in states.iter().enumerate() {
+                let q = *memo
+                    .get(&(table, x.left[b], y.right[b]))
+                    .expect("every seen projection pair was composed");
+                node.insert((sym, State(s1 as u32), State(s2 as u32)), q);
+            }
+        }
+    }
+    let memo_hits = (node.len() - memo.len()) as u64;
+    if journal::enabled() {
+        journal::counter("walk.memo_hits", memo_hits);
+    }
+
+    let finals: StateSet = states
         .iter()
         .enumerate()
-        .filter(|(_, t)| t.accepting)
+        .filter(|(_, s)| s.accepting)
         .map(|(i, _)| State(i as u32))
         .collect();
     let stats = WalkStats {
         pairs: node.len() as u64,
         compositions: (leaf.len() + node.len()) as u64,
-        memo_hits: (node.len() - memo.len()) as u64,
+        memo_hits,
         memo_misses: (leaf.len() + memo.len()) as u64,
         fixpoint_steps: job_stats.steps,
         worklist_peak: job_stats.peak,
@@ -1608,25 +1430,23 @@ pub fn walking_to_dbta_with(
         threads: threads as u64,
         parallel_batches: job_stats.par_batches,
         parallel_threshold: parallel_threshold as u64,
-        masks_interned: behaviors.rows_seen.len() as u64,
-        behaviors_interned: behaviors.behaviors.len() as u64,
-        dbta_states: triples.len() as u64,
-        words: words as u64,
+        dbta_states: states.len() as u64,
+        words: walker.words as u64,
         kernel_rows: job_stats.rows,
         kernel_row_peak: job_stats.row_peak,
-        projections_interned: projector.arena.projs.len() as u64,
+        projections_interned: projs.projs.len() as u64,
         chunk_size: chunk as u64,
         chunks: job_stats.chunks,
     };
-    let d = Dbta::from_parts(alphabet, triples.len() as u32, leaf, node, finals);
+    let d = Dbta::from_parts(alphabet, states.len() as u32, leaf, node, finals);
     Ok((d, stats))
 }
 
 /// Converts a 1-pebble (branching tree-walking) automaton into an
 /// equivalent deterministic bottom-up tree automaton.
 ///
-/// Errors when `k ≠ 1`. The `limit` bounds the number of behaviour classes
-/// (congruence states) explored.
+/// Errors when `k ≠ 1`. The `limit` bounds the number of DBTA states
+/// (child-projection signatures) explored.
 pub fn walking_to_dbta_limited(a: &PebbleAutomaton, limit: u32) -> Result<Dbta, TypecheckError> {
     walking_to_dbta_with(
         a,
@@ -1638,7 +1458,7 @@ pub fn walking_to_dbta_limited(a: &PebbleAutomaton, limit: u32) -> Result<Dbta, 
     .map(|(d, _)| d)
 }
 
-/// [`walking_to_dbta_limited`] without a class budget.
+/// [`walking_to_dbta_limited`] without a state budget.
 pub fn walking_to_dbta(a: &PebbleAutomaton) -> Result<Dbta, TypecheckError> {
     walking_to_dbta_limited(a, u32::MAX)
 }
@@ -2053,7 +1873,7 @@ mod tests {
         ));
     }
 
-    /// The class budget aborts at the same canonical point regardless of
+    /// The state budget aborts at the same canonical point regardless of
     /// thread count or chunk size.
     #[test]
     fn limit_abort_is_thread_invariant() {

@@ -1,0 +1,73 @@
+//! The Theorem 4.7 walk's DBTA states are child-projection signatures: the
+//! acceptance bit plus, per binary symbol, the left and right child
+//! projections a parent's composition reads. Subtrees whose behaviour
+//! triples differ only outside those projections share one state, so the
+//! DBTA, its transition table and everything downstream shrink while the
+//! fixpoint work (one run per distinct projection pair) stays the same.
+
+use xmltc::core::machine::PebbleAutomaton;
+use xmltc::dtd::Dtd;
+use xmltc::typecheck::violation_automaton;
+use xmltc::typecheck::walk::{walking_to_dbta_with, WalkOptions, WalkStats};
+use xmltc::xmlql::Stylesheet;
+
+fn walk(v: &PebbleAutomaton) -> WalkStats {
+    let opts = WalkOptions {
+        threads: 1,
+        ..Default::default()
+    };
+    let (d, stats) = walking_to_dbta_with(v, &opts).unwrap();
+    assert_eq!(stats.dbta_states, d.n_states() as u64);
+    assert_eq!(stats.memo_hits + stats.memo_misses, stats.compositions);
+    stats
+}
+
+/// The Q2 family of the typecheck-mix benchmark: `root := a*`, a
+/// stylesheet interleaving `c` copies of the children with `p` `b`
+/// markers, checked against `res := ((a|b)^m)*`.
+fn q2_family(m: usize, c: usize, p: usize) -> PebbleAutomaton {
+    let dtd = Dtd::parse_text("root := a*\na := @eps").unwrap();
+    let mut items = Vec::new();
+    for i in 0..c.max(p) {
+        if i < p {
+            items.push("b");
+        }
+        if i < c {
+            items.push("@apply");
+        }
+    }
+    let sheet =
+        Stylesheet::parse_text(&format!("root -> res({})\na -> a", items.join(", "))).unwrap();
+    let (t, _, enc_out) = sheet.compile(dtd.alphabet()).unwrap();
+    let group = vec!["(a|b)"; m].join(".");
+    let tau2 = Dtd::parse_text_with(
+        &format!("res := ({group})*\na := @eps\nb := @eps"),
+        enc_out.source(),
+    )
+    .unwrap()
+    .compile(&enc_out)
+    .unwrap();
+    violation_automaton(&t, &tau2).unwrap().trim_states()
+}
+
+#[test]
+fn q2_mod3_walk_has_nine_signature_states() {
+    let fx = xmltc::bench::q2_fixture();
+    let v = violation_automaton(&fx.transducer, &fx.tau2_mod3)
+        .unwrap()
+        .trim_states();
+    let s = walk(&v);
+    // Its 67 distinct behaviour triples collapse to 9 signatures; the
+    // transition table is 3 binary symbols × 9².
+    assert_eq!(s.dbta_states, 9);
+    assert_eq!(s.pairs, 243);
+    // One fixpoint run per distinct projection pair (66) plus the leaf.
+    assert_eq!(s.memo_misses, 67);
+    assert_eq!(s.fixpoint_steps, 7098);
+}
+
+#[test]
+fn q2_m8_walk_collapses_to_fourteen_signatures() {
+    // 177 distinct behaviour triples, 14 signatures.
+    assert_eq!(walk(&q2_family(8, 8, 8)).dbta_states, 14);
+}
