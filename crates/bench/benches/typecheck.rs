@@ -4,25 +4,16 @@
 //! run by both the eager (materializing) and the lazy (on-the-fly) engine.
 //!
 //! Besides the timing table, this bench dumps a machine-readable comparison
-//! to `BENCH_typecheck.json` at the workspace root (schema 6): one
+//! to `BENCH_typecheck.json` at the workspace root (schema 7): one
 //! instrumented [`PipelineReport`](xmltc_obs::PipelineReport) per engine
 //! (the same shape `xmltc typecheck --json` emits), a side-by-side summary
 //! of wall times and state counts, a `route_walk` breakdown of the
-//! Theorem 4.7 walk construction — sequential (`--threads 1`) vs parallel
-//! wall time, pairs explored, memo hit rate, and thread count — and a
-//! `service` section timing the same instance through `xmltc serve`: a
-//! cold request that builds every artifact vs a warm repeat answered from
-//! the verdict cache (asserted byte-identical). On a typechecks-OK
-//! instance the lazy engine must materialize strictly fewer states than
-//! the eager product, and the walk construction must reach the same
-//! verdict at every thread count.
-//!
-//! Schema 6 adds `walk_scaling`: threads × instance-size curves over the
-//! seeded `walk-scale` family (see [`xmltc_bench::scaled`]), whose
-//! frontier saturates by construction. Every curve point must build the
-//! same DBTA; on hosts with ≥ 4 cores the parallel points must never
-//! regress past sequential, and the largest instance's 4-thread build
-//! must be at least 2× faster than `--threads 1`.
+//! Theorem 4.7 walk construction — wall time, pairs explored, memo hit
+//! rate, fixpoint steps and kernel counters — and a `service` section
+//! timing the same instance through `xmltc serve`: a cold request that
+//! builds every artifact vs a warm repeat answered from the verdict cache
+//! (asserted byte-identical). On a typechecks-OK instance the lazy engine
+//! must materialize strictly fewer states than the eager product.
 //!
 //! `XMLTC_BENCH_QUICK=1` skips the calibrated timing loops and runs only
 //! the instrumented comparisons and their assertions (the CI smoke mode).
@@ -33,7 +24,6 @@ use xmltc_bench::harness::Group;
 use xmltc_bench::q2_fixture;
 use xmltc_obs::{self as obs, Json};
 use xmltc_service::{Client, ServeConfig, Server};
-use xmltc_typecheck::walk::resolve_threads;
 use xmltc_typecheck::{typecheck, Engine, TypecheckOptions};
 
 fn main() {
@@ -103,40 +93,21 @@ fn main() {
          on a typechecks-OK instance ({lazy_states} vs {eager_states})"
     );
 
-    // The walk-route breakdown: the same instance at --threads 1 and at a
-    // genuinely parallel thread count. Both runs must agree on the verdict
-    // (asserted inside `run`) and on every walk counter — the construction
-    // is deterministic by design.
-    let par_threads = resolve_threads(0).max(4);
-    let seq_report = run(&TypecheckOptions { threads: 1, ..lazy });
-    let par_report = run(&TypecheckOptions {
-        threads: par_threads,
-        ..lazy
-    });
-    let walk_metric = |r: &obs::PipelineReport, m: &str| {
-        r.span_metric("route.walk", m)
+    // The walk-route breakdown, from the lazy run (the second walk of the
+    // process, so its wall time is not a cold start).
+    let walk_metric = |m: &str| {
+        lazy_report
+            .span_metric("route.walk", m)
             .unwrap_or_else(|| panic!("walk run reports {m}"))
     };
-    for metric in [
-        "walk.pairs",
-        "walk.compositions",
-        "walk.memo_hits",
-        "walk.dbta_states",
-    ] {
-        assert_eq!(
-            walk_metric(&seq_report, metric),
-            walk_metric(&par_report, metric),
-            "thread count changed {metric}"
-        );
-    }
-    assert_eq!(walk_metric(&seq_report, "walk.threads"), 1);
-    assert_eq!(walk_metric(&par_report, "walk.threads"), par_threads as u64);
-    let walk_ms =
-        |r: &obs::PipelineReport| r.span("route.walk").map(|s| s.wall_ms()).unwrap_or(0.0);
-    let pairs = walk_metric(&seq_report, "walk.pairs");
-    let compositions = walk_metric(&seq_report, "walk.compositions");
-    let memo_hits = walk_metric(&seq_report, "walk.memo_hits");
-    let memo_misses = walk_metric(&seq_report, "walk.memo_misses");
+    let walk_ms = lazy_report
+        .span("route.walk")
+        .map(|s| s.wall_ms())
+        .unwrap_or(0.0);
+    let pairs = walk_metric("walk.pairs");
+    let compositions = walk_metric("walk.compositions");
+    let memo_hits = walk_metric("walk.memo_hits");
+    let memo_misses = walk_metric("walk.memo_misses");
     assert_eq!(
         memo_hits + memo_misses,
         compositions,
@@ -200,92 +171,13 @@ fn main() {
         .expect("shutdown response");
     server.join().expect("service thread exits");
 
-    // The scaling curves: the seeded walk-scale family at each thread
-    // count, forced past the job-count gate (see `scaled::scale_curve`).
-    // The closure is size-invariant by construction, so the size axis
-    // isolates per-job kernel cost; the thread axis isolates the
-    // work-stealing crew. Speedup assertions only fire on hosts with
-    // enough cores to mean anything.
-    let host_cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    let specs = xmltc_bench::scaled::walk_scale_specs(quick);
-    let thread_axis: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
-    let curve_reps = if quick { 1 } else { 2 };
-    let mut scaling_rows = Vec::new();
-    for (si, spec) in specs.iter().enumerate() {
-        let a = xmltc_bench::scaled::build(spec);
-        let (points, dbta_states) = xmltc_bench::scaled::scale_curve(&a, thread_axis, curve_reps);
-        let seq_ms = points[0].wall_ms;
-        if host_cores >= 4 {
-            for p in &points[1..] {
-                assert!(
-                    p.wall_ms <= seq_ms * 1.15,
-                    "{}: {} threads regressed past sequential ({:.1}ms vs {:.1}ms)",
-                    spec.name,
-                    p.threads,
-                    p.wall_ms,
-                    seq_ms
-                );
-            }
-            if si + 1 == specs.len() && !quick {
-                let four = points.iter().find(|p| p.threads == 4).unwrap();
-                assert!(
-                    four.wall_ms * 2.0 <= seq_ms,
-                    "{}: 4-thread walk must be ≥2× sequential ({:.1}ms vs {:.1}ms)",
-                    spec.name,
-                    four.wall_ms,
-                    seq_ms
-                );
-            }
-        }
-        println!(
-            "walk-scale {}: dbta={} jobs={} {}",
-            spec.name,
-            dbta_states,
-            points[0].stats.memo_misses,
-            points
-                .iter()
-                .map(|p| format!("{}T={:.0}ms", p.threads, p.wall_ms))
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        scaling_rows.push(Json::obj(vec![
-            ("name", Json::Str(spec.name.into())),
-            ("states", Json::U64(spec.states as u64)),
-            ("dbta_states", Json::U64(dbta_states)),
-            ("jobs", Json::U64(points[0].stats.memo_misses)),
-            ("pairs", Json::U64(points[0].stats.pairs)),
-            ("fixpoint_steps", Json::U64(points[0].stats.fixpoint_steps)),
-            ("rounds", Json::U64(points[0].stats.rounds)),
-            ("kernel_words", Json::U64(points[0].stats.words)),
-            (
-                "curve",
-                Json::Array(
-                    points
-                        .iter()
-                        .map(|p| {
-                            Json::obj(vec![
-                                ("threads", Json::U64(p.threads as u64)),
-                                ("wall_ms", Json::F64(p.wall_ms)),
-                                ("speedup", Json::F64(seq_ms / p.wall_ms.max(1e-9))),
-                                ("parallel_batches", Json::U64(p.stats.parallel_batches)),
-                                ("chunk_size", Json::U64(p.stats.chunk_size)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]));
-    }
-
     let emptiness_ms = |r: &obs::PipelineReport| {
         r.span("typecheck.emptiness")
             .map(|s| s.wall_ms())
             .unwrap_or(0.0)
     };
     let json = Json::obj(vec![
-        ("schema", Json::Str("xmltc.bench-typecheck/6".into())),
+        ("schema", Json::Str("xmltc.bench-typecheck/7".into())),
         (
             "comparison",
             Json::obj(vec![
@@ -303,9 +195,7 @@ fn main() {
             "route_walk",
             Json::obj(vec![
                 ("instance", Json::Str("Q2 vs mod-3 (typechecks)".into())),
-                ("sequential_wall_ms", Json::F64(walk_ms(&seq_report))),
-                ("parallel_wall_ms", Json::F64(walk_ms(&par_report))),
-                ("parallel_threads", Json::U64(par_threads as u64)),
+                ("sequential_wall_ms", Json::F64(walk_ms)),
                 ("pairs", Json::U64(pairs)),
                 ("compositions", Json::U64(compositions)),
                 ("memo_hits", Json::U64(memo_hits)),
@@ -313,23 +203,14 @@ fn main() {
                 ("memo_hit_rate", Json::F64(memo_hit_rate)),
                 (
                     "fixpoint_steps",
-                    Json::U64(walk_metric(&seq_report, "walk.fixpoint_steps")),
+                    Json::U64(walk_metric("walk.fixpoint_steps")),
                 ),
-                (
-                    "dbta_states",
-                    Json::U64(walk_metric(&seq_report, "walk.dbta_states")),
-                ),
-                (
-                    "kernel_words",
-                    Json::U64(walk_metric(&seq_report, "walk.kernel.words")),
-                ),
-                (
-                    "kernel_rows",
-                    Json::U64(walk_metric(&seq_report, "walk.kernel.rows")),
-                ),
+                ("dbta_states", Json::U64(walk_metric("walk.dbta_states"))),
+                ("kernel_words", Json::U64(walk_metric("walk.kernel.words"))),
+                ("kernel_rows", Json::U64(walk_metric("walk.kernel.rows"))),
                 (
                     "projections_interned",
-                    Json::U64(walk_metric(&seq_report, "walk.kernel.projections")),
+                    Json::U64(walk_metric("walk.kernel.projections")),
                 ),
             ]),
         ),
@@ -348,15 +229,6 @@ fn main() {
             ]),
         ),
         (
-            "walk_scaling",
-            Json::obj(vec![
-                ("family", Json::Str("walk-scale".into())),
-                ("host_cores", Json::U64(host_cores as u64)),
-                ("quick", Json::U64(quick as u64)),
-                ("instances", Json::Array(scaling_rows)),
-            ]),
-        ),
-        (
             "engines",
             Json::obj(vec![
                 ("eager", eager_report.to_json()),
@@ -371,7 +243,7 @@ fn main() {
         .ok()
         .filter(|p| !p.is_empty());
     if quick && out_override.is_none() {
-        println!("quick mode: instrumented comparisons passed (threads 1 vs {par_threads} agree)");
+        println!("quick mode: instrumented comparisons passed");
         return;
     }
     let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_typecheck.json");

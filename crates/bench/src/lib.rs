@@ -6,7 +6,6 @@
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod scaled;
 
 use std::sync::Arc;
 use xmltc_automata::Nta;

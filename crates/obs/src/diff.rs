@@ -67,15 +67,12 @@ pub const WALL_TIME_THRESHOLD: f64 = 0.35;
 /// microseconds, where scheduler jitter dominates the relative change.
 pub const WARM_WALL_THRESHOLD: f64 = 3.0;
 
-/// The default watch list for `BENCH_typecheck.json` (schema 6): wall
-/// times with generous slack, deterministic counters with none, the memo
-/// hit rate guarded from below, and the service cold/warm rows — the
-/// cache-hit/miss counts are deterministic, so any drift is a regression.
-/// Schema 6 adds the walk kernel's dense-representation counters and the
-/// first `walk_scaling` instance (the quick-mode smoke instance, present
-/// in every dump): its closure counters are zero-tolerance, its
-/// sequential wall gets the usual slack. Curve points beyond `threads 1`
-/// are not watched — their index differs between quick and full dumps.
+/// The default watch list for `BENCH_typecheck.json` (schema 7): wall
+/// times with generous slack, deterministic counters with none (including
+/// the walk kernel's dense-representation counters), and the service
+/// cold/warm rows — the cache-hit/miss counts are deterministic, so any
+/// drift is a regression. Ratios of counters are not watched: the exact
+/// counts behind them are.
 pub fn default_watches() -> Vec<Watch> {
     vec![
         Watch::lower("comparison.eager_wall_ms", WALL_TIME_THRESHOLD),
@@ -85,23 +82,14 @@ pub fn default_watches() -> Vec<Watch> {
         Watch::lower("comparison.eager_states", 0.0),
         Watch::lower("comparison.lazy_states_materialized", 0.0),
         Watch::lower("route_walk.sequential_wall_ms", WALL_TIME_THRESHOLD),
-        Watch::lower("route_walk.parallel_wall_ms", WALL_TIME_THRESHOLD),
         Watch::lower("route_walk.pairs", 0.0),
         Watch::lower("route_walk.compositions", 0.0),
         Watch::lower("route_walk.memo_misses", 0.0),
-        Watch::higher("route_walk.memo_hit_rate", 0.0),
         Watch::lower("route_walk.fixpoint_steps", 0.0),
         Watch::lower("route_walk.dbta_states", 0.0),
         Watch::lower("route_walk.kernel_words", 0.0),
         Watch::lower("route_walk.kernel_rows", 0.0),
         Watch::lower("route_walk.projections_interned", 0.0),
-        Watch::lower("walk_scaling.instances.0.dbta_states", 0.0),
-        Watch::lower("walk_scaling.instances.0.jobs", 0.0),
-        Watch::lower("walk_scaling.instances.0.pairs", 0.0),
-        Watch::lower(
-            "walk_scaling.instances.0.curve.0.wall_ms",
-            WALL_TIME_THRESHOLD,
-        ),
         Watch::lower("service.cold_wall_ms", WALL_TIME_THRESHOLD),
         Watch::lower("service.warm_wall_ms", WARM_WALL_THRESHOLD),
         Watch::lower("service.cold_misses", 0.0),

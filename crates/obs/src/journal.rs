@@ -19,7 +19,7 @@
 //! * [`take`] stops recording and returns the [`Journal`]: every flushed
 //!   per-thread buffer, in registration order (main thread first in
 //!   practice). Threads still running at [`take`] (none in this workspace:
-//!   all workers are scoped and joined) flush into the *next* session.
+//!   every spawned thread is joined first) flush into the *next* session.
 //!
 //! Counters come in two flavours: [`counter`] records an absolute sample,
 //! while [`counter_add`] accumulates a per-thread running total (backing
@@ -43,8 +43,7 @@ pub struct ThreadEvents {
     /// Dense journal-assigned thread id (registration order).
     pub tid: u64,
     /// The OS thread's name at registration time (empty when unnamed).
-    /// Threads sharing a name (e.g. successive `walk-worker-0` crews)
-    /// merge into one display track on export.
+    /// Threads sharing a name merge into one display track on export.
     pub name: String,
     /// The thread's events, in emission order.
     pub events: Vec<Event>,
@@ -71,8 +70,8 @@ impl Journal {
 
 /// The thread-local side: an event buffer plus the running totals behind
 /// [`counter_add`]. Flushes itself into the global sink when the thread
-/// exits (TLS destructor) — so scoped worker crews hand their timelines
-/// over automatically at join.
+/// exits (TLS destructor) — so a spawned thread hands its timeline over
+/// automatically when it finishes.
 struct LocalBuf {
     tid: u64,
     name: String,

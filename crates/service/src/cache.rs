@@ -209,7 +209,8 @@ impl ArtifactCache {
     /// Concurrent callers for the same key are single-flighted: one runs
     /// `build` (without holding the cache lock), the others wait and share
     /// the result. `Err` results propagate to all waiters but are not
-    /// retained.
+    /// retained. A panicking `build` counts as an `Err`, so it never
+    /// leaves its key in flight.
     pub fn get_or_build(
         &self,
         key: ArtifactKey,
@@ -236,8 +237,12 @@ impl ArtifactCache {
                     });
                     inner.inflight.insert(key, flight.clone());
                     drop(inner);
-                    // Leader: build outside the lock.
-                    let result = build();
+                    // Leader: build outside the lock, so a panic leaves no
+                    // cache state half-updated and can become an error.
+                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build))
+                        .unwrap_or_else(|p| {
+                            Err(format!("artifact build panicked: {}", panic_text(&*p)))
+                        });
                     let mut inner = self.inner.lock().unwrap();
                     inner.inflight.remove(&key);
                     if let Ok(artifact) = &result {
@@ -333,6 +338,15 @@ impl ArtifactCache {
     }
 }
 
+/// The message of a panic payload, when it carries one.
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(no message)")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,6 +383,29 @@ mod tests {
         assert!(r.is_ok());
         assert_eq!(o, CacheOutcome::Miss);
         assert_eq!(cache.snapshot().entries, 1);
+    }
+
+    #[test]
+    fn panicking_build_is_an_error_and_does_not_wedge_its_key() {
+        let cache = Arc::new(ArtifactCache::new(ArtifactCache::DEFAULT_BUDGET));
+        let key = dtd_key("panics");
+        let (r, o) = cache.get_or_build(key, || panic!("builder bug"));
+        let err = r.unwrap_err();
+        assert!(
+            err.contains("artifact build panicked: builder bug"),
+            "{err}"
+        );
+        assert_eq!(o, CacheOutcome::Miss);
+        // The key is free again: the next request rebuilds. Run it on a
+        // thread so that a wedged key fails the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let c = Arc::clone(&cache);
+        std::thread::spawn(move || {
+            let (r, o) = c.get_or_build(key, || Ok(dtd_artifact("root := a*\na := @eps")));
+            let _ = tx.send((r.is_ok(), o));
+        });
+        let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(got, Ok((true, CacheOutcome::Miss)));
     }
 
     #[test]

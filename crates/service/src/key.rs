@@ -94,10 +94,7 @@ pub enum ArtifactKind {
     /// pipelines.
     Tau2,
     /// The Theorem 4.7 violation automaton for `(transducer, τ₂)`: keyed
-    /// on (input DTD, stylesheet, output DTD, route, state limit). Thread
-    /// count is deliberately **excluded** — walk construction is
-    /// bit-identical at any thread count (see `tests/walk_determinism.rs`),
-    /// so requests differing only in `threads` share the artifact.
+    /// on (input DTD, stylesheet, output DTD, route, state limit).
     Violations,
     /// A final verdict (with optional provenance report): additionally
     /// keyed on the engine and the explain flag, since different engines
@@ -239,6 +236,9 @@ mod tests {
         let k3 = pipeline_key("root := a*", "a -> c");
         assert_eq!(k1, k2);
         assert_ne!(k1.hash, k3.hash);
+        let v = violations_key("d", "s", "o", "auto", 100);
+        assert_ne!(v, violations_key("d", "s", "o", "walk", 100));
+        assert_ne!(v, violations_key("d", "s", "o", "auto", 101));
     }
 
     #[test]
@@ -252,17 +252,6 @@ mod tests {
             hash: h,
         };
         assert_ne!(d, fake);
-    }
-
-    #[test]
-    fn threads_do_not_enter_violation_keys() {
-        // The signature has no thread parameter at all; this test pins the
-        // decision (construction is thread-invariant, so keys must be too).
-        let a = violations_key("d", "s", "o", "auto", 100);
-        let b = violations_key("d", "s", "o", "auto", 100);
-        assert_eq!(a, b);
-        assert_ne!(a, violations_key("d", "s", "o", "walk", 100));
-        assert_ne!(a, violations_key("d", "s", "o", "auto", 101));
     }
 
     #[test]

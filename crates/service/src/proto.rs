@@ -16,9 +16,13 @@
 //! typecheck := "input_dtd": text, "stylesheet": text, "output_dtd": text,
 //!              "route"?: "auto"|"walk"|"mso",
 //!              "engine"?: "auto"|"lazy"|"eager",
-//!              "state_limit"?: uint, "threads"?: uint, "explain"?: bool
+//!              "state_limit"?: uint, "explain"?: bool
 //! batch     := "requests": [request...]      (no nested batches)
 //! ```
+//!
+//! A request line holds at most [`MAX_REQUEST_BYTES`] (16 MiB) before its
+//! newline. A longer line is answered with `ok: false` and an error naming
+//! the cap, and the server then closes that connection.
 //!
 //! Responses: `{ "id"?: uint, "ok": bool, "cmd": CMD, ... }`. Successful
 //! typechecks carry a deterministic `"result"` object (byte-identical for
@@ -35,6 +39,10 @@ use xmltc_typecheck::{Engine, Route, TypecheckOptions};
 /// Protocol identifier, bumped on breaking change.
 pub const PROTOCOL: &str = "xmltc.serve/1";
 
+/// The longest request line the server reads, in bytes, not counting the
+/// newline.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
+
 /// Parameters of a `typecheck` request.
 #[derive(Clone, Debug)]
 pub struct TypecheckParams {
@@ -50,8 +58,6 @@ pub struct TypecheckParams {
     pub engine: String,
     /// State budget for intermediate automata.
     pub state_limit: u32,
-    /// Walk-route worker threads (0 = server default).
-    pub threads: usize,
     /// Whether to assemble the provenance report.
     pub explain: bool,
 }
@@ -71,8 +77,6 @@ impl TypecheckParams {
                 _ => Engine::Auto,
             },
             state_limit: self.state_limit,
-            threads: self.threads,
-            ..TypecheckOptions::default()
         }
     }
 }
@@ -188,13 +192,6 @@ fn parse_value(value: &Json, allow_batch: bool) -> Result<Envelope, String> {
                 )
                 .map_err(|_| "`state_limit` out of range".to_string())?,
             };
-            let threads = match value.get("threads") {
-                None => 0,
-                Some(v) => v
-                    .as_u64()
-                    .ok_or("`threads` must be a non-negative integer")?
-                    as usize,
-            };
             let explain = match value.get("explain") {
                 None => false,
                 Some(Json::Bool(b)) => *b,
@@ -207,7 +204,6 @@ fn parse_value(value: &Json, allow_batch: bool) -> Result<Envelope, String> {
                 route: enum_field(value, "route", &["auto", "walk", "mso"])?,
                 engine: enum_field(value, "engine", &["auto", "lazy", "eager"])?,
                 state_limit,
-                threads,
                 explain,
             }))
         }
@@ -238,8 +234,9 @@ mod tests {
 
     #[test]
     fn parses_typecheck_with_defaults() {
+        // Unknown fields, such as the retired `threads`, are ignored.
         let env = parse_line(
-            r#"{"cmd":"typecheck","id":7,"input_dtd":"root := a*","stylesheet":"root -> out","output_dtd":"out := @eps"}"#,
+            r#"{"cmd":"typecheck","id":7,"input_dtd":"root := a*","stylesheet":"root -> out","output_dtd":"out := @eps","threads":4}"#,
         )
         .unwrap();
         assert_eq!(env.id, Some(7));
@@ -249,7 +246,6 @@ mod tests {
         assert_eq!(p.route, "auto");
         assert_eq!(p.engine, "auto");
         assert_eq!(p.state_limit, TypecheckOptions::default().state_limit);
-        assert_eq!(p.threads, 0);
         assert!(!p.explain);
     }
 

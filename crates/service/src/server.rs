@@ -18,7 +18,7 @@ use crate::cache::{Artifact, ArtifactCache, CacheOutcome, VerdictArtifact};
 use crate::key;
 use crate::proto::{self, Envelope, Request, TypecheckParams};
 use std::cell::Cell;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -224,7 +224,10 @@ impl Server {
 /// One connection: read request lines, answer each, until EOF, error,
 /// a closing command, or server shutdown. Read timeouts bound how long a
 /// idle connection can delay shutdown; a partially-read line survives the
-/// timeout because `read_line` appends to the buffer.
+/// timeout because `read_until` appends to the buffer. A line longer than
+/// [`proto::MAX_REQUEST_BYTES`] is answered with an error, and then the
+/// connection is closed; reads stop at the cap, so it is never buffered
+/// whole.
 fn handle_connection(state: &Arc<ServiceState>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(150)));
     let Ok(read_half) = stream.try_clone() else {
@@ -232,12 +235,25 @@ fn handle_connection(state: &Arc<ServiceState>, stream: TcpStream) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        let room = (proto::MAX_REQUEST_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => break,
+            Ok(_) if line.len() > proto::MAX_REQUEST_BYTES && line.last() != Some(&b'\n') => {
+                state.count_error();
+                let msg = format!(
+                    "request line exceeds {} bytes; closing the connection",
+                    proto::MAX_REQUEST_BYTES
+                );
+                send(&mut writer, &error_response(None, None, &msg));
+                break;
+            }
             Ok(_) => {
-                let text = line.trim();
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    break;
+                };
+                let text = text.trim();
                 let mut close = false;
                 if !text.is_empty() {
                     let (response, c) = match proto::parse_line(text) {
@@ -248,12 +264,9 @@ fn handle_connection(state: &Arc<ServiceState>, stream: TcpStream) {
                         }
                     };
                     close = c;
-                    let mut out = response.encode();
-                    out.push('\n');
-                    if writer.write_all(out.as_bytes()).is_err() {
+                    if !send(&mut writer, &response) {
                         break;
                     }
-                    let _ = writer.flush();
                 }
                 line.clear();
                 if close {
@@ -273,6 +286,15 @@ fn handle_connection(state: &Arc<ServiceState>, stream: TcpStream) {
             Err(_) => break,
         }
     }
+}
+
+/// Writes one response line; false when the client is gone.
+fn send(writer: &mut TcpStream, response: &Json) -> bool {
+    let mut out = response.encode();
+    out.push('\n');
+    let sent = writer.write_all(out.as_bytes()).is_ok();
+    let _ = writer.flush();
+    sent
 }
 
 /// The deterministic payload plus which cache layers the request touched.

@@ -1,5 +1,6 @@
 //! End-to-end service tests over real TCP sockets: cold/warm typechecks,
-//! batches, concurrent single-flight, protocol errors, shutdown.
+//! batches, concurrent single-flight, protocol errors, oversized request
+//! lines, shutdown.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -307,6 +308,40 @@ fn deeply_nested_request_line_is_rejected_not_fatal() {
     assert_eq!(field(&resp, "ok"), &Json::Bool(false));
     let error = field(&resp, "error").as_str().unwrap();
     assert!(error.contains("nesting"), "{error}");
+    let mut other = Client::connect(&addr).expect("server still accepts");
+    let stats = other
+        .roundtrip(&Json::obj(vec![("cmd", Json::Str("stats".into()))]))
+        .unwrap();
+    assert_eq!(field(&stats, "ok"), &Json::Bool(true));
+    other
+        .roundtrip(&Json::obj(vec![("cmd", Json::Str("shutdown".into()))]))
+        .unwrap();
+    handle.join().unwrap();
+}
+
+/// A client streaming one request line past the cap used to grow a single
+/// buffer without bound and never get an answer. It now gets an error
+/// naming the cap, and the server keeps answering other connections.
+#[test]
+fn oversized_request_line_is_rejected_not_buffered() {
+    use std::io::{BufRead, BufReader, Write};
+    use xmltc_service::proto::MAX_REQUEST_BYTES;
+    let (addr, handle, _state) = start(false);
+    let mut hostile = std::net::TcpStream::connect(&addr).expect("connect");
+    hostile
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    hostile
+        .write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1])
+        .expect("the server reads up to the cap");
+    let mut resp = String::new();
+    BufReader::new(&hostile)
+        .read_line(&mut resp)
+        .expect("an answer, not a timeout");
+    let resp = Json::parse(&resp).unwrap();
+    assert_eq!(field(&resp, "ok"), &Json::Bool(false));
+    let error = field(&resp, "error").as_str().unwrap();
+    assert!(error.contains(&MAX_REQUEST_BYTES.to_string()), "{error}");
     let mut other = Client::connect(&addr).expect("server still accepts");
     let stats = other
         .roundtrip(&Json::obj(vec![("cmd", Json::Str("stats".into()))]))

@@ -53,26 +53,6 @@ pub struct TypecheckOptions {
     /// Budget for intermediate automata (MSO subset constructions, walk
     /// DBTA states, lazy product configurations). `u32::MAX` = unlimited.
     pub state_limit: u32,
-    /// Worker threads for the walk route's composition frontier. `0`
-    /// (the default) resolves via [`crate::walk::resolve_threads`]: the
-    /// `XMLTC_THREADS` environment variable if set, else the machine's
-    /// available parallelism. The verdict and every constructed automaton
-    /// are identical for every thread count.
-    pub threads: usize,
-    /// Minimum walk-frontier batch size before worker threads are spawned;
-    /// batches below it run sequentially even with `threads > 1`, so an
-    /// auto-resolved thread count never loses to `--threads 1` on small
-    /// instances. `0` (the default) resolves via
-    /// [`crate::walk::resolve_parallel_threshold`]; `1` forces the
-    /// parallel path. Like `threads`, this cannot change any verdict or
-    /// automaton — only wall time.
-    pub parallel_threshold: usize,
-    /// Jobs per work-stealing chunk of the walk route's parallel frontier.
-    /// `0` (the default) resolves via [`crate::walk::resolve_chunk`] (the
-    /// `XMLTC_CHUNK` environment variable, else
-    /// [`crate::walk::WORK_CHUNK`]). Like `threads`, this cannot change
-    /// any verdict or automaton — only wall time.
-    pub chunk: usize,
 }
 
 impl Default for TypecheckOptions {
@@ -81,9 +61,6 @@ impl Default for TypecheckOptions {
             route: Route::Auto,
             engine: Engine::Auto,
             state_limit: 4_000_000,
-            threads: 0,
-            parallel_threshold: 0,
-            chunk: 0,
         }
     }
 }

@@ -64,9 +64,6 @@ pub(crate) fn violation_nta_sized(
             let _span = obs::span("route.walk");
             let wopts = walk::WalkOptions {
                 limit: opts.state_limit,
-                threads: opts.threads,
-                parallel_threshold: opts.parallel_threshold,
-                chunk: opts.chunk,
             };
             let (d, ws) = walk::walking_to_dbta_with(&v, &wopts)?;
             obs::record("walk.dbta_states", d.n_states() as u64);
@@ -77,15 +74,10 @@ pub(crate) fn violation_nta_sized(
             obs::record("walk.fixpoint_steps", ws.fixpoint_steps);
             obs::record("walk.worklist_peak", ws.worklist_peak);
             obs::record("walk.rounds", ws.rounds);
-            obs::record("walk.threads", ws.threads);
-            obs::record("walk.parallel_batches", ws.parallel_batches);
-            obs::record("walk.parallel_threshold", ws.parallel_threshold);
             obs::record("walk.kernel.words", ws.words);
             obs::record("walk.kernel.rows", ws.kernel_rows);
             obs::record("walk.kernel.row_peak", ws.kernel_row_peak);
             obs::record("walk.kernel.projections", ws.projections_interned);
-            obs::record("walk.kernel.chunk_size", ws.chunk_size);
-            obs::record("walk.kernel.chunks", ws.chunks);
             dbta_transitions = d.n_transitions();
             d.to_nta().trim()
         }

@@ -61,21 +61,14 @@
 //!   ([`WalkStats::memo_misses`]). The transition table is expanded once
 //!   at the end as `δ(a, S₁, S₂) = memo[a, S₁.left(a), S₂.right(a)]`;
 //!   [`WalkStats::memo_hits`] counts the entries that share a composition.
-//! * **Work-stealing frontier** — each generation of jobs is split into
-//!   contiguous chunks ([`resolve_chunk`]) dealt round-robin onto
-//!   per-worker deques; idle workers steal the back half of a victim's
-//!   deque, so stragglers cannot serialize the round. Workers only
-//!   evaluate pure compositions against frozen projections; the results
-//!   are interned sequentially in canonical job order, and job order is a
-//!   pure function of the interned-signature sequence. State numbering,
-//!   the point where [`WalkOptions::limit`] aborts, and therefore every
-//!   downstream artifact are identical at any thread count and any chunk
-//!   size.
+//! * **Sequential frontier** — each generation's `(symbol, left, right)`
+//!   jobs are composed in canonical order on the calling thread, in one
+//!   reusable workspace, and each result is interned as soon as it is
+//!   composed. Job order is a pure function of the interned-signature
+//!   sequence, so state numbering, the point where [`WalkOptions::limit`]
+//!   aborts, and therefore every downstream artifact are deterministic.
 
 use crate::error::TypecheckError;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use xmltc_automata::state::StateSet;
 use xmltc_automata::{Dbta, State};
 use xmltc_core::machine::{Action, Move, PebbleAutomaton};
@@ -230,9 +223,9 @@ impl ProjArena {
 /// projected onto `b`'s `DownLeft` targets (`left[b]`) and the
 /// right-position behaviour projected onto its `DownRight` targets
 /// (`right[b]`). A parent's composition reads exactly these, so subtrees
-/// with equal signatures are interchangeable under every context. Workers
-/// return signatures over raw [`Projection`]s; [`intern_signature`] turns
-/// them into signatures over [`ProjId`]s.
+/// with equal signatures are interchangeable under every context.
+/// [`Walker::compose`] returns a signature over raw [`Projection`]s;
+/// [`intern_signature`] turns it into one over [`ProjId`]s.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct Signature<P> {
     accepting: bool,
@@ -427,17 +420,6 @@ struct FixCtx<'a> {
     down_rdeps: &'a [Vec<u32>],
 }
 
-/// Worklist counters of one composition (summed/maxed into [`WalkStats`]).
-#[derive(Clone, Copy, Default)]
-struct JobStats {
-    steps: u64,
-    peak: u64,
-    par_batches: u64,
-    rows: u64,
-    row_peak: u64,
-    chunks: u64,
-}
-
 /// Reusable buffers of the solver inner loop: flat candidate rows, a row
 /// build buffer, the exit-resolution double buffer (`acc`/`tmp` refs into
 /// the private `pool` row arena), and the [`project`] sort buffer.
@@ -451,11 +433,11 @@ struct Scratch {
     order: Vec<RowId>,
 }
 
-/// Per-worker reusable solver state: the composition-local row arena, the
+/// Reusable solver state of one walk: the composition-local row arena, the
 /// two behaviour list buffers, the worklist with its membership flags, the
-/// candidate scratch, and the down-dependency edge buffer. Compositions
-/// run entirely inside one workspace, so after warm-up they allocate only
-/// their projected results.
+/// candidate scratch, and the down-dependency edge buffer. The base solves
+/// and every composition run inside one workspace, so after warm-up they
+/// allocate only their projected results.
 struct Workspace {
     /// Composition-local row storage; reset per composition, seeded from
     /// the symbol base.
@@ -523,7 +505,6 @@ struct Walker {
     /// Table ids of the alphabet's binary symbols, in alphabet order: the
     /// tables a [`Signature`] projects onto.
     binaries: Vec<u32>,
-    n_states: usize,
     words: usize,
     initial: usize,
 }
@@ -532,8 +513,13 @@ impl Walker {
     /// Compiles the automaton's rules into per-symbol CSR tables (every
     /// alphabet symbol gets one, possibly empty, so jobs and memo keys can
     /// use dense table ids) and solves each symbol's children-independent
-    /// base fixpoint (counted into `stats`, like every other solver run).
-    fn new(a: &PebbleAutomaton, stats: &mut JobStats) -> Result<Walker, TypecheckError> {
+    /// base fixpoint in `ws` (counted into `stats`, like every other solver
+    /// run).
+    fn new(
+        a: &PebbleAutomaton,
+        ws: &mut Workspace,
+        stats: &mut WalkStats,
+    ) -> Result<Walker, TypecheckError> {
         if a.k() != 1 {
             return Err(TypecheckError::NeedsOnePebble { k: a.k() });
         }
@@ -594,13 +580,11 @@ impl Walker {
             tables: builders.into_iter().map(TableBuilder::freeze).collect(),
             sym_index,
             binaries,
-            n_states,
             words: n_states.div_ceil(64).max(1),
             initial: a.core().initial().index(),
         };
         // Base fixpoints: solve each symbol's system with `Down` candidates
         // absent (no children). Every composition restarts from here.
-        let mut ws = Workspace::new(n_states);
         let mut bases: Vec<DenseBase> = Vec::with_capacity(walker.tables.len());
         for table in &walker.tables {
             let ctx = FixCtx {
@@ -758,13 +742,13 @@ impl Walker {
         wl: &mut Vec<u32>,
         inq: &mut [bool],
         scratch: &mut Scratch,
-        stats: &mut JobStats,
+        stats: &mut WalkStats,
     ) {
         let words = self.words;
-        stats.peak = stats.peak.max(wl.len() as u64);
+        stats.worklist_peak = stats.worklist_peak.max(wl.len() as u64);
         while let Some(q) = wl.pop() {
             inq[q as usize] = false;
-            stats.steps += 1;
+            stats.fixpoint_steps += 1;
             self.candidates(ctx, r, arena, q as usize, scratch);
             let cands = std::mem::take(&mut scratch.cands);
             let mut grew = false;
@@ -790,7 +774,7 @@ impl Walker {
                     }
                 }
             }
-            stats.peak = stats.peak.max(wl.len() as u64);
+            stats.worklist_peak = stats.worklist_peak.max(wl.len() as u64);
         }
     }
 
@@ -813,7 +797,7 @@ impl Walker {
         wl: &mut Vec<u32>,
         inq: &mut [bool],
         scratch: &mut Scratch,
-        stats: &mut JobStats,
+        stats: &mut WalkStats,
     ) -> bool {
         if ups.is_empty() {
             return false;
@@ -850,14 +834,14 @@ impl Walker {
     /// One full composition: the root fixpoint (restarted from the symbol
     /// base) plus its left/right up-move extensions, each projected onto
     /// every binary table's targets for its side. Pure apart from the
-    /// workspace buffers — reads only frozen tables and projections, so it
-    /// is safe to run from worker threads with per-worker workspaces.
+    /// workspace buffers: it reads only the symbol tables and the two child
+    /// projections.
     fn compose(
         &self,
         table_idx: u32,
         children: Option<(&Projection, &Projection)>,
         ws: &mut Workspace,
-        stats: &mut JobStats,
+        stats: &mut WalkStats,
     ) -> Signature<Projection> {
         let table = &self.tables[table_idx as usize];
         let words = self.words;
@@ -920,8 +904,8 @@ impl Walker {
                 .collect();
         }
         let rows = (arena.len() / words) as u64;
-        stats.rows += rows;
-        stats.row_peak = stats.row_peak.max(rows);
+        stats.kernel_rows += rows;
+        stats.kernel_row_peak = stats.kernel_row_peak.max(rows);
         let [left, right] = sides;
         Signature {
             accepting,
@@ -931,175 +915,10 @@ impl Walker {
     }
 }
 
-/// A composition job: dense symbol-table id plus the children's projection
-/// ids (`None` for a leaf).
-#[derive(Clone, Copy)]
-struct Job {
-    table: u32,
-    children: Option<(ProjId, ProjId)>,
-}
-
-/// Evaluates a batch of composition jobs, in parallel when the batch, the
-/// thread budget *and* the parallel threshold allow it. Results come back
-/// in job order, so the (sequential) interning that follows is independent
-/// of scheduling.
-///
-/// The parallel path is a work-stealing chunked scheduler: the job list is
-/// split into contiguous `chunk`-sized ranges dealt round-robin onto
-/// per-worker deques; a worker pops its own deque from the front and, when
-/// empty, steals the back half of the first non-empty victim deque. A
-/// worker quits after one full scan finds every deque empty (in-flight
-/// chunks are owned — and finished — by their current holder, so no work
-/// is lost). Scheduling affects only wall time: results are keyed by job
-/// index and every counter that lands in [`WalkStats`] is a sum or max
-/// over jobs.
-///
-/// The threshold gate exists because a composition job is cheap (≈10 µs on
-/// the flagship instances): below a measured batch size the fixed cost of
-/// spawning a worker crew plus the loss of the sequential run's warm
-/// workspace outweighs the speedup, and `--threads auto` would *lose* to
-/// `--threads 1` (BENCH_typecheck.json schema 4 recorded 147.7 ms parallel
-/// vs 116.5 ms sequential on Q2/mod-3, whose batches then peaked at 2 448
-/// jobs).
-#[allow(clippy::too_many_arguments)]
-fn compute_batch(
-    walker: &Walker,
-    jobs: &[Job],
-    projs: &[Projection],
-    threads: usize,
-    parallel_threshold: usize,
-    chunk: usize,
-    agg: &mut JobStats,
-) -> Vec<Signature<Projection>> {
-    let jour = journal::enabled();
-    let run_one = |job: &Job, ws: &mut Workspace, stats: &mut JobStats| -> Signature<Projection> {
-        if jour {
-            journal::begin("walk.job");
-        }
-        let children = job
-            .children
-            .map(|(l, r)| (&projs[l as usize], &projs[r as usize]));
-        let raw = walker.compose(job.table, children, ws, stats);
-        if jour {
-            journal::end("walk.job");
-        }
-        raw
-    };
-    if threads <= 1 || jobs.len() < parallel_threshold.max(2) {
-        let mut ws = Workspace::new(walker.n_states);
-        return jobs.iter().map(|j| run_one(j, &mut ws, agg)).collect();
-    }
-    agg.par_batches += 1;
-    let workers = threads.min(jobs.len());
-    let csize = chunk.max(1);
-    let n_chunks = jobs.len().div_ceil(csize);
-    agg.chunks += n_chunks as u64;
-    let queues: Vec<Mutex<VecDeque<(u32, u32)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for c in 0..n_chunks {
-        let start = c * csize;
-        let end = (start + csize).min(jobs.len());
-        queues[c % workers]
-            .lock()
-            .expect("deal queue")
-            .push_back((start as u32, end as u32));
-    }
-    let remaining = AtomicUsize::new(jobs.len());
-    let steals = AtomicU64::new(0);
-    let mut out: Vec<Option<Signature<Projection>>> = Vec::with_capacity(jobs.len());
-    out.resize_with(jobs.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let queues = &queues;
-                let remaining = &remaining;
-                let steals = &steals;
-                let run_one = &run_one;
-                // Workers carry stable names so successive frontier crews
-                // merge into one per-worker timeline track in trace output.
-                std::thread::Builder::new()
-                    .name(format!("walk-worker-{w}"))
-                    .spawn_scoped(scope, move || {
-                        if jour {
-                            journal::begin("walk.worker");
-                        }
-                        let mut local: Vec<(usize, Signature<Projection>)> = Vec::new();
-                        let mut ws = Workspace::new(walker.n_states);
-                        let mut stats = JobStats::default();
-                        'work: loop {
-                            let range = queues[w].lock().expect("own queue").pop_front();
-                            let (start, end) = match range {
-                                Some(r) => r,
-                                None => {
-                                    // Steal: one scan over the victims; on
-                                    // a hit take the back half of their
-                                    // deque, else quit.
-                                    let mut got = None;
-                                    for off in 1..workers {
-                                        let v = (w + off) % workers;
-                                        let mut vq = queues[v].lock().expect("victim queue");
-                                        let n = vq.len();
-                                        if n == 0 {
-                                            continue;
-                                        }
-                                        let take = n.div_ceil(2);
-                                        let mut tail = vq.split_off(n - take);
-                                        drop(vq);
-                                        steals.fetch_add(1, Ordering::Relaxed);
-                                        let first = tail.pop_front().expect("nonempty steal");
-                                        if !tail.is_empty() {
-                                            let mut own = queues[w].lock().expect("own queue");
-                                            own.append(&mut tail);
-                                        }
-                                        got = Some(first);
-                                        break;
-                                    }
-                                    match got {
-                                        Some(r) => r,
-                                        None => break 'work,
-                                    }
-                                }
-                            };
-                            let (start, end) = (start as usize, end as usize);
-                            for (i, job) in jobs.iter().enumerate().take(end).skip(start) {
-                                local.push((i, run_one(job, &mut ws, &mut stats)));
-                                let left = remaining.fetch_sub(1, Ordering::Relaxed) - 1;
-                                if jour {
-                                    journal::counter("walk.jobs_remaining", left as u64);
-                                }
-                            }
-                        }
-                        if jour {
-                            journal::end("walk.worker");
-                        }
-                        (local, stats)
-                    })
-                    .expect("spawn walk worker")
-            })
-            .collect();
-        for h in handles {
-            let (local, stats) = h.join().expect("walk worker panicked");
-            agg.steps += stats.steps;
-            agg.peak = agg.peak.max(stats.peak);
-            agg.rows += stats.rows;
-            agg.row_peak = agg.row_peak.max(stats.row_peak);
-            for (i, raw) in local {
-                out[i] = Some(raw);
-            }
-        }
-    });
-    if jour {
-        journal::counter("walk.steals", steals.load(Ordering::Relaxed));
-    }
-    out.into_iter()
-        .map(|o| o.expect("every job computed"))
-        .collect()
-}
-
 /// Interns a composition result: its projections, then the signature as a
-/// DBTA state, honouring the state budget. Main-thread only, in canonical
-/// job order — projection and state ids are therefore thread-count
-/// independent, and so is the point where the budget aborts.
+/// DBTA state, honouring the state budget. Called in canonical job order,
+/// so projection and state ids, and the point where the budget aborts, are
+/// deterministic.
 fn intern_signature(
     raw: Signature<Projection>,
     projs: &mut ProjArena,
@@ -1130,37 +949,16 @@ pub struct WalkOptions {
     /// Budget on DBTA states (child-projection signatures); `u32::MAX` =
     /// unlimited.
     pub limit: u32,
-    /// Worker threads for the composition frontier; `0` resolves via
-    /// [`resolve_threads`].
-    pub threads: usize,
-    /// Minimum frontier-batch size (composition jobs) before a worker crew
-    /// is spawned; smaller batches run sequentially even when `threads >
-    /// 1`, so an auto-resolved thread count never loses to `--threads 1`
-    /// on small instances. `0` resolves via [`resolve_parallel_threshold`]
-    /// (the `XMLTC_PAR_THRESHOLD` environment variable, else
-    /// [`PARALLEL_JOB_THRESHOLD`]); `1` forces the parallel path for every
-    /// batch of at least two jobs.
-    pub parallel_threshold: usize,
-    /// Jobs per work-stealing chunk on the parallel path; `0` resolves via
-    /// [`resolve_chunk`] (the `XMLTC_CHUNK` environment variable, else
-    /// [`WORK_CHUNK`]). Chunk size affects wall time only, never results
-    /// or deterministic counters.
-    pub chunk: usize,
 }
 
 impl Default for WalkOptions {
     fn default() -> Self {
-        WalkOptions {
-            limit: u32::MAX,
-            threads: 0,
-            parallel_threshold: 0,
-            chunk: 0,
-        }
+        WalkOptions { limit: u32::MAX }
     }
 }
 
 /// Counters describing one [`walking_to_dbta_with`] run. All fields are
-/// deterministic — independent of the thread count used.
+/// deterministic functions of the input automaton.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalkStats {
     /// Transition-table entries `(symbol, s₁, s₂)` of the DBTA: the binary
@@ -1181,13 +979,9 @@ pub struct WalkStats {
     pub worklist_peak: u64,
     /// Frontier generations (batches of projection-pair jobs).
     pub rounds: u64,
-    /// Worker threads the frontier was evaluated with.
-    pub threads: u64,
-    /// Frontier batches that actually spawned a worker crew (batches below
-    /// the parallel threshold run sequentially regardless of `threads`).
+    /// Always 0: the walk runs on the calling thread and never fans out.
+    /// Kept so that callers reading it keep compiling.
     pub parallel_batches: u64,
-    /// The resolved parallel threshold the run was gated on.
-    pub parallel_threshold: u64,
     /// States of the resulting DBTA.
     pub dbta_states: u64,
     /// Bitset row width of the kernel, in `u64` words.
@@ -1198,10 +992,6 @@ pub struct WalkStats {
     pub kernel_row_peak: u64,
     /// Distinct child projections interned.
     pub projections_interned: u64,
-    /// The resolved work-stealing chunk size (jobs per chunk).
-    pub chunk_size: u64,
-    /// Chunks dealt across all parallel batches.
-    pub chunks: u64,
 }
 
 impl WalkStats {
@@ -1219,106 +1009,40 @@ impl WalkStats {
     }
 }
 
-/// Resolves a requested frontier thread count: an explicit `n > 0` wins,
-/// else the `XMLTC_THREADS` environment variable, else the machine's
-/// available parallelism (1 when unknown).
-pub fn resolve_threads(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    if let Some(n) = std::env::var("XMLTC_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        if n > 0 {
-            return n;
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Default minimum frontier-batch size for the parallel path, measured on
-/// the flagship Q2/mod-3 instance (see DESIGN.md "Walk-route performance")
-/// when its batches peaked at 2 448 jobs: 4-thread evaluation was still
-/// ~27% *slower* than sequential there, while crews pay for themselves once a
-/// batch carries several thousand ≈10 µs jobs. Below this bound the
-/// spawn-and-join overhead plus the cold per-worker workspaces dominate.
-pub const PARALLEL_JOB_THRESHOLD: usize = 4096;
-
-/// Resolves a requested parallel threshold: an explicit `n > 0` wins, else
-/// the `XMLTC_PAR_THRESHOLD` environment variable, else
-/// [`PARALLEL_JOB_THRESHOLD`].
-pub fn resolve_parallel_threshold(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    if let Some(n) = std::env::var("XMLTC_PAR_THRESHOLD")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        if n > 0 {
-            return n;
-        }
-    }
-    PARALLEL_JOB_THRESHOLD
-}
-
-/// Default jobs-per-chunk for the work-stealing frontier, measured on the
-/// scaled `walk-scale` family (see DESIGN.md "Walk kernel"): chunks of 16
-/// amortize the deque locking to <1% of a chunk's compute while leaving
-/// hundreds of stealable chunks per round, so the tail imbalance stays
-/// below one chunk per worker. Larger chunks starve the thieves on skewed
-/// rounds; chunk 1 doubles scheduler overhead for no balance gain.
-pub const WORK_CHUNK: usize = 16;
-
-/// Resolves a requested work-stealing chunk size: an explicit `n > 0`
-/// wins, else the `XMLTC_CHUNK` environment variable, else [`WORK_CHUNK`].
-pub fn resolve_chunk(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    if let Some(n) = std::env::var("XMLTC_CHUNK")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        if n > 0 {
-            return n;
-        }
-    }
-    WORK_CHUNK
+/// Always 1: the walk runs on the calling thread. Kept so that callers
+/// reporting the walk's thread count keep compiling.
+pub fn resolve_threads(_requested: usize) -> usize {
+    1
 }
 
 /// Converts a 1-pebble (branching tree-walking) automaton into an
 /// equivalent deterministic bottom-up tree automaton, returning the
 /// construction counters alongside.
 ///
-/// Errors when `k ≠ 1` or the DBTA-state budget is exceeded. The output is
-/// bit-identical for every thread count and chunk size: workers only
-/// evaluate pure compositions, and all interning happens sequentially in a
-/// canonical order.
+/// Errors when `k ≠ 1` or the DBTA-state budget is exceeded. The walk runs
+/// on the calling thread: each generation's jobs are composed and interned
+/// one at a time in canonical order, so the output and the abort point are
+/// deterministic.
 pub fn walking_to_dbta_with(
     a: &PebbleAutomaton,
     opts: &WalkOptions,
 ) -> Result<(Dbta, WalkStats), TypecheckError> {
-    let mut job_stats = JobStats::default();
-    let walker = Walker::new(a, &mut job_stats)?;
-    let threads = resolve_threads(opts.threads);
-    let parallel_threshold = resolve_parallel_threshold(opts.parallel_threshold);
-    let chunk = resolve_chunk(opts.chunk);
+    let mut stats = WalkStats::default();
+    let mut ws = Workspace::new(a.core().n_states() as usize);
+    let walker = Walker::new(a, &mut ws, &mut stats)?;
     let limit = opts.limit;
     let alphabet = a.input_alphabet();
-    let run = |jobs: &[Job], projs: &ProjArena, job_stats: &mut JobStats| {
-        compute_batch(
-            &walker,
-            jobs,
-            &projs.projs,
-            threads,
-            parallel_threshold,
-            chunk,
-            job_stats,
-        )
+    let jour = journal::enabled();
+    // One composition, bracketed by a `walk.job` span in the journal.
+    let mut compose = |table: u32, children: Option<(&Projection, &Projection)>| {
+        if jour {
+            journal::begin("walk.job");
+        }
+        let raw = walker.compose(table, children, &mut ws, &mut stats);
+        if jour {
+            journal::end("walk.job");
+        }
+        raw
     };
 
     let mut projs = ProjArena::default();
@@ -1326,17 +1050,9 @@ pub fn walking_to_dbta_with(
     let mut index: FxHashMap<Signature<ProjId>, State> = FxHashMap::default();
 
     // Leaf states, in alphabet order (canonical).
-    let leaf_syms = alphabet.leaves();
-    let leaf_jobs: Vec<Job> = leaf_syms
-        .iter()
-        .map(|&s| Job {
-            table: walker.slot(s),
-            children: None,
-        })
-        .collect();
-    let leaf_raws = run(&leaf_jobs, &projs, &mut job_stats);
     let mut leaf: FxHashMap<Symbol, State> = FxHashMap::default();
-    for (&sym, raw) in leaf_syms.iter().zip(leaf_raws) {
+    for &sym in alphabet.leaves().iter() {
+        let raw = compose(walker.slot(sym), None);
         let q = intern_signature(raw, &mut projs, &mut states, &mut index, limit)?;
         leaf.insert(sym, q);
     }
@@ -1346,29 +1062,25 @@ pub fn walking_to_dbta_with(
     // is paired with every opposite-side projection seen so far, so each
     // `(table, left, right)` composition is enumerated exactly once, the
     // generation after the later of its two projections first appears.
-    // Job order is a pure function of the interned-state sequence, hence
-    // thread-invariant.
+    // Job order is a pure function of the interned-state sequence.
     let mut sides: Vec<[Vec<ProjId>; 2]> = vec![Default::default(); walker.binaries.len()];
     let mut seen: FxHashSet<(usize, usize, ProjId)> = FxHashSet::default();
     let mut memo: FxHashMap<(u32, ProjId, ProjId), State> = FxHashMap::default();
+    let mut jobs: Vec<(u32, ProjId, ProjId)> = Vec::new();
     let mut enumerated = 0;
     let mut rounds = 0u64;
     while enumerated < states.len() {
-        let mut jobs: Vec<Job> = Vec::new();
+        jobs.clear();
         for sig in &states[enumerated..] {
             for (b, [lefts, rights]) in sides.iter_mut().enumerate() {
                 let table = walker.binaries[b];
                 let (l, r) = (sig.left[b], sig.right[b]);
-                let job = |l, r| Job {
-                    table,
-                    children: Some((l, r)),
-                };
                 if seen.insert((b, 0, l)) {
-                    jobs.extend(rights.iter().map(|&r| job(l, r)));
+                    jobs.extend(rights.iter().map(|&r| (table, l, r)));
                     lefts.push(l);
                 }
                 if seen.insert((b, 1, r)) {
-                    jobs.extend(lefts.iter().map(|&l| job(l, r)));
+                    jobs.extend(lefts.iter().map(|&l| (table, l, r)));
                     rights.push(r);
                 }
             }
@@ -1378,16 +1090,19 @@ pub fn walking_to_dbta_with(
             break;
         }
         rounds += 1;
-        if journal::enabled() {
+        if jour {
             journal::instant("walk.round");
             journal::counter("walk.frontier_jobs", jobs.len() as u64);
         }
-        for (job, raw) in jobs.iter().zip(run(&jobs, &projs, &mut job_stats)) {
-            let (l, r) = job.children.expect("binary job");
+        // A job reads only projections interned before this generation,
+        // so interning each result right away cannot change a later job.
+        for &(table, l, r) in &jobs {
+            let children = (&projs.projs[l as usize], &projs.projs[r as usize]);
+            let raw = compose(table, Some(children));
             let q = intern_signature(raw, &mut projs, &mut states, &mut index, limit)?;
-            memo.insert((job.table, l, r), q);
+            memo.insert((table, l, r), q);
         }
-        if journal::enabled() {
+        if jour {
             journal::counter("walk.dbta_states", states.len() as u64);
             journal::counter("walk.projections_arena", projs.projs.len() as u64);
             journal::counter("walk.memo_misses", (leaf.len() + memo.len()) as u64);
@@ -1409,7 +1124,7 @@ pub fn walking_to_dbta_with(
         }
     }
     let memo_hits = (node.len() - memo.len()) as u64;
-    if journal::enabled() {
+    if jour {
         journal::counter("walk.memo_hits", memo_hits);
     }
 
@@ -1424,19 +1139,11 @@ pub fn walking_to_dbta_with(
         compositions: (leaf.len() + node.len()) as u64,
         memo_hits,
         memo_misses: (leaf.len() + memo.len()) as u64,
-        fixpoint_steps: job_stats.steps,
-        worklist_peak: job_stats.peak,
         rounds,
-        threads: threads as u64,
-        parallel_batches: job_stats.par_batches,
-        parallel_threshold: parallel_threshold as u64,
         dbta_states: states.len() as u64,
         words: walker.words as u64,
-        kernel_rows: job_stats.rows,
-        kernel_row_peak: job_stats.row_peak,
         projections_interned: projs.projs.len() as u64,
-        chunk_size: chunk as u64,
-        chunks: job_stats.chunks,
+        ..stats
     };
     let d = Dbta::from_parts(alphabet, states.len() as u32, leaf, node, finals);
     Ok((d, stats))
@@ -1448,14 +1155,7 @@ pub fn walking_to_dbta_with(
 /// Errors when `k ≠ 1`. The `limit` bounds the number of DBTA states
 /// (child-projection signatures) explored.
 pub fn walking_to_dbta_limited(a: &PebbleAutomaton, limit: u32) -> Result<Dbta, TypecheckError> {
-    walking_to_dbta_with(
-        a,
-        &WalkOptions {
-            limit,
-            ..Default::default()
-        },
-    )
-    .map(|(d, _)| d)
+    walking_to_dbta_with(a, &WalkOptions { limit }).map(|(d, _)| d)
 }
 
 /// [`walking_to_dbta_limited`] without a state budget.
@@ -1490,7 +1190,7 @@ mod tests {
 
     fn agree(a: &PebbleAutomaton) {
         let al = a.input_alphabet().clone();
-        let d = walking_to_dbta(a).unwrap();
+        let (d, s) = walking_to_dbta_with(a, &WalkOptions::default()).unwrap();
         for src in TREES {
             let t = BinaryTree::parse(src, &al).unwrap();
             assert_eq!(
@@ -1499,48 +1199,16 @@ mod tests {
                 "disagreement on {src}"
             );
         }
-        // The construction must be invariant under the thread count and
-        // chunk size: same states, transitions, finals, and counters.
-        let opts1 = WalkOptions {
-            threads: 1,
-            ..Default::default()
-        };
-        // threshold 1 forces the worker-crew path even on these tiny
-        // batches, so the parallel machinery stays under test; chunk 1
-        // maximizes stealing opportunities.
-        let opts4 = WalkOptions {
-            threads: 4,
-            parallel_threshold: 1,
-            ..Default::default()
-        };
-        let opts8 = WalkOptions {
-            threads: 8,
-            parallel_threshold: 1,
-            chunk: 1,
-            ..Default::default()
-        };
-        let (d1, s1) = walking_to_dbta_with(a, &opts1).unwrap();
-        let (d4, s4) = walking_to_dbta_with(a, &opts4).unwrap();
-        let (d8, s8) = walking_to_dbta_with(a, &opts8).unwrap();
-        assert_eq!(d1, d4, "thread count changed the DBTA");
-        assert_eq!(d1, d8, "chunk size changed the DBTA");
-        assert_eq!(d1, d, "explicit thread count changed the DBTA");
-        for s in [&s4, &s8] {
-            assert_eq!(
-                (s1.pairs, s1.compositions, s1.memo_hits, s1.dbta_states),
-                (s.pairs, s.compositions, s.memo_hits, s.dbta_states),
-                "scheduling changed the counters"
-            );
-            assert_eq!(s1.memo_misses, s.memo_misses);
-            assert_eq!(s1.kernel_rows, s.kernel_rows);
-            assert_eq!(s1.kernel_row_peak, s.kernel_row_peak);
-            assert_eq!(s1.fixpoint_steps, s.fixpoint_steps);
-            assert_eq!(s1.projections_interned, s.projections_interned);
-        }
+        // The construction is a pure function of the machine: a second
+        // build has the same states, transitions, finals and counters.
+        let (d2, s2) = walking_to_dbta_with(a, &WalkOptions::default()).unwrap();
+        assert_eq!(d, d2, "rebuilding changed the DBTA");
+        assert_eq!(s, s2, "rebuilding changed the counters");
         // Accounting invariants: every request is a hit or a miss, and
         // there is one request per leaf symbol plus one per pair.
-        assert_eq!(s1.memo_hits + s1.memo_misses, s1.compositions);
-        assert_eq!(s1.compositions, s1.pairs + 2 /* leaves */);
+        assert_eq!(s.memo_hits + s.memo_misses, s.compositions);
+        assert_eq!(s.compositions, s.pairs + 2 /* leaves */);
+        assert_eq!(s.parallel_batches, 0);
     }
 
     #[test]
@@ -1735,14 +1403,7 @@ mod tests {
             .unwrap();
         b.branch0(SymSpec::One(x), q, Guard::any()).unwrap();
         let a = b.build().unwrap();
-        let (_, s) = walking_to_dbta_with(
-            &a,
-            &WalkOptions {
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let (_, s) = walking_to_dbta_with(&a, &WalkOptions::default()).unwrap();
         assert!(s.memo_hits > 0, "projection must collapse right children");
         assert_eq!(s.memo_hits + s.memo_misses, s.compositions);
         assert!(s.projections_interned > 0);
@@ -1873,10 +1534,10 @@ mod tests {
         ));
     }
 
-    /// The state budget aborts at the same canonical point regardless of
-    /// thread count or chunk size.
+    /// The state budget aborts at the first state past it, and reports
+    /// the breached budget.
     #[test]
-    fn limit_abort_is_thread_invariant() {
+    fn limit_abort_reports_the_breached_budget() {
         let al = alpha();
         let y = al.get("y").unwrap();
         let mut b = AutomatonBuilder::new(&al, 1);
@@ -1891,21 +1552,11 @@ mod tests {
         let full = walking_to_dbta(&a).unwrap();
         assert!(full.n_states() >= 2);
         for limit in 0..full.n_states() {
-            let mut aborts = Vec::new();
-            for threads in [1usize, 4] {
-                let opts = WalkOptions {
-                    limit,
-                    threads,
-                    parallel_threshold: 1,
-                    chunk: 1,
-                };
-                match walking_to_dbta_with(&a, &opts) {
-                    Err(TypecheckError::TooManyStates { n }) => aborts.push(n),
-                    other => panic!("limit {limit}: expected budget abort, got {other:?}"),
-                }
+            match walking_to_dbta_limited(&a, limit) {
+                Err(TypecheckError::TooManyStates { n }) => assert_eq!(n, limit + 1),
+                other => panic!("limit {limit}: expected budget abort, got {other:?}"),
             }
-            assert_eq!(aborts[0], aborts[1], "limit {limit}");
-            assert_eq!(aborts[0], limit + 1, "abort reports the breached budget");
         }
+        assert_eq!(walking_to_dbta_limited(&a, full.n_states()).unwrap(), full);
     }
 }

@@ -29,7 +29,6 @@ fn large_walk_leaves_no_resident_heap_behind() {
         .trim_states();
     let walk = WalkOptions {
         limit: CORPUS_STATE_LIMIT,
-        ..WalkOptions::default()
     };
     let (_, stats) = walking_to_dbta_with(&v, &walk).unwrap();
     assert_eq!(stats.pairs, 186_050);

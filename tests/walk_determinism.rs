@@ -1,30 +1,11 @@
-//! Determinism of the parallel Theorem 4.7 walk construction: for the
-//! seeded random (stylesheet, output spec) triples the differential suite
-//! draws from, the DBTA built with a parallel frontier must be
-//! byte-identical — state numbering, leaf/node transition maps, finals —
-//! to the `--threads 1` build, with identical construction counters. Also
-//! the `TooManyStates` regression: the class budget must abort at the
-//! same canonical point at every thread count.
+//! The `TooManyStates` abort point of the Theorem 4.7 walk construction,
+//! on a (stylesheet, output spec) combo from the differential suite's
+//! pool: the class budget must abort at the first state past it.
 
 use xmltc::dtd::Dtd;
-use xmltc::trees::SmallRng;
-use xmltc::typecheck::walk::{walking_to_dbta_limited, walking_to_dbta_with, WalkOptions};
+use xmltc::typecheck::walk::walking_to_dbta_limited;
 use xmltc::typecheck::{violation_automaton, TypecheckError};
 use xmltc::xmlql::{Stylesheet, Template};
-
-/// Template bodies for the `root` tag (the differential-suite pool).
-const ROOT_BODIES: [&str; 4] = [
-    "out(@apply)",
-    "out(b, @apply)",
-    "out(@apply, @apply)",
-    "out",
-];
-
-/// Template bodies for the `a` tag.
-const A_BODIES: [&str; 4] = ["a", "b", "a(@apply)", "b(@apply, b)"];
-
-/// Output content models for `out` (the `τ₂` pool).
-const SPECS: [&str; 6] = ["(a|b)*", "b*", "b.(a|b)*", "a*", "b?.(a|b)*", "@empty"];
 
 /// Compiles one (stylesheet, spec) combo into its trimmed 1-pebble
 /// violation automaton — the exact machine the walk route receives.
@@ -58,138 +39,21 @@ fn violation(root_body: &str, a_body: &str, spec: &str) -> xmltc::core::machine:
     violation_automaton(&t, &tau2).unwrap().trim_states()
 }
 
+/// The class budget aborts at the first state past it, and the
+/// construction completes again at the exact budget.
 #[test]
-fn parallel_build_is_byte_identical() {
-    let mut rng = SmallRng::seed_from_u64(0x4703);
-    for case in 0..16 {
-        let ri = rng.gen_range(0..ROOT_BODIES.len());
-        let ai = rng.gen_range(0..A_BODIES.len());
-        let si = rng.gen_range(0..SPECS.len());
-        let v = violation(ROOT_BODIES[ri], A_BODIES[ai], SPECS[si]);
-        let seq = WalkOptions {
-            threads: 1,
-            ..Default::default()
-        };
-        let (d1, s1) = walking_to_dbta_with(&v, &seq).unwrap();
-        for threads in [2, 4] {
-            // parallel_threshold 1 forces the worker crew even for these
-            // small frontiers (the default gate would run them
-            // sequentially — see walk::PARALLEL_JOB_THRESHOLD), keeping
-            // the parallel path itself under test.
-            let par = WalkOptions {
-                threads,
-                parallel_threshold: 1,
-                ..Default::default()
-            };
-            let (dn, sn) = walking_to_dbta_with(&v, &par).unwrap();
-            assert_eq!(
-                d1, dn,
-                "case {case} ({ri},{ai},{si}): DBTA differs at {threads} threads"
-            );
-            assert_eq!(
-                (s1.pairs, s1.compositions, s1.memo_hits, s1.dbta_states),
-                (sn.pairs, sn.compositions, sn.memo_hits, sn.dbta_states),
-                "case {case} ({ri},{ai},{si}): counters differ at {threads} threads"
-            );
-            assert_eq!(sn.threads, threads as u64);
-        }
-    }
-}
-
-/// The scaled walk-scale family under the worker crew: the seeded
-/// generator's saturated frontier (460 behaviour classes, ~5.5k distinct
-/// jobs) replayed at 2 and 8 threads with a deliberately tiny chunk, so
-/// steal boundaries land mid-round. The closure is size-invariant by
-/// construction — every `ws-*` size shares one core machine — so the
-/// smallest member exercises the identical frontier the bench's largest
-/// instance does, at debug-build-friendly cost.
-#[test]
-fn scaled_family_build_is_byte_identical() {
-    let al = xmltc::bench::scaled::scaled_alphabet();
-    let a = xmltc::bench::scaled::scaled_walker(&al, 48, 0xA11CE);
-    let seq = WalkOptions {
-        threads: 1,
-        ..Default::default()
-    };
-    let (d1, s1) = walking_to_dbta_with(&a, &seq).unwrap();
-    assert!(
-        s1.memo_misses > 1_000,
-        "scaled frontier must stay saturated under projected memoization"
-    );
-    for threads in [2, 8] {
-        let par = WalkOptions {
-            threads,
-            parallel_threshold: 1,
-            chunk: 3,
-            ..Default::default()
-        };
-        let (dn, sn) = walking_to_dbta_with(&a, &par).unwrap();
-        assert_eq!(d1, dn, "scaled DBTA differs at {threads} threads");
-        assert_eq!(
-            (s1.pairs, s1.compositions, s1.memo_hits, s1.dbta_states),
-            (sn.pairs, sn.compositions, sn.memo_hits, sn.dbta_states),
-            "scaled counters differ at {threads} threads"
-        );
-    }
-}
-
-/// The measured job-count gate: `--threads auto` must never lose to
-/// sequential on small instances, so frontiers below
-/// [`PARALLEL_JOB_THRESHOLD`] stay on the sequential path even when
-/// worker threads were requested — and forcing the crew anyway (threshold
-/// 1) still builds the identical DBTA.
-#[test]
-fn job_count_gate_keeps_small_frontiers_sequential() {
-    use xmltc::typecheck::walk::PARALLEL_JOB_THRESHOLD;
-    let v = violation(ROOT_BODIES[1], A_BODIES[3], SPECS[2]);
-    let gated = WalkOptions {
-        threads: 4,
-        ..Default::default()
-    };
-    let (dg, sg) = walking_to_dbta_with(&v, &gated).unwrap();
-    assert_eq!(
-        sg.parallel_batches, 0,
-        "small frontiers must not fan out under the default gate"
-    );
-    assert_eq!(sg.parallel_threshold, PARALLEL_JOB_THRESHOLD as u64);
-    let forced = WalkOptions {
-        threads: 4,
-        parallel_threshold: 1,
-        ..Default::default()
-    };
-    let (df, sf) = walking_to_dbta_with(&v, &forced).unwrap();
-    assert!(
-        sf.parallel_batches > 0,
-        "threshold 1 must exercise the worker crew"
-    );
-    assert_eq!(dg, df, "the gate must not change the constructed DBTA");
-}
-
-#[test]
-fn too_many_states_aborts_identically_at_any_thread_count() {
+fn too_many_states_aborts_at_the_first_state_over_budget() {
     // A combo whose construction needs a handful of classes.
-    let v = violation(ROOT_BODIES[1], A_BODIES[3], SPECS[2]);
+    let v = violation("out(b, @apply)", "b(@apply, b)", "b.(a|b)*");
     let full = walking_to_dbta_limited(&v, u32::MAX).unwrap().n_states();
     assert!(full > 2, "fixture must need several behaviour classes");
     for limit in 1..full {
-        let err = |threads: usize| {
-            let opts = WalkOptions {
-                limit,
-                threads,
-                parallel_threshold: 1,
-                chunk: 1,
-            };
-            match walking_to_dbta_with(&v, &opts) {
-                Err(TypecheckError::TooManyStates { n }) => n,
-                other => {
-                    panic!("limit {limit}, {threads} threads: expected budget abort, got {other:?}")
-                }
+        match walking_to_dbta_limited(&v, limit) {
+            Err(TypecheckError::TooManyStates { n }) => {
+                assert_eq!(n, limit + 1, "abort reports the first class over budget")
             }
-        };
-        let n1 = err(1);
-        assert_eq!(n1, limit + 1, "abort reports the first class over budget");
-        assert_eq!(n1, err(4), "limit {limit}: abort differs across threads");
+            other => panic!("limit {limit}: expected budget abort, got {other:?}"),
+        }
     }
-    // At the exact budget the construction completes again.
     assert_eq!(walking_to_dbta_limited(&v, full).unwrap().n_states(), full);
 }

@@ -12,11 +12,7 @@ use xmltc::typecheck::walk::{walking_to_dbta_with, WalkOptions, WalkStats};
 use xmltc::xmlql::Stylesheet;
 
 fn walk(v: &PebbleAutomaton) -> WalkStats {
-    let opts = WalkOptions {
-        threads: 1,
-        ..Default::default()
-    };
-    let (d, stats) = walking_to_dbta_with(v, &opts).unwrap();
+    let (d, stats) = walking_to_dbta_with(v, &WalkOptions::default()).unwrap();
     assert_eq!(stats.dbta_states, d.n_states() as u64);
     assert_eq!(stats.memo_hits + stats.memo_misses, stats.compositions);
     stats
@@ -64,6 +60,10 @@ fn q2_mod3_walk_has_nine_signature_states() {
     // One fixpoint run per distinct projection pair (66) plus the leaf.
     assert_eq!(s.memo_misses, 67);
     assert_eq!(s.fixpoint_steps, 7098);
+    // The leaf plus one request per table entry; all but the 67 runs
+    // above share a composition.
+    assert_eq!(s.compositions, 244);
+    assert_eq!(s.memo_hits, 177);
 }
 
 #[test]
