@@ -27,7 +27,7 @@
 use crate::key::{ArtifactKey, ArtifactKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use xmltc_automata::Nta;
 use xmltc_dtd::Dtd;
 use xmltc_xmlql::pipeline::{DocumentPipeline, DocumentVerdict};
@@ -217,7 +217,7 @@ impl ArtifactCache {
         build: impl FnOnce() -> Result<Artifact, String>,
     ) -> (Result<Artifact, String>, CacheOutcome) {
         let flight = {
-            let mut inner = self.inner.lock().unwrap();
+            let mut inner = lock(&self.inner);
             inner.clock += 1;
             let stamp = inner.clock;
             if let Some(entry) = inner.entries.get_mut(&key) {
@@ -243,7 +243,7 @@ impl ArtifactCache {
                         .unwrap_or_else(|p| {
                             Err(format!("artifact build panicked: {}", panic_text(&*p)))
                         });
-                    let mut inner = self.inner.lock().unwrap();
+                    let mut inner = lock(&self.inner);
                     inner.inflight.remove(&key);
                     if let Ok(artifact) = &result {
                         self.insert_locked(&mut inner, key, artifact.clone());
@@ -253,7 +253,7 @@ impl ArtifactCache {
                     self.stats.per_kind[key.kind.index()]
                         .misses
                         .fetch_add(1, Ordering::Relaxed);
-                    let mut slot = flight.slot.lock().unwrap();
+                    let mut slot = lock(&flight.slot);
                     *slot = Some(result.clone());
                     flight.done.notify_all();
                     return (result, CacheOutcome::Miss);
@@ -261,9 +261,12 @@ impl ArtifactCache {
             }
         };
         // Waiter: block until the leader publishes.
-        let mut slot = flight.slot.lock().unwrap();
+        let mut slot = lock(&flight.slot);
         while slot.is_none() {
-            slot = flight.done.wait(slot).unwrap();
+            slot = flight
+                .done
+                .wait(slot)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         self.stats.coalesces.fetch_add(1, Ordering::Relaxed);
         (slot.clone().unwrap(), CacheOutcome::Coalesced)
@@ -315,7 +318,7 @@ impl ArtifactCache {
     /// A point-in-time copy of the counters.
     pub fn snapshot(&self) -> CacheSnapshot {
         let (bytes, entries) = {
-            let inner = self.inner.lock().unwrap();
+            let inner = lock(&self.inner);
             (inner.bytes as u64, inner.entries.len() as u64)
         };
         let mut per_kind = [(0, 0); ArtifactKind::COUNT];
@@ -336,6 +339,14 @@ impl ArtifactCache {
             per_kind,
         }
     }
+}
+
+/// Locks `m` even when a thread panicked while holding it. Builds run
+/// outside every lock, and each update under one is a few map and counter
+/// steps, so the worst a panic midway can leave is an approximate byte
+/// count; failing every later request over it would take `serve` down.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The message of a panic payload, when it carries one.
@@ -406,6 +417,24 @@ mod tests {
         });
         let got = rx.recv_timeout(std::time::Duration::from_secs(10));
         assert_eq!(got, Ok((true, CacheOutcome::Miss)));
+    }
+
+    #[test]
+    fn poisoned_lock_leaves_the_cache_usable() {
+        let cache = Arc::new(ArtifactCache::new(ArtifactCache::DEFAULT_BUDGET));
+        let c = Arc::clone(&cache);
+        let poisoner = std::thread::spawn(move || {
+            let _held = c.inner.lock().unwrap();
+            panic!("panic while holding the cache lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(cache.inner.is_poisoned());
+        let key = dtd_key("root := a*\na := @eps");
+        let (r, o) = cache.get_or_build(key, || Ok(dtd_artifact("root := a*\na := @eps")));
+        assert!(r.is_ok());
+        assert_eq!(o, CacheOutcome::Miss);
+        let s = cache.snapshot();
+        assert_eq!((s.misses, s.entries), (1, 1));
     }
 
     #[test]

@@ -35,25 +35,38 @@
 //!
 //! # Performance architecture
 //!
-//! * **Dense kernel** — exit sets are flat `u64` rows of a fixed width
-//!   (`words` per machine) living in one contiguous per-composition arena
-//!   ([`Workspace::arena`]); rows are immutable once written and referred
-//!   to by dense ids, so `or`/`subset` are word-parallel loops over
+//! * **Dense kernel** — exit sets are flat `u64` rows with one bit per
+//!   *exit state*, a distinct up-move target: a branch leaves a subtree
+//!   only by an up-move, so no other state can be in an exit set. Rows
+//!   are `words` = ⌈exit states / 64⌉ wide (at least one) and live in one
+//!   contiguous per-composition arena ([`Workspace::arena`]); rows are
+//!   immutable once written and referred to by dense ids, so
+//!   `or`/`subset` are word-parallel loops over
 //!   contiguous slices and a behaviour copy is a `memcpy`. Antichains are
 //!   kept sorted by popcount ([`RowRef`]), so minimal-insertion
 //!   ([`ac_insert_min`]) subset-checks only against rows that can possibly
 //!   be subsets and drops only rows that can possibly be supersets.
 //! * **Compiled tables** — walker rules are pre-compiled per symbol into
-//!   CSR action and reverse-dependency arrays ([`SymTable`]), lifting all
-//!   hash lookups out of the fixpoint inner loop. The children-independent
-//!   part of each symbol's system is solved **once per symbol** into a
-//!   popcount-sorted [`DenseBase`]; each composition seeds its arena from
-//!   it with one slice copy and re-propagates only the `Down`-rule
-//!   increments, and the root solution in turn seeds the left/right
-//!   positional runs with just the up-move increments (sound because
-//!   chaotic iteration from any point below the least fixpoint converges
-//!   to it). A composition returns only its acceptance bit and the
-//!   projections of its positional behaviours, never whole behaviours.
+//!   a flat action list with owner states and a CSR reverse-dependency
+//!   array ([`SymTable`]), lifting all hash lookups out of the fixpoint
+//!   inner loop. The fixpoint is chaotic iteration over *actions*: the
+//!   worklist holds action indices, a pop computes that one action's
+//!   candidates into its owner's antichain, and growth [`wake`]s only the
+//!   actions reading the owner — a `Fork` only once its other operand is
+//!   non-empty, since until then it has no candidates and that operand's
+//!   first growth wakes it. The children-independent part of each
+//!   symbol's system is solved **once per symbol**, seeded with its
+//!   `Accept` actions alone (nothing else fires on all-empty lists), into
+//!   a popcount-sorted [`DenseBase`]; each composition seeds its arena
+//!   from it with one slice copy and re-runs only the `Down` actions, and
+//!   the root solution in turn seeds the left/right positional runs with
+//!   just the up-move rows (sound because chaotic iteration from any point
+//!   below the least fixpoint converges to it). Evaluation order changes
+//!   only the order in which rows are found: each minimal antichain of the
+//!   least fixpoint is unique as a set and [`project`] sorts rows, so
+//!   projections and everything interned from them do not depend on it. A
+//!   composition returns only its acceptance bit and the projections of
+//!   its positional behaviours, never whole behaviours.
 //! * **Projection-pair discovery** — discovery keeps, per binary symbol,
 //!   the left and right projections seen so far and pairs each new one
 //!   with every opposite-side projection as one `(symbol, left, right)`
@@ -259,26 +272,26 @@ struct DenseBase {
     pcs: Vec<u32>,
 }
 
-/// Per-symbol compiled rule table in CSR form: dense action lists plus the
-/// static reverse-dependency edges (`Stay`/`Fork` reads) a worklist needs.
+/// Per-symbol compiled rule table: a flat action list with each action's
+/// owner state, plus the static reverse-dependency edges (`Stay`/`Fork`
+/// reads) in CSR form.
 struct SymTable {
-    acts_off: Vec<u32>,
     acts: Vec<Act>,
+    /// `owner[i]` = the state whose antichain action `i` feeds.
+    owner: Vec<u32>,
     /// `(state, exit target)` pairs of `UpLeft` rules.
     up_left: Vec<(u32, u32)>,
     /// `(state, exit target)` pairs of `UpRight` rules.
     up_right: Vec<(u32, u32)>,
     rdeps_off: Vec<u32>,
-    rdeps: Vec<u32>,
-    /// States with at least one action, ascending — the initial worklist
-    /// of the base fixpoint.
-    active: Vec<u32>,
-    /// States with at least one `Down` action, ascending — the only states
-    /// whose candidates depend on the children, hence the initial worklist
-    /// of a composition's root run (restarted from [`SymTable::base`]).
-    down_states: Vec<u32>,
-    /// Whether any state has a `Down` action (gates down-dependency work).
-    has_down: bool,
+    /// `(action, other operand)` pairs of the actions reading a state: a
+    /// `Fork` is listed under both operands with the other one, a `Stay`
+    /// under its target with the target itself.
+    rdeps: Vec<(u32, u32)>,
+    /// Indices of the `Down` actions — the only actions whose candidates
+    /// depend on the children, hence the initial worklist of a
+    /// composition's root run (restarted from [`SymTable::base`]).
+    downs: Vec<u32>,
     /// Sorted distinct `DownLeft` targets; `Act::Down` slots index this.
     dl_targets: Vec<u32>,
     /// Sorted distinct `DownRight` targets.
@@ -287,11 +300,7 @@ struct SymTable {
 }
 
 impl SymTable {
-    fn acts(&self, q: usize) -> &[Act] {
-        &self.acts[self.acts_off[q] as usize..self.acts_off[q + 1] as usize]
-    }
-
-    fn rdeps(&self, q: usize) -> &[u32] {
+    fn rdeps(&self, q: usize) -> &[(u32, u32)] {
         &self.rdeps[self.rdeps_off[q] as usize..self.rdeps_off[q + 1] as usize]
     }
 
@@ -304,7 +313,8 @@ impl SymTable {
     }
 }
 
-/// Raw (pre-CSR) action as collected from the rule stream.
+/// Raw action as collected from the rule stream: a `Down` still names its
+/// target state, which [`TableBuilder::freeze`] turns into a slot.
 #[derive(Clone, Copy)]
 enum RawAct {
     Accept,
@@ -318,7 +328,6 @@ struct TableBuilder {
     acts: Vec<Vec<RawAct>>,
     up_left: Vec<(u32, u32)>,
     up_right: Vec<(u32, u32)>,
-    rdeps: Vec<Vec<u32>>,
 }
 
 impl TableBuilder {
@@ -327,7 +336,6 @@ impl TableBuilder {
             acts: vec![Vec::new(); n_states],
             up_left: Vec::new(),
             up_right: Vec::new(),
-            rdeps: vec![Vec::new(); n_states],
         }
     }
 
@@ -350,41 +358,41 @@ impl TableBuilder {
         dl_targets.dedup();
         dr_targets.sort_unstable();
         dr_targets.dedup();
-        let mut acts_off = Vec::with_capacity(n_states + 1);
-        acts_off.push(0u32);
         let mut acts: Vec<Act> = Vec::new();
-        let mut active = Vec::new();
-        let mut down_states = Vec::new();
+        let mut owner: Vec<u32> = Vec::new();
+        let mut downs = Vec::new();
+        let mut readers: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_states];
         for (q, list) in self.acts.iter().enumerate() {
-            if !list.is_empty() {
-                active.push(q as u32);
-            }
-            let mut q_down = false;
             for a in list {
+                let i = acts.len() as u32;
                 acts.push(match *a {
                     RawAct::Accept => Act::Accept,
-                    RawAct::Fork(a1, a2) => Act::Fork(a1, a2),
-                    RawAct::Stay(p) => Act::Stay(p),
+                    RawAct::Fork(a1, a2) => {
+                        readers[a1 as usize].push((i, a2));
+                        readers[a2 as usize].push((i, a1));
+                        Act::Fork(a1, a2)
+                    }
+                    RawAct::Stay(p) => {
+                        readers[p as usize].push((i, p));
+                        Act::Stay(p)
+                    }
                     RawAct::Down { left, target } => {
-                        q_down = true;
+                        downs.push(i);
                         let side = if left { &dl_targets } else { &dr_targets };
                         let slot = side.binary_search(&target).expect("registered target") as u32;
                         Act::Down { left, slot }
                     }
                 });
+                owner.push(q as u32);
             }
-            if q_down {
-                down_states.push(q as u32);
-            }
-            acts_off.push(acts.len() as u32);
         }
         let mut rdeps_off = Vec::with_capacity(n_states + 1);
         rdeps_off.push(0u32);
-        let mut rdeps: Vec<u32> = Vec::new();
-        for v in &mut self.rdeps {
+        let mut rdeps: Vec<(u32, u32)> = Vec::new();
+        for mut v in readers {
             v.sort_unstable();
             v.dedup();
-            rdeps.extend_from_slice(v);
+            rdeps.extend_from_slice(&v);
             rdeps_off.push(rdeps.len() as u32);
         }
         self.up_left.sort_unstable();
@@ -392,15 +400,13 @@ impl TableBuilder {
         self.up_right.sort_unstable();
         self.up_right.dedup();
         SymTable {
-            acts_off,
             acts,
+            owner,
             up_left: self.up_left,
             up_right: self.up_right,
             rdeps_off,
             rdeps,
-            active,
-            has_down: !down_states.is_empty(),
-            down_states,
+            downs,
             dl_targets,
             dr_targets,
             base: DenseBase::default(),
@@ -414,9 +420,9 @@ impl TableBuilder {
 struct FixCtx<'a> {
     table: &'a SymTable,
     children: Option<(&'a Projection, &'a Projection)>,
-    /// `down_rdeps[p]` = states with a `Down` action whose child antichain
-    /// contains an exit set with bit `p`; empty when `!table.has_down` or
-    /// there are no children.
+    /// `down_rdeps[p]` = the `Down` actions whose child antichain contains
+    /// an exit set with exit state `p`; empty when the table has no `Down`
+    /// actions or there are no children.
     down_rdeps: &'a [Vec<u32>],
 }
 
@@ -434,10 +440,10 @@ struct Scratch {
 }
 
 /// Reusable solver state of one walk: the composition-local row arena, the
-/// two behaviour list buffers, the worklist with its membership flags, the
-/// candidate scratch, and the down-dependency edge buffer. The base solves
-/// and every composition run inside one workspace, so after warm-up they
-/// allocate only their projected results.
+/// two behaviour list buffers, the action worklist with its membership
+/// flags, the candidate scratch, and the down-dependency edge buffer. The
+/// base solves and every composition run inside one workspace, so after
+/// warm-up they allocate only their projected results.
 struct Workspace {
     /// Composition-local row storage; reset per composition, seeded from
     /// the symbol base.
@@ -446,9 +452,9 @@ struct Workspace {
     root: Vec<Vec<RowRef>>,
     /// Positional (left/right) lists (restarted from `root`).
     pos: Vec<Vec<RowRef>>,
-    /// The worklist; empty between runs.
+    /// The worklist of action indices; empty between runs.
     wl: Vec<u32>,
-    /// `inq[q]` ⟺ `q` is on `wl`; all-false between runs.
+    /// `inq[i]` ⟺ action `i` is on `wl`; all-false between runs.
     inq: Vec<bool>,
     scratch: Scratch,
     /// Buffer for [`FixCtx::down_rdeps`], refilled per composition.
@@ -456,46 +462,37 @@ struct Workspace {
 }
 
 impl Workspace {
-    fn new(n_states: usize) -> Workspace {
+    fn new(n_states: usize, n_acts: usize) -> Workspace {
         Workspace {
             arena: Vec::new(),
             root: vec![Vec::new(); n_states],
             pos: vec![Vec::new(); n_states],
             wl: Vec::new(),
-            inq: vec![false; n_states],
+            inq: vec![false; n_acts],
             scratch: Scratch::default(),
             down_rdeps: vec![Vec::new(); n_states],
         }
     }
 }
 
-/// Rebuilds the reverse edges induced by `Down` actions into `deps`:
-/// state `q` must be re-examined when an exit state of the child antichain
-/// it consumes grows. Shared by all three runs of one composition.
-fn fill_down_rdeps(
-    table: &SymTable,
-    (pl, pr): (&Projection, &Projection),
-    words: usize,
-    deps: &mut [Vec<u32>],
-) {
-    for v in deps.iter_mut() {
-        v.clear();
-    }
-    for &q in &table.down_states {
-        for act in table.acts(q as usize) {
-            if let Act::Down { left, slot } = *act {
-                let child = if left { pl } else { pr };
-                for exits in child.ac(slot as usize, words).chunks_exact(words) {
-                    for e in row_bits(exits) {
-                        deps[e].push(q);
-                    }
-                }
-            }
+/// Queues the actions to re-run after state `q`'s antichain grew. A `Fork`
+/// is queued only when its other operand is non-empty: until then it has
+/// no candidates, and that operand's first growth queues it. `Stay` and
+/// `Down` readers are always queued (a `Stay`'s other operand is `q`).
+fn wake(ctx: &FixCtx<'_>, r: &[Vec<RowRef>], q: usize, wl: &mut Vec<u32>, inq: &mut [bool]) {
+    let mut push = |i: u32| {
+        if !inq[i as usize] {
+            inq[i as usize] = true;
+            wl.push(i);
+        }
+    };
+    for &(i, other) in ctx.table.rdeps(q) {
+        if !r[other as usize].is_empty() {
+            push(i);
         }
     }
-    for v in deps.iter_mut() {
-        v.sort_unstable();
-        v.dedup();
+    for &i in ctx.down_rdeps.get(q).map_or(&[][..], Vec::as_slice) {
+        push(i);
     }
 }
 
@@ -505,21 +502,26 @@ struct Walker {
     /// Table ids of the alphabet's binary symbols, in alphabet order: the
     /// tables a [`Signature`] projects onto.
     binaries: Vec<u32>,
+    /// Sorted distinct `UpLeft`/`UpRight` targets over all tables. A branch
+    /// leaves a subtree only by an up-move, so every exit set lies within
+    /// these states: row bit `b` stands for state `exit_states[b]`.
+    exit_states: Vec<u32>,
+    /// Inverse of `exit_states`, indexed by state.
+    exit_bit: Vec<u32>,
     words: usize,
     initial: usize,
 }
 
 impl Walker {
-    /// Compiles the automaton's rules into per-symbol CSR tables (every
+    /// Compiles the automaton's rules into per-symbol tables (every
     /// alphabet symbol gets one, possibly empty, so jobs and memo keys can
-    /// use dense table ids) and solves each symbol's children-independent
-    /// base fixpoint in `ws` (counted into `stats`, like every other solver
-    /// run).
+    /// use dense table ids), sizes a workspace for them, and solves each
+    /// symbol's children-independent base fixpoint in it (counted into
+    /// `stats`, like every other solver run).
     fn new(
         a: &PebbleAutomaton,
-        ws: &mut Workspace,
         stats: &mut WalkStats,
-    ) -> Result<Walker, TypecheckError> {
+    ) -> Result<(Walker, Workspace), TypecheckError> {
         if a.k() != 1 {
             return Err(TypecheckError::NeedsOnePebble { k: a.k() });
         }
@@ -548,16 +550,9 @@ impl Walker {
             let qi = q.0;
             match action {
                 Action::Branch0 => t.acts[q.index()].push(RawAct::Accept),
-                Action::Branch2(q1, q2) => {
-                    t.acts[q.index()].push(RawAct::Fork(q1.0, q2.0));
-                    t.rdeps[q1.index()].push(qi);
-                    t.rdeps[q2.index()].push(qi);
-                }
+                Action::Branch2(q1, q2) => t.acts[q.index()].push(RawAct::Fork(q1.0, q2.0)),
                 Action::Move(m, target) => match m {
-                    Move::Stay => {
-                        t.acts[q.index()].push(RawAct::Stay(target.0));
-                        t.rdeps[target.index()].push(qi);
-                    }
+                    Move::Stay => t.acts[q.index()].push(RawAct::Stay(target.0)),
                     Move::UpLeft => t.up_left.push((qi, target.0)),
                     Move::UpRight => t.up_right.push((qi, target.0)),
                     Move::DownLeft | Move::DownRight => {
@@ -576,11 +571,26 @@ impl Walker {
             }
         }
         let binaries = alphabet.binaries().iter().map(|s| sym_index[s]).collect();
+        let tables: Vec<SymTable> = builders.into_iter().map(TableBuilder::freeze).collect();
+        let mut exit_states: Vec<u32> = tables
+            .iter()
+            .flat_map(|t| t.up_left.iter().chain(&t.up_right).map(|&(_, e)| e))
+            .collect();
+        exit_states.sort_unstable();
+        exit_states.dedup();
+        let mut exit_bit = vec![u32::MAX; n_states];
+        for (b, &q) in exit_states.iter().enumerate() {
+            exit_bit[q as usize] = b as u32;
+        }
+        let n_acts = tables.iter().map(|t| t.acts.len()).max().unwrap_or(0);
+        let mut ws = Workspace::new(n_states, n_acts);
         let mut walker = Walker {
-            tables: builders.into_iter().map(TableBuilder::freeze).collect(),
+            tables,
             sym_index,
             binaries,
-            words: n_states.div_ceil(64).max(1),
+            words: exit_states.len().div_ceil(64).max(1),
+            exit_states,
+            exit_bit,
             initial: a.core().initial().index(),
         };
         // Base fixpoints: solve each symbol's system with `Down` candidates
@@ -596,9 +606,13 @@ impl Walker {
             for list in ws.root.iter_mut() {
                 list.clear();
             }
-            for &q in &table.active {
-                ws.inq[q as usize] = true;
-                ws.wl.push(q);
+            // From all-empty lists only `Accept` can fire; every other
+            // action is queued once its operands grow.
+            for (i, act) in table.acts.iter().enumerate() {
+                if matches!(act, Act::Accept) {
+                    ws.inq[i] = true;
+                    ws.wl.push(i as u32);
+                }
             }
             walker.solve(
                 &ctx,
@@ -628,14 +642,43 @@ impl Walker {
         for (table, base) in walker.tables.iter_mut().zip(bases) {
             table.base = base;
         }
-        Ok(walker)
+        Ok((walker, ws))
     }
 
     fn slot(&self, sym: Symbol) -> u32 {
         self.sym_index[&sym]
     }
 
-    /// Pushes all resolution candidates of state `q` against the current
+    /// Rebuilds the reverse edges induced by `Down` actions into `deps`:
+    /// a `Down` action must be re-run when an exit state of the child
+    /// antichain it consumes grows. Shared by all three runs of one
+    /// composition.
+    fn fill_down_rdeps(
+        &self,
+        table: &SymTable,
+        (pl, pr): (&Projection, &Projection),
+        deps: &mut [Vec<u32>],
+    ) {
+        for v in deps.iter_mut() {
+            v.clear();
+        }
+        for &i in &table.downs {
+            if let Act::Down { left, slot } = table.acts[i as usize] {
+                let child = if left { pl } else { pr };
+                for exits in child.ac(slot as usize, self.words).chunks_exact(self.words) {
+                    for b in row_bits(exits) {
+                        deps[self.exit_states[b] as usize].push(i);
+                    }
+                }
+            }
+        }
+        for v in deps.iter_mut() {
+            v.sort_unstable();
+            v.dedup();
+        }
+    }
+
+    /// Pushes the resolution candidates of one action against the current
     /// `r` into `scratch.cands` as flat rows. Candidates need not be
     /// mutually minimal — the [`ac_insert_min`] merge in [`Walker::solve`]
     /// filters them.
@@ -644,38 +687,36 @@ impl Walker {
         ctx: &FixCtx<'_>,
         r: &[Vec<RowRef>],
         arena: &[u64],
-        q: usize,
+        act: Act,
         scratch: &mut Scratch,
     ) {
         let words = self.words;
-        for act in ctx.table.acts(q) {
-            match *act {
-                Act::Accept => {
-                    let n = scratch.cands.len();
-                    scratch.cands.resize(n + words, 0);
-                }
-                Act::Fork(q1, q2) => {
-                    for x in &r[q1 as usize] {
-                        let xa = row_at(arena, x.id, words);
-                        for y in &r[q2 as usize] {
-                            let ya = row_at(arena, y.id, words);
-                            scratch.cands.extend(xa.iter().zip(ya).map(|(a, b)| a | b));
-                        }
+        match act {
+            Act::Accept => {
+                let n = scratch.cands.len();
+                scratch.cands.resize(n + words, 0);
+            }
+            Act::Fork(q1, q2) => {
+                for x in &r[q1 as usize] {
+                    let xa = row_at(arena, x.id, words);
+                    for y in &r[q2 as usize] {
+                        let ya = row_at(arena, y.id, words);
+                        scratch.cands.extend(xa.iter().zip(ya).map(|(a, b)| a | b));
                     }
                 }
-                Act::Stay(p) => {
-                    for x in &r[p as usize] {
-                        scratch.cands.extend_from_slice(row_at(arena, x.id, words));
-                    }
+            }
+            Act::Stay(p) => {
+                for x in &r[p as usize] {
+                    scratch.cands.extend_from_slice(row_at(arena, x.id, words));
                 }
-                Act::Down { left, slot } => {
-                    let Some((pl, pr)) = ctx.children else {
-                        continue;
-                    };
-                    let child = if left { pl } else { pr };
-                    for exits in child.ac(slot as usize, words).chunks_exact(words) {
-                        self.resolve_exits(exits, r, arena, scratch);
-                    }
+            }
+            Act::Down { left, slot } => {
+                let Some((pl, pr)) = ctx.children else {
+                    return;
+                };
+                let child = if left { pl } else { pr };
+                for exits in child.ac(slot as usize, words).chunks_exact(words) {
+                    self.resolve_exits(exits, r, arena, scratch);
                 }
             }
         }
@@ -706,7 +747,8 @@ impl Walker {
         pool.resize(words, 0); // row 0 = the empty union
         acc.clear();
         acc.push(RowRef { id: 0, pc: 0 });
-        for q in row_bits(exits) {
+        for b in row_bits(exits) {
+            let q = self.exit_states[b] as usize;
             if r[q].is_empty() {
                 return; // this exit state cannot resolve (yet)
             }
@@ -728,11 +770,12 @@ impl Walker {
         }
     }
 
-    /// Chaotic-iteration worklist loop: pops a state, recomputes its
-    /// candidates, and re-enqueues its readers when its antichain grew.
-    /// On entry `wl` must list every state whose candidates may exceed `r`
-    /// and `inq` must flag exactly the listed states; on exit `wl` is
-    /// empty and `inq` all-false again, ready for the next run.
+    /// Chaotic-iteration worklist loop over actions: pops one, computes
+    /// only its candidates, inserts them into its owner's antichain, and
+    /// on growth [`wake`]s the actions reading the owner. On entry `wl`
+    /// must list every action whose candidates may exceed `r` and `inq`
+    /// must flag exactly the listed actions; on exit `wl` is empty and
+    /// `inq` all-false again, ready for the next run.
     #[allow(clippy::too_many_arguments)]
     fn solve(
         &self,
@@ -746,35 +789,22 @@ impl Walker {
     ) {
         let words = self.words;
         stats.worklist_peak = stats.worklist_peak.max(wl.len() as u64);
-        while let Some(q) = wl.pop() {
-            inq[q as usize] = false;
+        while let Some(i) = wl.pop() {
+            inq[i as usize] = false;
             stats.fixpoint_steps += 1;
-            self.candidates(ctx, r, arena, q as usize, scratch);
+            self.candidates(ctx, r, arena, ctx.table.acts[i as usize], scratch);
+            let q = ctx.table.owner[i as usize] as usize;
             let cands = std::mem::take(&mut scratch.cands);
             let mut grew = false;
             for chunk in cands.chunks_exact(words) {
-                grew |= ac_insert_min(&mut r[q as usize], arena, words, chunk);
+                grew |= ac_insert_min(&mut r[q], arena, words, chunk);
             }
             scratch.cands = cands;
             scratch.cands.clear();
-            if !grew {
-                continue;
+            if grew {
+                wake(ctx, r, q, wl, inq);
+                stats.worklist_peak = stats.worklist_peak.max(wl.len() as u64);
             }
-            for &d in ctx.table.rdeps(q as usize) {
-                if !inq[d as usize] {
-                    inq[d as usize] = true;
-                    wl.push(d);
-                }
-            }
-            if let Some(deps) = ctx.down_rdeps.get(q as usize) {
-                for &d in deps {
-                    if !inq[d as usize] {
-                        inq[d as usize] = true;
-                        wl.push(d);
-                    }
-                }
-            }
-            stats.worklist_peak = stats.worklist_peak.max(wl.len() as u64);
         }
     }
 
@@ -806,25 +836,12 @@ impl Walker {
             p.clone_from(r);
         }
         for &(q, target) in ups {
+            let b = self.exit_bit[target as usize] as usize;
             scratch.row.clear();
             scratch.row.resize(self.words, 0);
-            scratch.row[target as usize / 64] |= 1u64 << (target as usize % 64);
-            if !ac_insert_min(&mut pos[q as usize], arena, self.words, &scratch.row) {
-                continue;
-            }
-            for &d in ctx.table.rdeps(q as usize) {
-                if !inq[d as usize] {
-                    inq[d as usize] = true;
-                    wl.push(d);
-                }
-            }
-            if let Some(deps) = ctx.down_rdeps.get(q as usize) {
-                for &d in deps {
-                    if !inq[d as usize] {
-                        inq[d as usize] = true;
-                        wl.push(d);
-                    }
-                }
+            scratch.row[b / 64] |= 1u64 << (b % 64);
+            if ac_insert_min(&mut pos[q as usize], arena, self.words, &scratch.row) {
+                wake(ctx, pos, q as usize, wl, inq);
             }
         }
         self.solve(ctx, pos, arena, wl, inq, scratch, stats);
@@ -865,14 +882,9 @@ impl Walker {
                 pc: table.base.pcs[i as usize],
             }));
         }
-        let use_down = table.has_down && children.is_some();
+        let use_down = !table.downs.is_empty() && children.is_some();
         if use_down {
-            fill_down_rdeps(
-                table,
-                children.expect("gated on children"),
-                words,
-                down_rdeps,
-            );
+            self.fill_down_rdeps(table, children.expect("gated on children"), down_rdeps);
         }
         let ctx = FixCtx {
             table,
@@ -880,10 +892,10 @@ impl Walker {
             down_rdeps: if use_down { down_rdeps.as_slice() } else { &[] },
         };
         // Root run: only the `Down` candidates can exceed the base.
-        if use_down && !table.down_states.is_empty() {
-            for &q in &table.down_states {
-                inq[q as usize] = true;
-                wl.push(q);
+        if use_down {
+            for &i in &table.downs {
+                inq[i as usize] = true;
+                wl.push(i);
             }
             self.solve(&ctx, root, arena, wl, inq, scratch, stats);
         }
@@ -973,9 +985,9 @@ pub struct WalkStats {
     /// Requests that *did* require a fixpoint run: the leaf symbols plus
     /// the distinct `(symbol, left, right)` projection pairs.
     pub memo_misses: u64,
-    /// Total worklist pops across all fixpoint runs.
+    /// Action evaluations (worklist pops) across all fixpoint runs.
     pub fixpoint_steps: u64,
-    /// Peak worklist length of any single fixpoint run.
+    /// Peak number of queued actions in any single fixpoint run.
     pub worklist_peak: u64,
     /// Frontier generations (batches of projection-pair jobs).
     pub rounds: u64,
@@ -984,7 +996,8 @@ pub struct WalkStats {
     pub parallel_batches: u64,
     /// States of the resulting DBTA.
     pub dbta_states: u64,
-    /// Bitset row width of the kernel, in `u64` words.
+    /// Width of an exit-set row, in `u64` words: one bit per distinct
+    /// up-move target, at least one word.
     pub words: u64,
     /// Total arena rows written across all compositions (live + shadowed).
     pub kernel_rows: u64,
@@ -1028,8 +1041,7 @@ pub fn walking_to_dbta_with(
     opts: &WalkOptions,
 ) -> Result<(Dbta, WalkStats), TypecheckError> {
     let mut stats = WalkStats::default();
-    let mut ws = Workspace::new(a.core().n_states() as usize);
-    let walker = Walker::new(a, &mut ws, &mut stats)?;
+    let (walker, mut ws) = Walker::new(a, &mut stats)?;
     let limit = opts.limit;
     let alphabet = a.input_alphabet();
     let jour = journal::enabled();
@@ -1343,8 +1355,11 @@ mod tests {
         );
     }
 
-    /// End-to-end over a >256-state machine (words = 5 > the old inline
-    /// mask width): an or-search chained through 300 `Stay` states.
+    /// End-to-end with 150 distinct up-move targets (rows of 3 words): an
+    /// or-search chained through 300 `Stay` states, which can also send a
+    /// climber down-left. Climber `u_j` accepts on `y` and otherwise exits
+    /// up in `w_j`, which accepts anywhere; `u_140`'s exit sits in the
+    /// row's third word and resolves at the parent.
     #[test]
     fn wide_machine_multi_word_rows() {
         let al = alpha();
@@ -1353,6 +1368,12 @@ mod tests {
         let n = 300usize;
         let states: Vec<_> = (0..n)
             .map(|i| b.state(&format!("s{i}"), 1).unwrap())
+            .collect();
+        let climbers: Vec<_> = (0..150)
+            .map(|j| b.state(&format!("u{j}"), 1).unwrap())
+            .collect();
+        let exits: Vec<_> = (0..150)
+            .map(|j| b.state(&format!("w{j}"), 1).unwrap())
             .collect();
         b.set_initial(states[0]);
         for i in 0..n - 1 {
@@ -1367,25 +1388,24 @@ mod tests {
         }
         let last = states[n - 1];
         b.branch0(SymSpec::One(y), last, Guard::any()).unwrap();
-        b.move_rule(
-            SymSpec::Binaries,
-            last,
-            Guard::any(),
-            Move::DownLeft,
-            states[0],
-        )
-        .unwrap();
-        b.move_rule(
-            SymSpec::Binaries,
-            last,
-            Guard::any(),
-            Move::DownRight,
-            states[0],
-        )
-        .unwrap();
+        for (m, target) in [
+            (Move::DownLeft, states[0]),
+            (Move::DownRight, states[0]),
+            (Move::DownLeft, climbers[140]),
+        ] {
+            b.move_rule(SymSpec::Binaries, last, Guard::any(), m, target)
+                .unwrap();
+        }
+        for (&u, &w) in climbers.iter().zip(&exits) {
+            b.branch0(SymSpec::One(y), u, Guard::any()).unwrap();
+            b.branch0(SymSpec::Any, w, Guard::any()).unwrap();
+            for m in [Move::UpLeft, Move::UpRight] {
+                b.move_rule(SymSpec::Any, u, Guard::any(), m, w).unwrap();
+            }
+        }
         let a = b.build().unwrap();
         let (_, s) = walking_to_dbta_with(&a, &WalkOptions::default()).unwrap();
-        assert_eq!(s.words, 5);
+        assert!(s.words >= 3, "{} words", s.words);
         agree(&a);
     }
 

@@ -7,12 +7,15 @@
 //! `state_limit` both routes fail cleanly (never panic, never blow the
 //! budget silently) and the observability layer records how far they got.
 
+use std::ops::Range;
 use std::sync::Arc;
+use xmltc::automata::enumerate::trees_up_to;
+use xmltc::automata::{Nta, State};
 use xmltc::core::accepts;
 use xmltc::core::machine::{Guard, Move, PebbleAutomaton};
 use xmltc::dsl::{MachineSpec, Syms};
 use xmltc::obs;
-use xmltc::trees::{generate, Alphabet, BinaryTree, SmallRng};
+use xmltc::trees::{Alphabet, BinaryTree, SmallRng};
 use xmltc::typecheck::mso_route::pebble_to_nta;
 use xmltc::typecheck::walk::walking_to_dbta;
 use xmltc::typecheck::TypecheckError;
@@ -21,10 +24,11 @@ fn alpha() -> Arc<Alphabet> {
     Alphabet::ranked(&["x", "y"], &["f"])
 }
 
-/// A small random 1-pebble automaton: a few states, random rules drawn
-/// from moves/branches. (Random rule soup leaves states unreachable, so
-/// the spec opts out of the builder's reachability check.)
-fn rand_machine(rng: &mut SmallRng, al: &Arc<Alphabet>) -> PebbleAutomaton {
+/// A small random 1-pebble automaton: a few states, a number of random
+/// rules drawn from `rules`, each a move or a branch. (Random rule soup
+/// leaves states unreachable, so the spec opts out of the builder's
+/// reachability check.)
+fn rand_machine(rng: &mut SmallRng, al: &Arc<Alphabet>, rules: Range<usize>) -> PebbleAutomaton {
     let n = rng.gen_range(2..5) as u32;
     let mut s = MachineSpec::new("rand", 1);
     let states: Vec<String> = (0..n).map(|i| format!("s{i}")).collect();
@@ -32,7 +36,7 @@ fn rand_machine(rng: &mut SmallRng, al: &Arc<Alphabet>) -> PebbleAutomaton {
         s.state(name, 1);
     }
     s.initial("s0").allow_unreachable();
-    for _ in 0..rng.gen_range(1..10) {
+    for _ in 0..rng.gen_range(rules) {
         let spec = match rng.gen_range(0..3) {
             0 => Syms::Leaves,
             1 => Syms::Binaries,
@@ -55,20 +59,43 @@ fn rand_machine(rng: &mut SmallRng, al: &Arc<Alphabet>) -> PebbleAutomaton {
     s.build_automaton(al).unwrap()
 }
 
+/// Every tree over `al` of depth at most `depth`, enumerated from the
+/// one-state universal automaton.
+fn all_trees(al: &Arc<Alphabet>, depth: usize) -> Vec<BinaryTree> {
+    let mut u = Nta::new(al, 1);
+    for leaf in al.leaves() {
+        u.add_leaf(leaf, State(0));
+    }
+    for f in al.binaries() {
+        u.add_node(f, State(0), State(0), State(0));
+    }
+    u.add_final(State(0));
+    trees_up_to(&u, depth, usize::MAX)
+}
+
 #[test]
 fn walk_route_agrees_with_agap() {
     let al = alpha();
+    let trees = all_trees(&al, 4);
+    assert_eq!(trees.len(), 1446, "2 leaves, then 2 + n² per level");
     let mut rng = SmallRng::seed_from_u64(0x4701);
-    for case in 0..24 {
-        let a = rand_machine(&mut rng, &al);
-        let t: BinaryTree = generate::random_binary(&al, 4, 0.6, &mut rng).unwrap();
+    let mut mixed = 0;
+    for case in 0..64 {
+        let a = rand_machine(&mut rng, &al, 6..20);
         let d = walking_to_dbta(&a).unwrap();
-        assert_eq!(
-            d.accepts(&t).unwrap(),
-            accepts(&a, &t).unwrap(),
-            "case {case} on {t}"
-        );
+        let mut accepted = 0;
+        for t in &trees {
+            let agap = accepts(&a, t).unwrap();
+            assert_eq!(d.accepts(t).unwrap(), agap, "case {case} on {t}");
+            accepted += usize::from(agap);
+        }
+        if accepted > 0 && accepted < trees.len() {
+            mixed += 1;
+        }
     }
+    // A machine that accepts every tree or none checks little; about a
+    // third of these (20) split the trees.
+    assert!(mixed >= 16, "only {mixed}/64 machines split the trees");
 }
 
 #[test]
@@ -76,7 +103,7 @@ fn mso_route_agrees_with_walk_route() {
     let al = alpha();
     let mut rng = SmallRng::seed_from_u64(0x4702);
     for case in 0..24 {
-        let a = rand_machine(&mut rng, &al);
+        let a = rand_machine(&mut rng, &al, 1..10);
         let d = walking_to_dbta(&a).unwrap().to_nta();
         let (m, _stats) = pebble_to_nta(&a, 500_000).unwrap();
         // Full language equivalence, not just sampled agreement.
@@ -94,7 +121,7 @@ fn mso_route_honors_state_limit() {
     let mut rng = SmallRng::seed_from_u64(0x4703);
     let mut aborted = 0;
     for case in 0..24 {
-        let a = rand_machine(&mut rng, &al);
+        let a = rand_machine(&mut rng, &al, 1..10);
         let limit = 1 + rng.below(8) as u32;
         let (result, report) = obs::with_report(|| pebble_to_nta(&a, limit));
         match result {

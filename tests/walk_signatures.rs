@@ -59,7 +59,13 @@ fn q2_mod3_walk_has_nine_signature_states() {
     assert_eq!(s.pairs, 243);
     // One fixpoint run per distinct projection pair (66) plus the leaf.
     assert_eq!(s.memo_misses, 67);
-    assert_eq!(s.fixpoint_steps, 7098);
+    // The kernel evaluates actions, not states: 5 044 action evaluations,
+    // at most 56 queued at once. Every exit set lies within the up-move
+    // targets, which fit one word.
+    assert_eq!(s.fixpoint_steps, 5044);
+    assert_eq!(s.worklist_peak, 56);
+    assert_eq!(s.words, 1);
+    assert_eq!(s.kernel_rows, 6581);
     // The leaf plus one request per table entry; all but the 67 runs
     // above share a composition.
     assert_eq!(s.compositions, 244);
