@@ -9,11 +9,18 @@
 //! (the same shape `xmltc typecheck --json` emits), a side-by-side summary
 //! of wall times and state counts, a `route_walk` breakdown of the
 //! Theorem 4.7 walk construction — wall time, pairs explored, memo hit
-//! rate, fixpoint steps and kernel counters — and a `service` section
-//! timing the same instance through `xmltc serve`: a cold request that
-//! builds every artifact vs a warm repeat answered from the verdict cache
-//! (asserted byte-identical). On a typechecks-OK instance the lazy engine
-//! must materialize strictly fewer states than the eager product.
+//! rate, fixpoint steps, bisimulation classes and kernel counters — and a
+//! `service` section timing the same instance through `xmltc serve`: a
+//! cold request that builds every artifact vs a warm repeat answered from
+//! the verdict cache (asserted byte-identical). On a typechecks-OK instance
+//! the lazy engine must materialize strictly fewer states than the eager
+//! product.
+//!
+//! Every wall row is the median of [`SAMPLES`] timed runs after one
+//! untimed warm-up, each run scaled by how fast a fixed reference kernel
+//! ran next to it ([`reference_ms`]): a single sample moved by a third
+//! between two regenerations of unchanged code, as much as `bench-diff`
+//! tolerates, and medians alone still moved with the host's speed.
 //!
 //! `XMLTC_BENCH_QUICK=1` skips the calibrated timing loops and runs only
 //! the instrumented comparisons and their assertions (the CI smoke mode).
@@ -25,6 +32,40 @@ use xmltc_bench::q2_fixture;
 use xmltc_obs::{self as obs, Json};
 use xmltc_service::{Client, ServeConfig, Server};
 use xmltc_typecheck::{typecheck, Engine, TypecheckOptions};
+
+/// Timed runs behind every wall row, after one warm-up.
+const SAMPLES: usize = 9;
+
+/// What [`reference_ms`] takes on the host the wall rows are expressed
+/// for: each sample is scaled by `REFERENCE_MS / reference_ms()` measured
+/// next to it.
+const REFERENCE_MS: f64 = 1.8;
+
+/// A fixed workload that uses nothing of the library: sort 50 000
+/// pseudo-random words and index every seventh in a hash map. Timed next
+/// to each sample, it tells how fast the host runs at that moment.
+fn reference_ms() -> f64 {
+    let start = std::time::Instant::now();
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut words: Vec<u64> = (0..50_000)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        })
+        .collect();
+    words.sort_unstable();
+    let index: std::collections::HashMap<u64, usize> =
+        words.iter().copied().step_by(7).zip(0..).collect();
+    std::hint::black_box(index);
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
 
 fn main() {
     let quick = std::env::var("XMLTC_BENCH_QUICK").is_ok();
@@ -65,7 +106,8 @@ fn main() {
         group.finish();
     }
 
-    // One instrumented run per configuration, dumped side by side.
+    // Instrumented runs per configuration, alternating, dumped side by
+    // side: each engine's median run, and the median of each wall row.
     let run = |opts: &TypecheckOptions| {
         let (outcome, report) = obs::with_report(|| {
             let out = typecheck(&fx.transducer, &fx.tau1, &fx.tau2_mod3, opts).unwrap();
@@ -75,8 +117,34 @@ fn main() {
         assert!(outcome.is_ok());
         report
     };
-    let eager_report = run(&eager);
-    let lazy_report = run(&lazy);
+    let (mut eager_runs, mut lazy_runs, mut scales) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..=SAMPLES {
+        let scale = REFERENCE_MS / reference_ms();
+        let (e, l) = (run(&eager), run(&lazy));
+        if i > 0 {
+            eager_runs.push(e);
+            lazy_runs.push(l);
+            scales.push(scale);
+        }
+    }
+    let span_ms = |name: &'static str| {
+        move |r: &obs::PipelineReport| r.span(name).map(|s| s.wall_ms()).unwrap_or(0.0)
+    };
+    let median_of = |runs: &[obs::PipelineReport], row: &dyn Fn(&obs::PipelineReport) -> f64| {
+        median(runs.iter().zip(&scales).map(|(r, s)| row(r) * s).collect())
+    };
+    let eager_wall_ms = median_of(&eager_runs, &|r| r.total_ms());
+    let lazy_wall_ms = median_of(&lazy_runs, &|r| r.total_ms());
+    let eager_emptiness_ms = median_of(&eager_runs, &span_ms("typecheck.emptiness"));
+    let lazy_emptiness_ms = median_of(&lazy_runs, &span_ms("typecheck.emptiness"));
+    // The walk route's wall time, from the lazy runs.
+    let walk_ms = median_of(&lazy_runs, &span_ms("route.walk"));
+    let median_run = |mut runs: Vec<obs::PipelineReport>| {
+        runs.sort_by(|a, b| a.total_ms().total_cmp(&b.total_ms()));
+        runs.swap_remove(runs.len() / 2)
+    };
+    let eager_report = median_run(eager_runs);
+    let lazy_report = median_run(lazy_runs);
 
     let eager_states = eager_report
         .span_metric("typecheck.emptiness", "intersection.states")
@@ -93,17 +161,12 @@ fn main() {
          on a typechecks-OK instance ({lazy_states} vs {eager_states})"
     );
 
-    // The walk-route breakdown, from the lazy run (the second walk of the
-    // process, so its wall time is not a cold start).
+    // The walk-route counters, from a lazy run.
     let walk_metric = |m: &str| {
         lazy_report
             .span_metric("route.walk", m)
             .unwrap_or_else(|| panic!("walk run reports {m}"))
     };
-    let walk_ms = lazy_report
-        .span("route.walk")
-        .map(|s| s.wall_ms())
-        .unwrap_or(0.0);
     let pairs = walk_metric("walk.pairs");
     let compositions = walk_metric("walk.compositions");
     let memo_hits = walk_metric("walk.memo_hits");
@@ -124,9 +187,10 @@ fn main() {
     };
 
     // The service rows: the same instance through `xmltc serve`, cold then
-    // warm over one TCP connection. The cold request builds every artifact
-    // layer (verdict miss); the warm repeat must be answered entirely from
-    // the verdict cache with a byte-identical result payload.
+    // warm over one TCP connection, on a fresh server per sample. The cold
+    // request builds every artifact layer (verdict miss); the warm repeat
+    // must be answered entirely from the verdict cache with a
+    // byte-identical result payload.
     let fixture_text = |name: &str| {
         let path = format!("{}/../../fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
@@ -137,29 +201,12 @@ fn main() {
         ("stylesheet", Json::Str(fixture_text("q2.xsl"))),
         ("output_dtd", Json::Str(fixture_text("q2_mod3_out.dtd"))),
     ]);
-    let server = Server::bind(&ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        ..Default::default()
-    })
-    .expect("bind service on an ephemeral port");
-    let addr = server.local_addr().expect("service address").to_string();
-    let server = std::thread::spawn(move || server.run());
-    let mut conn = Client::connect(&addr).expect("connect to service");
-    let cold = conn.roundtrip(&request).expect("cold response");
-    let warm = conn.roundtrip(&request).expect("warm response");
     let verdict_outcome = |r: &Json| {
         r.at("cache.verdict")
             .and_then(Json::as_str)
             .unwrap_or("?")
             .to_string()
     };
-    assert_eq!(verdict_outcome(&cold), "miss", "cold run must build");
-    assert_eq!(verdict_outcome(&warm), "hit", "warm run must hit the cache");
-    assert_eq!(
-        cold.get("result").map(Json::encode),
-        warm.get("result").map(Json::encode),
-        "warm verdict must be byte-identical to the cold one"
-    );
     let wall = |r: &Json| r.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
     let cache_count = |r: &Json, k: &str| {
         r.get("cache")
@@ -167,25 +214,51 @@ fn main() {
             .and_then(Json::as_u64)
             .unwrap_or(0)
     };
-    conn.roundtrip(&Json::obj(vec![("cmd", Json::Str("shutdown".into()))]))
-        .expect("shutdown response");
-    server.join().expect("service thread exits");
-
-    let emptiness_ms = |r: &obs::PipelineReport| {
-        r.span("typecheck.emptiness")
-            .map(|s| s.wall_ms())
-            .unwrap_or(0.0)
+    let serve_once = || {
+        let server = Server::bind(&ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..Default::default()
+        })
+        .expect("bind service on an ephemeral port");
+        let addr = server.local_addr().expect("service address").to_string();
+        let server = std::thread::spawn(move || server.run());
+        let mut conn = Client::connect(&addr).expect("connect to service");
+        let cold = conn.roundtrip(&request).expect("cold response");
+        let warm = conn.roundtrip(&request).expect("warm response");
+        assert_eq!(verdict_outcome(&cold), "miss", "cold run must build");
+        assert_eq!(verdict_outcome(&warm), "hit", "warm run must hit the cache");
+        assert_eq!(
+            cold.get("result").map(Json::encode),
+            warm.get("result").map(Json::encode),
+            "warm verdict must be byte-identical to the cold one"
+        );
+        conn.roundtrip(&Json::obj(vec![("cmd", Json::Str("shutdown".into()))]))
+            .expect("shutdown response");
+        server.join().expect("service thread exits");
+        (cold, warm)
     };
+    serve_once();
+    let runs: Vec<(f64, Json, Json)> = (0..SAMPLES)
+        .map(|_| {
+            let scale = REFERENCE_MS / reference_ms();
+            let (cold, warm) = serve_once();
+            (scale, cold, warm)
+        })
+        .collect();
+    let cold_ms = median(runs.iter().map(|(s, c, _)| wall(c) * s).collect());
+    let warm_ms = median(runs.iter().map(|(s, _, w)| wall(w) * s).collect());
+    let (_, cold, warm) = &runs[0];
+
     let json = Json::obj(vec![
         ("schema", Json::Str("xmltc.bench-typecheck/7".into())),
         (
             "comparison",
             Json::obj(vec![
                 ("instance", Json::Str("Q2 vs mod-3 (typechecks)".into())),
-                ("eager_wall_ms", Json::F64(eager_report.total_ms())),
-                ("lazy_wall_ms", Json::F64(lazy_report.total_ms())),
-                ("eager_emptiness_ms", Json::F64(emptiness_ms(&eager_report))),
-                ("lazy_emptiness_ms", Json::F64(emptiness_ms(&lazy_report))),
+                ("eager_wall_ms", Json::F64(eager_wall_ms)),
+                ("lazy_wall_ms", Json::F64(lazy_wall_ms)),
+                ("eager_emptiness_ms", Json::F64(eager_emptiness_ms)),
+                ("lazy_emptiness_ms", Json::F64(lazy_emptiness_ms)),
                 ("eager_states", Json::U64(eager_states)),
                 ("lazy_states_materialized", Json::U64(lazy_states)),
                 ("lazy_states_eager_bound", Json::U64(lazy_bound)),
@@ -206,6 +279,7 @@ fn main() {
                     Json::U64(walk_metric("walk.fixpoint_steps")),
                 ),
                 ("dbta_states", Json::U64(walk_metric("walk.dbta_states"))),
+                ("classes", Json::U64(walk_metric("walk.classes"))),
                 ("kernel_words", Json::U64(walk_metric("walk.kernel.words"))),
                 ("kernel_rows", Json::U64(walk_metric("walk.kernel.rows"))),
                 (
@@ -221,11 +295,11 @@ fn main() {
                     "instance",
                     Json::Str("Q2 vs mod-3 via xmltc serve (verdict cache)".into()),
                 ),
-                ("cold_wall_ms", Json::F64(wall(&cold))),
-                ("warm_wall_ms", Json::F64(wall(&warm))),
-                ("cold_misses", Json::U64(cache_count(&cold, "misses"))),
-                ("warm_hits", Json::U64(cache_count(&warm, "hits"))),
-                ("warm_misses", Json::U64(cache_count(&warm, "misses"))),
+                ("cold_wall_ms", Json::F64(cold_ms)),
+                ("warm_wall_ms", Json::F64(warm_ms)),
+                ("cold_misses", Json::U64(cache_count(cold, "misses"))),
+                ("warm_hits", Json::U64(cache_count(warm, "hits"))),
+                ("warm_misses", Json::U64(cache_count(warm, "misses"))),
             ]),
         ),
         (

@@ -69,7 +69,8 @@ pub const WARM_WALL_THRESHOLD: f64 = 3.0;
 
 /// The default watch list for `BENCH_typecheck.json` (schema 7): wall
 /// times with generous slack, deterministic counters with none (including
-/// the walk kernel's dense-representation counters), and the service
+/// the walk's bisimulation classes and its kernel's dense-representation
+/// counters), and the service
 /// cold/warm rows — the cache-hit/miss counts are deterministic, so any
 /// drift is a regression. Ratios of counters are not watched: the exact
 /// counts behind them are.
@@ -87,6 +88,7 @@ pub fn default_watches() -> Vec<Watch> {
         Watch::lower("route_walk.memo_misses", 0.0),
         Watch::lower("route_walk.fixpoint_steps", 0.0),
         Watch::lower("route_walk.dbta_states", 0.0),
+        Watch::lower("route_walk.classes", 0.0),
         Watch::lower("route_walk.kernel_words", 0.0),
         Watch::lower("route_walk.kernel_rows", 0.0),
         Watch::lower("route_walk.projections_interned", 0.0),

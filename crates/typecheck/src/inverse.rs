@@ -54,7 +54,9 @@ pub(crate) fn violation_nta_sized(
     let mut dbta_transitions = 0;
     let v = {
         let _span = obs::span("typecheck.violation");
-        let v = violation_automaton(t, output_type)?.trim_states();
+        // The product holds only the rule-graph-reachable pairs, which is
+        // all `trim_states` would keep (`tests/violation_trim.rs`).
+        let v = violation_automaton(t, output_type)?;
         obs::record("pebble.k", v.k() as u64);
         obs::record("pebble.states", v.core().n_states() as u64);
         v
@@ -78,6 +80,7 @@ pub(crate) fn violation_nta_sized(
             obs::record("walk.kernel.rows", ws.kernel_rows);
             obs::record("walk.kernel.row_peak", ws.kernel_row_peak);
             obs::record("walk.kernel.projections", ws.projections_interned);
+            obs::record("walk.classes", ws.classes);
             dbta_transitions = d.n_transitions();
             d.to_nta().trim()
         }

@@ -35,6 +35,18 @@
 //!
 //! # Performance architecture
 //!
+//! * **Bisimulation quotient** — the walk compiles one state per class of
+//!   the input's coarsest forward bisimulation ([`bisimulation_quotient`]):
+//!   states whose rule sets, symbol by symbol, coincide once targets are
+//!   mapped to classes. Bisimilar states accept the same configurations on
+//!   every tree, and an exit set naming two of them resolves exactly like
+//!   one naming their class, so the quotient recognizes the same language;
+//!   its signatures are a function of the per-state ones, so the DBTA
+//!   never has more states. Classes are numbered by their smallest member,
+//!   which also supplies the class's rules, sorted, so the tables, the
+//!   counters and the DBTA do not depend on the order of the rules. The
+//!   Proposition 4.6 products are full of such duplicates: Q2 (8, 8, 8)'s
+//!   822 states fall to 375 classes.
 //! * **Dense kernel** — exit sets are flat `u64` rows with one bit per
 //!   *exit state*, a distinct up-move target: a branch leaves a subtree
 //!   only by an up-move, so no other state can be in an exit set. Rows
@@ -46,7 +58,7 @@
 //!   kept sorted by popcount ([`RowRef`]), so minimal-insertion
 //!   ([`ac_insert_min`]) subset-checks only against rows that can possibly
 //!   be subsets and drops only rows that can possibly be supersets.
-//! * **Compiled tables** — walker rules are pre-compiled per symbol into
+//! * **Compiled tables** — the classes' rules are compiled per symbol into
 //!   a flat action list with owner states and a CSR reverse-dependency
 //!   array ([`SymTable`]), lifting all hash lookups out of the fixpoint
 //!   inner loop. The fixpoint is chaotic iteration over *actions*: the
@@ -86,7 +98,7 @@ use xmltc_automata::state::StateSet;
 use xmltc_automata::{Dbta, State};
 use xmltc_core::machine::{Action, Move, PebbleAutomaton};
 use xmltc_obs::journal;
-use xmltc_trees::{FxHashMap, FxHashSet, Symbol};
+use xmltc_trees::{Alphabet, FxHashMap, FxHashSet, Rank, Symbol};
 
 /// Arena id of a bitset row (in row units: the row occupies words
 /// `id * words .. (id + 1) * words` of its arena).
@@ -313,8 +325,494 @@ impl SymTable {
     }
 }
 
-/// Raw action as collected from the rule stream: a `Down` still names its
-/// target state, which [`TableBuilder::freeze`] turns into a slot.
+/// A rule action as one sortable word: `chunk << 3 | kind` in bits
+/// 64..96, the first target in bits 32..64 and the second in bits 0..32,
+/// with the targets a kind does not use set to 0. `chunk` names the 64
+/// tables an [`Entry`]'s mask speaks about. Keys over state ids describe
+/// the input automaton; keys over block or class ids describe a quotient.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct ActKey(u128);
+
+/// Action kinds, in key order.
+const ACCEPT: u32 = 0;
+const FORK: u32 = 1;
+const STAY: u32 = 2;
+const DOWN_LEFT: u32 = 3;
+const DOWN_RIGHT: u32 = 4;
+const UP_LEFT: u32 = 5;
+const UP_RIGHT: u32 = 6;
+
+impl ActKey {
+    fn new(tag: u32, t1: u32, t2: u32) -> ActKey {
+        ActKey(u128::from(tag) << 64 | u128::from(t1) << 32 | u128::from(t2))
+    }
+
+    /// `chunk << 3 | kind`.
+    fn tag(self) -> u32 {
+        (self.0 >> 64) as u32
+    }
+
+    fn kind(self) -> u32 {
+        self.tag() & 7
+    }
+
+    fn t1(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+
+    fn t2(self) -> u32 {
+        self.0 as u32
+    }
+
+    /// The key with its used targets mapped through `to`.
+    #[inline]
+    fn map(self, to: impl Fn(u32) -> u32) -> ActKey {
+        match self.kind() {
+            ACCEPT => self,
+            FORK => ActKey::new(self.tag(), to(self.t1()), to(self.t2())),
+            _ => ActKey::new(self.tag(), to(self.t1()), 0),
+        }
+    }
+
+    /// The used targets: none for `Accept`, both for a `Fork` of two
+    /// different states, else one.
+    fn targets(self) -> impl Iterator<Item = u32> {
+        let first = (self.kind() != ACCEPT).then_some(self.t1());
+        let second = (self.kind() == FORK && self.t2() != self.t1()).then_some(self.t2());
+        first.into_iter().chain(second)
+    }
+}
+
+/// One action of a state and the tables it is a rule of: bit `b` of
+/// `mask` stands for table `64 · chunk + b`. Rules are replicated across
+/// symbols more often than not, so grouping them by action shrinks what
+/// the partition refinement re-reads.
+#[derive(Clone, Copy)]
+struct Entry {
+    key: ActKey,
+    mask: u64,
+}
+
+/// One rule as a sortable word: its action's key in bits 6..102 and its
+/// table's bit within the chunk in bits 0..6.
+fn rule_word(table: u32, action: &Action) -> u128 {
+    let (kind, t1, t2) = match *action {
+        Action::Branch0 => (ACCEPT, 0, 0),
+        Action::Branch2(q1, q2) => (FORK, q1.0, q2.0),
+        Action::Move(m, target) => {
+            let kind = match m {
+                Move::Stay => STAY,
+                Move::DownLeft => DOWN_LEFT,
+                Move::DownRight => DOWN_RIGHT,
+                Move::UpLeft => UP_LEFT,
+                Move::UpRight => UP_RIGHT,
+                Move::PlaceNew | Move::PickCurrent => unreachable!("unusable at k = 1"),
+            };
+            (kind, target.0, 0)
+        }
+        Action::Output0(..) | Action::Output2(..) => {
+            unreachable!("automata have no output transitions")
+        }
+    };
+    ActKey::new((table / 64) << 3 | kind, t1, t2).0 << 6 | u128::from(table % 64)
+}
+
+/// The FxHash step.
+#[inline]
+fn fx(h: u64, w: u64) -> u64 {
+    (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// An entry's key with its targets mapped to blocks (or classes), and the
+/// entry's index, packed into one sortable word: the mapped key in bits
+/// 32..128, the index in bits 0..32.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Slot(u128);
+
+impl Slot {
+    fn new(key: ActKey, ent: usize) -> Slot {
+        Slot(key.0 << 32 | ent as u128)
+    }
+
+    fn key(self) -> ActKey {
+        ActKey(self.0 >> 32)
+    }
+
+    fn ent(self) -> usize {
+        self.0 as u32 as usize
+    }
+}
+
+/// A state's signature from its slots sorted by mapped key: each distinct
+/// mapped key with the union of its entries' masks, in key order.
+fn signature<'a>(slots: &'a [Slot], ents: &'a [Entry]) -> impl Iterator<Item = (ActKey, u64)> + 'a {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        let key = slots.get(i)?.key();
+        let mut mask = 0;
+        while let Some(slot) = slots.get(i).filter(|s| s.key() == key) {
+            mask |= ents[slot.ent()].mask;
+            i += 1;
+        }
+        Some((key, mask))
+    })
+}
+
+/// The hash that drives the splits: FxHash over a state's signature.
+fn signature_hash(slots: &[Slot], ents: &[Entry]) -> u64 {
+    signature(slots, ents).fold(0, |h, (k, mask)| {
+        fx(fx(fx(h, (k.0 >> 64) as u64), k.0 as u64), mask)
+    })
+}
+
+/// Per-state refinement record of [`bisimulation_quotient`].
+#[derive(Clone, Copy)]
+struct Node {
+    block: u32,
+    /// The state's index in [`Refine::elems`].
+    pos: u32,
+    /// Whether the state is queued for the next round.
+    queued: bool,
+}
+
+/// Computes the coarsest forward bisimulation of the automaton's rules by
+/// partition refinement from one block, and hands the quotient's rules to
+/// `emit` class by class: each class's smallest member's actions over
+/// class ids, sorted by key, with their tables. Classes are numbered by
+/// their smallest member. Returns the number of classes and the initial
+/// state's class. `table_of` maps symbol indices to table ids; `sig_hash`
+/// is [`signature_hash`] (tests pass a colliding one).
+///
+/// A state's *signature* is its rule set with targets mapped to blocks,
+/// kept as slots sorted by mapped key, so re-mapping after some targets
+/// moved re-sorts only the slots that changed. Each round recomputes the
+/// signature hashes of the queued states and splits their blocks: a
+/// block's other members still share the hash it had when last checked,
+/// so its parts are the hash groups of the re-examined members, and a
+/// round costs what it re-examines, not the sizes of the blocks. The
+/// largest part keeps the block id, so only the predecessors of the states
+/// that moved can see a different signature, and only they are queued for
+/// the next round. Bisimilar states have equal signatures, hence equal
+/// hashes, so they are never split apart. When the queue runs dry every
+/// block is checked exactly: a member whose signature differs from the
+/// block's first member's (two signatures with one hash) splits the block
+/// by comparing signatures, and refinement resumes. So no two states share
+/// a class on a hash alone, and the result is the coarsest bisimulation
+/// whatever order the rules came in.
+fn bisimulation_quotient(
+    a: &PebbleAutomaton,
+    table_of: &[u32],
+    sig_hash: impl Fn(&[Slot], &[Entry]) -> u64,
+    mut emit: impl FnMut(u32, Entry),
+) -> (usize, u32) {
+    let core = a.core();
+    let n = core.n_states() as usize;
+    // One rule word per rule, `words[off[q]..off[q + 1]]` for state `q`,
+    // with the offsets filled downward from the running sums.
+    let mut off = vec![0u32; n + 1];
+    for (_, q, _, _) in core.rules() {
+        off[q.index()] += 1;
+    }
+    let mut sum = 0;
+    for o in off.iter_mut() {
+        sum += *o;
+        *o = sum;
+    }
+    let mut words = vec![0u128; sum as usize];
+    for (sym, q, guard, action) in core.rules() {
+        debug_assert!(guard.0.is_empty(), "k = 1 guards are trivial");
+        off[q.index()] -= 1;
+        words[off[q.index()] as usize] = rule_word(table_of[sym.index()], action);
+    }
+    // Group each state's rules by action into entries sorted by key.
+    let mut ents: Vec<Entry> = Vec::with_capacity(words.len());
+    for q in 0..n {
+        let (s, e) = (off[q] as usize, off[q + 1] as usize);
+        let first = ents.len();
+        off[q] = first as u32;
+        words[s..e].sort_unstable();
+        for &w in &words[s..e] {
+            let (key, bit) = (ActKey(w >> 6), 1 << (w & 63));
+            match ents[first..].last_mut() {
+                Some(last) if last.key == key => last.mask |= bit,
+                _ => ents.push(Entry { key, mask: bit }),
+            }
+        }
+    }
+    off[n] = ents.len() as u32;
+    // Each entry's slot starts mapped to the one initial block; keys sort
+    // by tag first, so the slots are sorted too.
+    let mut slots: Vec<Slot> = ents
+        .iter()
+        .enumerate()
+        .map(|(i, x)| Slot::new(x.key.map(|_| 0), i))
+        .collect();
+    let seg = |q: u32| off[q as usize] as usize..off[q as usize + 1] as usize;
+    // Rule-graph predecessors, `preds[pred_off[t]..pred_off[t + 1]]`:
+    // the states to queue when `t` moves.
+    let mut pred_off = vec![0u32; n + 1];
+    for x in &ents {
+        for t in x.key.targets() {
+            pred_off[t as usize] += 1;
+        }
+    }
+    let mut sum = 0;
+    for o in pred_off.iter_mut() {
+        sum += *o;
+        *o = sum;
+    }
+    let mut preds = vec![0u32; sum as usize];
+    for q in 0..n as u32 {
+        for x in &ents[seg(q)] {
+            for t in x.key.targets() {
+                pred_off[t as usize] -= 1;
+                preds[pred_off[t as usize] as usize] = q;
+            }
+        }
+    }
+
+    // Block `b`'s members are `elems[lo..hi]` for `ranges[b] = (lo, hi)`,
+    // and `bhash[b]` is the signature hash they shared when last checked;
+    // `pos[q]` is state `q`'s index in `elems`.
+    let mut refine = Refine {
+        node: vec![
+            Node {
+                block: 0,
+                pos: 0,
+                queued: true,
+            };
+            n
+        ],
+        elems: (0..n as u32).collect(),
+        ranges: vec![(0, n as u32)],
+        bhash: vec![0],
+        pred_off,
+        preds,
+        queue: (0..n as u32).collect(),
+    };
+    for (q, nd) in refine.node.iter_mut().enumerate() {
+        nd.pos = q as u32;
+    }
+    let mut hash = vec![0u64; n];
+    let mut dirty: Vec<u32> = Vec::new();
+    let mut changed: Vec<Slot> = Vec::new();
+    let mut group: Vec<u32> = Vec::new();
+    // A partition into singletons is stable, so refinement stops there.
+    loop {
+        while !refine.queue.is_empty() && refine.ranges.len() < n {
+            dirty.clear();
+            for &q in &refine.queue {
+                let own = &mut slots[seg(q)];
+                // Keep the slots whose mapped key stands, in order; sort
+                // the changed ones and merge them back from the top.
+                changed.clear();
+                let mut kept = 0;
+                for i in 0..own.len() {
+                    let slot = own[i];
+                    let now = ents[slot.ent()].key.map(|t| refine.node[t as usize].block);
+                    if now == slot.key() {
+                        own[kept] = slot;
+                        kept += 1;
+                    } else {
+                        changed.push(Slot::new(now, slot.ent()));
+                    }
+                }
+                if !changed.is_empty() {
+                    changed.sort_unstable();
+                }
+                let (mut i, mut w) = (kept, own.len());
+                while let Some(&c) = changed.last() {
+                    w -= 1;
+                    if i > 0 && own[i - 1] > c {
+                        i -= 1;
+                        own[w] = own[i];
+                    } else {
+                        own[w] = c;
+                        changed.pop();
+                    }
+                }
+                hash[q as usize] = sig_hash(own, &ents);
+                refine.node[q as usize].queued = false;
+                dirty.push(q);
+            }
+            refine.queue.clear();
+            // Group the re-examined states by block, then by hash. A
+            // block's other members still share its hash `bhash`, so its
+            // parts are its hash groups; the largest keeps the block.
+            dirty.sort_unstable_by_key(|&q| (refine.node[q as usize].block, hash[q as usize]));
+            let mut i = 0;
+            while i < dirty.len() {
+                let b = refine.node[dirty[i] as usize].block as usize;
+                let j = i + dirty[i..]
+                    .iter()
+                    .take_while(|&&q| refine.node[q as usize].block as usize == b)
+                    .count();
+                let (lo, hi) = refine.ranges[b];
+                let clean = (hi - lo) as usize - (j - i);
+                let h0 = refine.bhash[b];
+                let runs = |i: usize| {
+                    let h = hash[dirty[i] as usize];
+                    i + dirty[i..j]
+                        .iter()
+                        .take_while(|&&q| hash[q as usize] == h)
+                        .count()
+                };
+                let size = |k: usize, e: usize| {
+                    let h = hash[dirty[k] as usize];
+                    e - k + if clean > 0 && h == h0 { clean } else { 0 }
+                };
+                // The kept hash: the largest part, the clean part on ties.
+                let (mut keep, mut best) = (h0, if clean > 0 { clean } else { 0 });
+                let mut k = i;
+                while k < j {
+                    let e = runs(k);
+                    let h = hash[dirty[k] as usize];
+                    if size(k, e) > best || (size(k, e) == best && h == h0) {
+                        (keep, best) = (h, size(k, e));
+                    }
+                    k = e;
+                }
+                let mut k = i;
+                while k < j {
+                    let e = runs(k);
+                    let h = hash[dirty[k] as usize];
+                    if h != keep && !(clean > 0 && h == h0) {
+                        refine.carve(b, &dirty[k..e], h);
+                    }
+                    k = e;
+                }
+                if clean > 0 && keep != h0 {
+                    let (lo, hi) = refine.ranges[b];
+                    group.clear();
+                    group.extend(
+                        refine.elems[lo as usize..hi as usize]
+                            .iter()
+                            .filter(|&&q| hash[q as usize] == h0),
+                    );
+                    refine.carve(b, &group, h0);
+                }
+                refine.bhash[b] = keep;
+                i = j;
+            }
+        }
+        // Exact stability check: a block whose members' signatures differ
+        // (two signatures with one hash) is split by signature.
+        refine.queue.clear();
+        let sig = |q: u32| signature(&slots[seg(q)], &ents);
+        for b in 0..refine.ranges.len() {
+            let (lo, hi) = refine.ranges[b];
+            let members = &refine.elems[lo as usize..hi as usize];
+            if members[1..].iter().all(|&q| sig(q).eq(sig(members[0]))) {
+                continue;
+            }
+            group.clear();
+            group.extend_from_slice(members);
+            group.sort_unstable_by(|&x, &y| sig(x).cmp(sig(y)));
+            let mut parts: Vec<(usize, usize)> = Vec::new();
+            let mut k = 0;
+            while k < group.len() {
+                let e = k + group[k..]
+                    .iter()
+                    .take_while(|&&q| sig(q).eq(sig(group[k])))
+                    .count();
+                parts.push((k, e));
+                k = e;
+            }
+            let largest = (0..parts.len())
+                .max_by_key(|&p| (parts[p].1 - parts[p].0, std::cmp::Reverse(p)))
+                .expect("a block has members");
+            for (p, &(k, e)) in parts.iter().enumerate() {
+                if p != largest {
+                    refine.carve(b, &group[k..e], hash[group[k] as usize]);
+                }
+            }
+        }
+        if refine.queue.is_empty() {
+            break;
+        }
+    }
+    let Refine {
+        node,
+        ranges,
+        elems: mut reps,
+        ..
+    } = refine;
+
+    // Number classes by their smallest member, which also represents them.
+    let mut class_of_block = vec![u32::MAX; ranges.len()];
+    reps.clear();
+    for (q, nd) in node.iter().enumerate() {
+        let c = &mut class_of_block[nd.block as usize];
+        if *c == u32::MAX {
+            *c = reps.len() as u32;
+            reps.push(q as u32);
+        }
+    }
+    // A representative's entries over class ids, merged by key. (Its
+    // slots may be stale: refinement stops early at singletons.)
+    let to_class = |t: u32| class_of_block[node[t as usize].block as usize];
+    for (c, &r) in reps.iter().enumerate() {
+        for i in seg(r) {
+            slots[i] = Slot::new(ents[i].key.map(to_class), i);
+        }
+        let own = &mut slots[seg(r)];
+        own.sort_unstable();
+        for (key, mask) in signature(own, &ents) {
+            emit(c as u32, Entry { key, mask });
+        }
+    }
+    let initial = class_of_block[node[core.initial().index()].block as usize];
+    (reps.len(), initial)
+}
+
+/// The partition of [`bisimulation_quotient`] and the rule-graph
+/// predecessors, `preds[pred_off[t]..pred_off[t + 1]]`, to queue when a
+/// state `t` moves to another block.
+struct Refine {
+    node: Vec<Node>,
+    elems: Vec<u32>,
+    ranges: Vec<(u32, u32)>,
+    bhash: Vec<u64>,
+    pred_off: Vec<u32>,
+    preds: Vec<u32>,
+    queue: Vec<u32>,
+}
+
+impl Refine {
+    /// Moves `members`, all in block `b`, to a new block whose members
+    /// share hash `h`, and queues their predecessors.
+    fn carve(&mut self, b: usize, members: &[u32], h: u64) {
+        let (lo, end) = self.ranges[b];
+        let mut hi = end;
+        for &q in members {
+            hi -= 1;
+            let (p, other) = (self.node[q as usize].pos, self.elems[hi as usize]);
+            self.elems[p as usize] = other;
+            self.node[other as usize].pos = p;
+            self.elems[hi as usize] = q;
+            self.node[q as usize].pos = hi;
+        }
+        self.ranges[b] = (lo, hi);
+        let nb = self.ranges.len() as u32;
+        self.ranges.push((hi, end));
+        self.bhash.push(h);
+        for &q in members {
+            self.node[q as usize].block = nb;
+            let ps = self.pred_off[q as usize] as usize..self.pred_off[q as usize + 1] as usize;
+            for &p in &self.preds[ps] {
+                let np = &mut self.node[p as usize];
+                if !np.queued {
+                    np.queued = true;
+                    self.queue.push(p);
+                }
+            }
+        }
+    }
+}
+
+/// Raw action of one class, as listed in the quotient: a `Down` still
+/// names its target class, which [`TableBuilder::freeze`] turns into a
+/// slot.
 #[derive(Clone, Copy)]
 enum RawAct {
     Accept,
@@ -323,34 +821,26 @@ enum RawAct {
     Down { left: bool, target: u32 },
 }
 
-/// Mutable per-symbol accumulator, frozen into a [`SymTable`].
+/// Mutable per-symbol accumulator, frozen into a [`SymTable`]. Filled in
+/// class order, so `acts` is sorted by owner.
+#[derive(Default)]
 struct TableBuilder {
-    acts: Vec<Vec<RawAct>>,
+    /// `(owner, action)` pairs.
+    acts: Vec<(u32, RawAct)>,
     up_left: Vec<(u32, u32)>,
     up_right: Vec<(u32, u32)>,
 }
 
 impl TableBuilder {
-    fn new(n_states: usize) -> TableBuilder {
-        TableBuilder {
-            acts: vec![Vec::new(); n_states],
-            up_left: Vec::new(),
-            up_right: Vec::new(),
-        }
-    }
-
-    fn freeze(mut self) -> SymTable {
-        let n_states = self.acts.len();
+    fn freeze(self, n_states: usize) -> SymTable {
         let mut dl_targets: Vec<u32> = Vec::new();
         let mut dr_targets: Vec<u32> = Vec::new();
-        for acts in &self.acts {
-            for a in acts {
-                if let RawAct::Down { left, target } = *a {
-                    if left {
-                        dl_targets.push(target);
-                    } else {
-                        dr_targets.push(target);
-                    }
+        for &(_, a) in &self.acts {
+            if let RawAct::Down { left, target } = a {
+                if left {
+                    dl_targets.push(target);
+                } else {
+                    dr_targets.push(target);
                 }
             }
         }
@@ -358,47 +848,56 @@ impl TableBuilder {
         dl_targets.dedup();
         dr_targets.sort_unstable();
         dr_targets.dedup();
-        let mut acts: Vec<Act> = Vec::new();
-        let mut owner: Vec<u32> = Vec::new();
         let mut downs = Vec::new();
-        let mut readers: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_states];
-        for (q, list) in self.acts.iter().enumerate() {
-            for a in list {
-                let i = acts.len() as u32;
-                acts.push(match *a {
+        let (owner, acts): (Vec<u32>, Vec<Act>) = self
+            .acts
+            .iter()
+            .enumerate()
+            .map(|(i, &(q, a))| {
+                let act = match a {
                     RawAct::Accept => Act::Accept,
-                    RawAct::Fork(a1, a2) => {
-                        readers[a1 as usize].push((i, a2));
-                        readers[a2 as usize].push((i, a1));
-                        Act::Fork(a1, a2)
-                    }
-                    RawAct::Stay(p) => {
-                        readers[p as usize].push((i, p));
-                        Act::Stay(p)
-                    }
+                    RawAct::Fork(a1, a2) => Act::Fork(a1, a2),
+                    RawAct::Stay(p) => Act::Stay(p),
                     RawAct::Down { left, target } => {
-                        downs.push(i);
+                        downs.push(i as u32);
                         let side = if left { &dl_targets } else { &dr_targets };
                         let slot = side.binary_search(&target).expect("registered target") as u32;
                         Act::Down { left, slot }
                     }
-                });
-                owner.push(q as u32);
-            }
+                };
+                (q, act)
+            })
+            .unzip();
+        // Readers in action order: a `Fork` under both operands (once if
+        // they coincide) with the other one, a `Stay` under its target
+        // with the target itself.
+        let readers = || {
+            acts.iter().enumerate().flat_map(|(i, &act)| {
+                let i = i as u32;
+                let (first, second) = match act {
+                    Act::Fork(a1, a2) => (Some((a1, (i, a2))), (a1 != a2).then_some((a2, (i, a1)))),
+                    Act::Stay(p) => (Some((p, (i, p))), None),
+                    Act::Accept | Act::Down { .. } => (None, None),
+                };
+                first.into_iter().chain(second)
+            })
+        };
+        // CSR offsets filled downward from the running sums, walking the
+        // readers backward so each list stays in action order.
+        let mut rdeps_off = vec![0u32; n_states + 1];
+        for (q, _) in readers() {
+            rdeps_off[q as usize] += 1;
         }
-        let mut rdeps_off = Vec::with_capacity(n_states + 1);
-        rdeps_off.push(0u32);
-        let mut rdeps: Vec<(u32, u32)> = Vec::new();
-        for mut v in readers {
-            v.sort_unstable();
-            v.dedup();
-            rdeps.extend_from_slice(&v);
-            rdeps_off.push(rdeps.len() as u32);
+        let mut sum = 0;
+        for o in rdeps_off.iter_mut() {
+            sum += *o;
+            *o = sum;
         }
-        self.up_left.sort_unstable();
-        self.up_left.dedup();
-        self.up_right.sort_unstable();
-        self.up_right.dedup();
+        let mut rdeps = vec![(0u32, 0u32); sum as usize];
+        for (q, dep) in readers().rev() {
+            rdeps_off[q as usize] -= 1;
+            rdeps[rdeps_off[q as usize] as usize] = dep;
+        }
         SymTable {
             acts,
             owner,
@@ -496,9 +995,27 @@ fn wake(ctx: &FixCtx<'_>, r: &[Vec<RowRef>], q: usize, wl: &mut Vec<u32>, inq: &
     }
 }
 
+/// The table id of each symbol, by symbol index: leaves, then binaries,
+/// then any other symbol, each in alphabet order, so ids do not depend on
+/// the order of the rules.
+fn table_ids(alphabet: &Alphabet) -> Vec<u32> {
+    let mut order: Vec<Symbol> = alphabet.symbols().collect();
+    order.sort_by_key(|&s| match alphabet.rank(s) {
+        Rank::Leaf => 0,
+        Rank::Binary => 1,
+        Rank::Unranked => 2,
+    });
+    let mut table_of = vec![0; order.len()];
+    for (id, s) in order.into_iter().enumerate() {
+        table_of[s.index()] = id as u32;
+    }
+    table_of
+}
+
 struct Walker {
     tables: Vec<SymTable>,
-    sym_index: FxHashMap<Symbol, u32>,
+    /// Table id of each symbol, by symbol index.
+    table_of: Vec<u32>,
     /// Table ids of the alphabet's binary symbols, in alphabet order: the
     /// tables a [`Signature`] projects onto.
     binaries: Vec<u32>,
@@ -513,11 +1030,12 @@ struct Walker {
 }
 
 impl Walker {
-    /// Compiles the automaton's rules into per-symbol tables (every
-    /// alphabet symbol gets one, possibly empty, so jobs and memo keys can
-    /// use dense table ids), sizes a workspace for them, and solves each
-    /// symbol's children-independent base fixpoint in it (counted into
-    /// `stats`, like every other solver run).
+    /// Compiles the automaton's bisimulation quotient into per-symbol
+    /// tables over its classes (every alphabet symbol gets one, possibly
+    /// empty, so jobs and memo keys can use dense table ids), sizes a
+    /// workspace for them, and solves each symbol's children-independent
+    /// base fixpoint in it (counted into `stats`, like every other solver
+    /// run).
     fn new(
         a: &PebbleAutomaton,
         stats: &mut WalkStats,
@@ -525,53 +1043,37 @@ impl Walker {
         if a.k() != 1 {
             return Err(TypecheckError::NeedsOnePebble { k: a.k() });
         }
-        let n_states = a.core().n_states() as usize;
         let alphabet = a.input_alphabet();
-        let mut sym_index: FxHashMap<Symbol, u32> = FxHashMap::default();
+        let table_of = table_ids(alphabet);
+        let binaries = alphabet.binaries();
         let mut builders: Vec<TableBuilder> = Vec::new();
-        let mut slot_of = |sym: Symbol, builders: &mut Vec<TableBuilder>| -> usize {
-            *sym_index.entry(sym).or_insert_with(|| {
-                builders.push(TableBuilder::new(n_states));
-                (builders.len() - 1) as u32
-            }) as usize
-        };
-        // Register alphabet symbols first (leaves, then binaries, in
-        // alphabet order) so table ids are rule-order independent.
-        for &sym in alphabet.leaves().iter() {
-            slot_of(sym, &mut builders);
-        }
-        for &sym in alphabet.binaries().iter() {
-            slot_of(sym, &mut builders);
-        }
-        for (sym, q, guard, action) in a.core().rules() {
-            debug_assert!(guard.0.is_empty(), "k = 1 guards are trivial");
-            let ti = slot_of(sym, &mut builders);
-            let t = &mut builders[ti];
-            let qi = q.0;
-            match action {
-                Action::Branch0 => t.acts[q.index()].push(RawAct::Accept),
-                Action::Branch2(q1, q2) => t.acts[q.index()].push(RawAct::Fork(q1.0, q2.0)),
-                Action::Move(m, target) => match m {
-                    Move::Stay => t.acts[q.index()].push(RawAct::Stay(target.0)),
-                    Move::UpLeft => t.up_left.push((qi, target.0)),
-                    Move::UpRight => t.up_right.push((qi, target.0)),
-                    Move::DownLeft | Move::DownRight => {
-                        t.acts[q.index()].push(RawAct::Down {
-                            left: matches!(m, Move::DownLeft),
-                            target: target.0,
-                        });
-                    }
-                    Move::PlaceNew | Move::PickCurrent => {
-                        unreachable!("unusable at k = 1")
-                    }
-                },
-                Action::Output0(..) | Action::Output2(..) => {
-                    unreachable!("automata have no output transitions")
+        builders.resize_with(table_of.len(), TableBuilder::default);
+        let (n_states, initial) = bisimulation_quotient(a, &table_of, signature_hash, |c, x| {
+            let (t1, t2) = (x.key.t1(), x.key.t2());
+            let mut mask = x.mask;
+            while mask != 0 {
+                let table = (x.key.tag() >> 3) * 64 + mask.trailing_zeros();
+                mask &= mask - 1;
+                let t = &mut builders[table as usize];
+                match x.key.kind() {
+                    ACCEPT => t.acts.push((c, RawAct::Accept)),
+                    FORK => t.acts.push((c, RawAct::Fork(t1, t2))),
+                    STAY => t.acts.push((c, RawAct::Stay(t1))),
+                    UP_LEFT => t.up_left.push((c, t1)),
+                    UP_RIGHT => t.up_right.push((c, t1)),
+                    kind => t.acts.push((
+                        c,
+                        RawAct::Down {
+                            left: kind == DOWN_LEFT,
+                            target: t1,
+                        },
+                    )),
                 }
             }
-        }
-        let binaries = alphabet.binaries().iter().map(|s| sym_index[s]).collect();
-        let tables: Vec<SymTable> = builders.into_iter().map(TableBuilder::freeze).collect();
+        });
+        stats.classes = n_states as u64;
+        let binaries = binaries.iter().map(|s| table_of[s.index()]).collect();
+        let tables: Vec<SymTable> = builders.into_iter().map(|b| b.freeze(n_states)).collect();
         let mut exit_states: Vec<u32> = tables
             .iter()
             .flat_map(|t| t.up_left.iter().chain(&t.up_right).map(|&(_, e)| e))
@@ -586,12 +1088,12 @@ impl Walker {
         let mut ws = Workspace::new(n_states, n_acts);
         let mut walker = Walker {
             tables,
-            sym_index,
+            table_of,
             binaries,
             words: exit_states.len().div_ceil(64).max(1),
             exit_states,
             exit_bit,
-            initial: a.core().initial().index(),
+            initial: initial as usize,
         };
         // Base fixpoints: solve each symbol's system with `Down` candidates
         // absent (no children). Every composition restarts from here.
@@ -646,7 +1148,7 @@ impl Walker {
     }
 
     fn slot(&self, sym: Symbol) -> u32 {
-        self.sym_index[&sym]
+        self.table_of[sym.index()]
     }
 
     /// Rebuilds the reverse edges induced by `Down` actions into `deps`:
@@ -985,7 +1487,8 @@ pub struct WalkStats {
     /// Requests that *did* require a fixpoint run: the leaf symbols plus
     /// the distinct `(symbol, left, right)` projection pairs.
     pub memo_misses: u64,
-    /// Action evaluations (worklist pops) across all fixpoint runs.
+    /// Action evaluations (worklist pops) across all fixpoint runs, over
+    /// the actions of the compiled classes.
     pub fixpoint_steps: u64,
     /// Peak number of queued actions in any single fixpoint run.
     pub worklist_peak: u64,
@@ -997,12 +1500,15 @@ pub struct WalkStats {
     /// States of the resulting DBTA.
     pub dbta_states: u64,
     /// Width of an exit-set row, in `u64` words: one bit per distinct
-    /// up-move target, at least one word.
+    /// up-move target class, at least one word.
     pub words: u64,
     /// Total arena rows written across all compositions (live + shadowed).
     pub kernel_rows: u64,
     /// Peak arena rows of any single composition.
     pub kernel_row_peak: u64,
+    /// States the walk compiled: the classes of the input automaton's
+    /// coarsest forward bisimulation, at most its state count.
+    pub classes: u64,
     /// Distinct child projections interned.
     pub projections_interned: u64,
 }
@@ -1181,7 +1687,7 @@ mod tests {
     use std::sync::Arc;
     use xmltc_core::accepts;
     use xmltc_core::machine::{AutomatonBuilder, Guard, SymSpec};
-    use xmltc_trees::{Alphabet, BinaryTree};
+    use xmltc_trees::{BinaryTree, SmallRng};
 
     fn alpha() -> Arc<Alphabet> {
         Alphabet::ranked(&["x", "y"], &["f"])
@@ -1358,8 +1864,10 @@ mod tests {
     /// End-to-end with 150 distinct up-move targets (rows of 3 words): an
     /// or-search chained through 300 `Stay` states, which can also send a
     /// climber down-left. Climber `u_j` accepts on `y` and otherwise exits
-    /// up in `w_j`, which accepts anywhere; `u_140`'s exit sits in the
-    /// row's third word and resolves at the parent.
+    /// up in `w_j`, which takes `j` `Stay` steps down a shared chain
+    /// (`w_j → w_{j-1}`) before accepting anywhere, so no two `w_j` are
+    /// bisimilar and none merge; `u_140`'s exit sits in the row's third
+    /// word and resolves at the parent.
     #[test]
     fn wide_machine_multi_word_rows() {
         let al = alpha();
@@ -1396,9 +1904,19 @@ mod tests {
             b.move_rule(SymSpec::Binaries, last, Guard::any(), m, target)
                 .unwrap();
         }
+        b.branch0(SymSpec::Any, exits[0], Guard::any()).unwrap();
+        for j in 1..150 {
+            b.move_rule(
+                SymSpec::Any,
+                exits[j],
+                Guard::any(),
+                Move::Stay,
+                exits[j - 1],
+            )
+            .unwrap();
+        }
         for (&u, &w) in climbers.iter().zip(&exits) {
             b.branch0(SymSpec::One(y), u, Guard::any()).unwrap();
-            b.branch0(SymSpec::Any, w, Guard::any()).unwrap();
             for m in [Move::UpLeft, Move::UpRight] {
                 b.move_rule(SymSpec::Any, u, Guard::any(), m, w).unwrap();
             }
@@ -1406,6 +1924,7 @@ mod tests {
         let a = b.build().unwrap();
         let (_, s) = walking_to_dbta_with(&a, &WalkOptions::default()).unwrap();
         assert!(s.words >= 3, "{} words", s.words);
+        assert_eq!(s.classes, a.core().n_states() as u64, "nothing merges");
         agree(&a);
     }
 
@@ -1578,5 +2097,192 @@ mod tests {
             }
         }
         assert_eq!(walking_to_dbta_limited(&a, full.n_states()).unwrap(), full);
+    }
+
+    // ---- bisimulation quotient ------------------------------------------
+
+    /// A rule over state indices, so that one machine can be built with
+    /// its rules in any order, or with extra states.
+    #[derive(Clone)]
+    enum Rule {
+        Accept,
+        Fork(usize, usize),
+        Walk(Move, usize),
+    }
+
+    /// A machine over `al` with states `s0..s{n-1}`, initial `s0`, and
+    /// `rules` added in the order given.
+    fn machine(al: &Arc<Alphabet>, n: usize, rules: &[(SymSpec, usize, Rule)]) -> PebbleAutomaton {
+        let mut b = AutomatonBuilder::new(al, 1);
+        let st: Vec<_> = (0..n)
+            .map(|i| b.state(&format!("s{i}"), 1).unwrap())
+            .collect();
+        b.set_initial(st[0]);
+        for (spec, q, rule) in rules {
+            let (spec, q) = (spec.clone(), st[*q]);
+            match *rule {
+                Rule::Accept => b.branch0(spec, q, Guard::any()),
+                Rule::Fork(x, y) => b.branch2(spec, q, Guard::any(), st[x], st[y]),
+                Rule::Walk(m, t) => b.move_rule(spec, q, Guard::any(), m, st[t]),
+            }
+            .unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// `count` random rules over `n` states and the symbols of `al`.
+    fn random_rules(
+        rng: &mut SmallRng,
+        al: &Alphabet,
+        n: usize,
+        count: usize,
+    ) -> Vec<(SymSpec, usize, Rule)> {
+        let syms: Vec<Symbol> = al.symbols().collect();
+        let moves = [
+            Move::Stay,
+            Move::DownLeft,
+            Move::DownRight,
+            Move::UpLeft,
+            Move::UpRight,
+        ];
+        (0..count)
+            .map(|_| {
+                let spec = match rng.below(4) {
+                    0 => SymSpec::Leaves,
+                    1 => SymSpec::Binaries,
+                    2 => SymSpec::Any,
+                    _ => SymSpec::One(*rng.choose(&syms)),
+                };
+                let q = rng.gen_range(0..n);
+                let rule = match rng.below(6) {
+                    0 => Rule::Accept,
+                    1 => Rule::Fork(rng.gen_range(0..n), rng.gen_range(0..n)),
+                    _ => Rule::Walk(*rng.choose(&moves), rng.gen_range(0..n)),
+                };
+                (spec, q, rule)
+            })
+            .collect()
+    }
+
+    /// `rules` plus a bisimilar copy of each of the `n` states: state
+    /// `n + q` gets `q`'s rules, each target replaced by its copy or kept
+    /// at random.
+    fn with_copies(
+        rng: &mut SmallRng,
+        n: usize,
+        rules: &[(SymSpec, usize, Rule)],
+    ) -> Vec<(SymSpec, usize, Rule)> {
+        let mut doubled = rules.to_vec();
+        for (spec, q, rule) in rules {
+            let mut twin = |t: usize| if rng.gen_bool(0.5) { t + n } else { t };
+            let rule = match *rule {
+                Rule::Accept => Rule::Accept,
+                Rule::Fork(x, y) => Rule::Fork(twin(x), twin(y)),
+                Rule::Walk(m, t) => Rule::Walk(m, twin(t)),
+            };
+            doubled.push((spec.clone(), q + n, rule));
+        }
+        doubled
+    }
+
+    fn walk(a: &PebbleAutomaton) -> (Dbta, WalkStats) {
+        walking_to_dbta_with(a, &WalkOptions::default()).unwrap()
+    }
+
+    /// The quotient does not depend on the order the rules came in: the
+    /// same rules added in two different orders give the same DBTA and the
+    /// same counters.
+    #[test]
+    fn rule_order_changes_nothing() {
+        let (al, mut rng) = (alpha(), SmallRng::seed_from_u64(0x0bde));
+        for case in 0..48 {
+            let n = rng.gen_range(2..7);
+            let count = rng.gen_range(6..24);
+            let mut rules = random_rules(&mut rng, &al, n, count);
+            let a = machine(&al, n, &rules);
+            for i in (1..rules.len()).rev() {
+                rules.swap(i, rng.gen_range(0..i + 1));
+            }
+            let shuffled = machine(&al, n, &rules);
+            assert_eq!(walk(&a), walk(&shuffled), "case {case}");
+        }
+    }
+
+    /// Adding a bisimilar copy of every state ([`with_copies`]) changes
+    /// nothing: the copies merge with the originals (the smallest members),
+    /// and the walk builds the same DBTA with the same counters, the class
+    /// count included.
+    #[test]
+    fn bisimilar_copies_change_nothing() {
+        let (al, mut rng) = (alpha(), SmallRng::seed_from_u64(0xc0b1));
+        for case in 0..48 {
+            let n = rng.gen_range(2..6);
+            let count = rng.gen_range(6..20);
+            let rules = random_rules(&mut rng, &al, n, count);
+            let doubled = with_copies(&mut rng, n, &rules);
+            let (plain, copied) = (machine(&al, n, &rules), machine(&al, 2 * n, &doubled));
+            assert_eq!(walk(&plain), walk(&copied), "case {case}");
+        }
+    }
+
+    /// Copies merge, and states with different languages do not: `s1..s5`
+    /// walk down-left `0..4` times and accept on `y`, so they and the
+    /// initial `s0`, which stays into `s5`, form six classes; `s6`, a copy
+    /// of `s4`, joins it.
+    #[test]
+    fn copies_merge_and_distinct_languages_stay_apart() {
+        let al = alpha();
+        let y = al.get("y").unwrap();
+        let mut rules = vec![
+            (SymSpec::Any, 0, Rule::Walk(Move::Stay, 5)),
+            (SymSpec::One(y), 1, Rule::Accept),
+        ];
+        for q in 2..6 {
+            rules.push((SymSpec::Binaries, q, Rule::Walk(Move::DownLeft, q - 1)));
+        }
+        let (_, s) = walk(&machine(&al, 6, &rules));
+        assert_eq!(s.classes, 6);
+        rules.push((SymSpec::Binaries, 6, Rule::Walk(Move::DownLeft, 3)));
+        rules.push((SymSpec::Any, 0, Rule::Walk(Move::Stay, 6)));
+        let copied = machine(&al, 7, &rules);
+        let (_, s) = walk(&copied);
+        assert_eq!(s.classes, 6, "the copy joins s4");
+        agree(&copied);
+    }
+
+    /// The splits are driven by a hash, but no two states share a class on
+    /// a hash alone: under a hash for which every signature collides, the
+    /// exact check does all the splitting and finds the same quotient, on
+    /// random machines and on random machines with copies.
+    #[test]
+    fn colliding_hashes_give_the_same_quotient() {
+        let (al, mut rng) = (alpha(), SmallRng::seed_from_u64(0x4a54));
+        let quotient = |a: &PebbleAutomaton, hash: &dyn Fn(&[Slot], &[Entry]) -> u64| {
+            let mut rules = Vec::new();
+            let table_of = table_ids(a.input_alphabet());
+            let (n, initial) = bisimulation_quotient(a, &table_of, hash, |c, x| {
+                rules.push((c, x.key.0, x.mask));
+            });
+            (n, initial, rules)
+        };
+        let mut merged = 0;
+        for case in 0..48 {
+            let n = rng.gen_range(2..8);
+            let count = rng.gen_range(4..24);
+            let mut rules = random_rules(&mut rng, &al, n, count);
+            let mut states = n;
+            if case % 2 == 1 {
+                rules = with_copies(&mut rng, n, &rules);
+                states *= 2;
+            }
+            let a = machine(&al, states, &rules);
+            let exact = quotient(&a, &signature_hash);
+            assert_eq!(exact, quotient(&a, &|_, _| 0), "case {case}");
+            merged += usize::from(exact.0 < states);
+        }
+        assert!(
+            merged >= 24,
+            "only {merged}/48 machines have states to merge"
+        );
     }
 }

@@ -707,6 +707,7 @@ fn typecheck_json_reports_walk_counters() {
     assert!(json_u64(&s, "walk.compositions").unwrap() > 0);
     assert!(json_u64(&s, "walk.memo_hits").is_some());
     assert!(json_u64(&s, "walk.fixpoint_steps").unwrap() > 0);
+    assert!(json_u64(&s, "walk.classes").unwrap() > 0);
     assert!(json_u64(&s, "product.pairs_pruned").is_some());
 }
 

@@ -98,17 +98,28 @@ fn walk_route_agrees_with_agap() {
     assert!(mixed >= 16, "only {mixed}/64 machines split the trees");
 }
 
+/// The MSO route never runs the walk, so it checks the walk — and the
+/// bisimulation quotient the walk compiles — independently.
 #[test]
 fn mso_route_agrees_with_walk_route() {
     let al = alpha();
+    let trees = all_trees(&al, 4);
     let mut rng = SmallRng::seed_from_u64(0x4702);
-    for case in 0..24 {
-        let a = rand_machine(&mut rng, &al, 1..10);
-        let d = walking_to_dbta(&a).unwrap().to_nta();
+    let mut mixed = 0;
+    for case in 0..64 {
+        let a = rand_machine(&mut rng, &al, 6..20);
+        let d = walking_to_dbta(&a).unwrap();
         let (m, _stats) = pebble_to_nta(&a, 500_000).unwrap();
         // Full language equivalence, not just sampled agreement.
-        assert!(d.equivalent(&m), "case {case}: routes disagree");
+        assert!(d.to_nta().equivalent(&m), "case {case}: routes disagree");
+        let accepted = trees.iter().filter(|t| d.accepts(t).unwrap()).count();
+        if accepted > 0 && accepted < trees.len() {
+            mixed += 1;
+        }
     }
+    // Empty and universal languages compare trivially; with 6-19 rules
+    // about a third of the machines (21) split the trees.
+    assert!(mixed >= 16, "only {mixed}/64 machines split the trees");
 }
 
 /// The satellite budget property: for ANY machine and ANY tiny state
@@ -121,7 +132,7 @@ fn mso_route_honors_state_limit() {
     let mut rng = SmallRng::seed_from_u64(0x4703);
     let mut aborted = 0;
     for case in 0..24 {
-        let a = rand_machine(&mut rng, &al, 1..10);
+        let a = rand_machine(&mut rng, &al, 6..20);
         let limit = 1 + rng.below(8) as u32;
         let (result, report) = obs::with_report(|| pebble_to_nta(&a, limit));
         match result {
