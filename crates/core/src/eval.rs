@@ -1,11 +1,11 @@
 //! Transducer evaluation and the Proposition 3.8 output-language automaton.
 
 use crate::error::MachineError;
-use crate::machine::{Config, PebbleTransducer, StepResult};
+use crate::machine::{Action, Config, PebbleTransducer, StepResult};
 use std::collections::VecDeque;
 use xmltc_automata::{State, TdTa};
 use xmltc_trees::tree::BinaryTreeBuilder;
-use xmltc_trees::{Alphabet, BinaryTree, FxHashMap, FxHashSet, NodeId, TreeError};
+use xmltc_trees::{Alphabet, BinaryTree, FxHashMap, NodeId, Symbol, TreeError};
 
 /// Default step budget for [`eval`].
 pub const DEFAULT_STEP_LIMIT: usize = 10_000_000;
@@ -22,7 +22,65 @@ pub fn eval(t: &PebbleTransducer, tree: &BinaryTree) -> Result<BinaryTree, Machi
     eval_with_limit(t, tree, DEFAULT_STEP_LIMIT)
 }
 
+/// An output node under construction. The machine runs one branch at a
+/// time; the others wait here, innermost last.
+enum Frame {
+    /// An `output2` node whose right branch has not started: the output
+    /// symbol, the branch's state, and where its pebbles start in the
+    /// pebble arena.
+    Right(Symbol, State, usize),
+    /// An `output2` node whose left child is built and whose right branch
+    /// is running.
+    Node(Symbol, NodeId),
+}
+
+/// Brent's cycle detection over one silent segment (the moves since the
+/// last output): the machine is deterministic there, so it loops forever
+/// iff a configuration repeats. One configuration is saved and compared
+/// with every later one; it is replaced by the current one after 1, 2, 4,
+/// … moves. Once the saved configuration lies on the cycle and the power
+/// reaches the cycle's length, the cycle comes back to it, so a loop is
+/// found within a constant factor of the moves it takes to close it.
+struct Brent {
+    state: State,
+    pebbles: Vec<NodeId>,
+    power: usize,
+    moves: usize,
+}
+
+impl Brent {
+    /// Starts a segment at configuration `(state, pebbles)`.
+    fn start(&mut self, state: State, pebbles: &[NodeId]) {
+        self.state = state;
+        self.pebbles.clear();
+        self.pebbles.extend_from_slice(pebbles);
+        self.power = 1;
+        self.moves = 0;
+    }
+
+    /// Records a move into `(state, pebbles)`; true when that
+    /// configuration repeats the saved one.
+    #[inline]
+    fn repeats(&mut self, state: State, pebbles: &[NodeId]) -> bool {
+        if state == self.state && pebbles == self.pebbles.as_slice() {
+            return true;
+        }
+        self.moves += 1;
+        if self.moves == self.power {
+            let power = 2 * self.power;
+            self.start(state, pebbles);
+            self.power = power;
+        }
+        false
+    }
+}
+
 /// [`eval`] with an explicit step budget.
+///
+/// Every rule application is one step. The machine runs on one pebble
+/// stack updated in place; an `output2` saves the stack in a flat arena
+/// for its right branch and runs the left one, so evaluation allocates
+/// nothing per step and never recurses, whatever the size of the output.
 pub fn eval_with_limit(
     t: &PebbleTransducer,
     tree: &BinaryTree,
@@ -31,64 +89,83 @@ pub fn eval_with_limit(
     if !Alphabet::same(t.input_alphabet(), tree.alphabet()) {
         return Err(MachineError::Tree(TreeError::AlphabetMismatch));
     }
+    let core = t.core();
+    let name = |q: State| core.state_name(q).to_string();
     let mut builder = BinaryTreeBuilder::new(t.output_alphabet());
+    let mut frames: Vec<Frame> = Vec::new();
+    let mut arena: Vec<NodeId> = Vec::new();
+    let mut pebbles: Vec<NodeId> = Vec::with_capacity(usize::from(t.k()));
+    pebbles.push(tree.root());
+    let mut state = core.initial();
+    let mut brent = Brent {
+        state,
+        pebbles: pebbles.clone(),
+        power: 1,
+        moves: 0,
+    };
     let mut steps = 0usize;
-    let root = run_branch(
-        t,
-        tree,
-        t.core().initial_config(tree),
-        &mut builder,
-        &mut steps,
-        limit,
-    )?;
-    Ok(builder.finish(root))
-}
-
-fn run_branch(
-    t: &PebbleTransducer,
-    tree: &BinaryTree,
-    mut cfg: Config,
-    builder: &mut BinaryTreeBuilder,
-    steps: &mut usize,
-    limit: usize,
-) -> Result<NodeId, MachineError> {
-    // Configurations visited since the last output on this branch; a repeat
-    // means the deterministic machine loops forever.
-    let mut visited: FxHashSet<Config> = FxHashSet::default();
-    visited.insert(cfg.clone());
     loop {
-        *steps += 1;
-        if *steps > limit {
+        steps += 1;
+        if steps > limit {
             return Err(MachineError::StepLimit);
         }
-        let mut succs = t.core().successors(tree, &cfg);
-        if succs.len() > 1 {
-            return Err(MachineError::Nondeterministic {
-                state: t.core().state_name(cfg.state).to_string(),
-            });
+        let current = *pebbles.last().expect("configs have at least pebble 1");
+        let mut fired = None;
+        for (guard, action) in core.rules_at(state, tree.symbol(current)) {
+            if !guard.matches(&pebbles, current) {
+                continue;
+            }
+            let to = match *action {
+                Action::Move(m, _) => match m.landing(tree, &pebbles) {
+                    Some(to) => to,
+                    None => continue,
+                },
+                _ => current,
+            };
+            if fired.is_some() {
+                return Err(MachineError::Nondeterministic { state: name(state) });
+            }
+            fired = Some((action, to));
         }
-        match succs.pop() {
-            None => {
-                return Err(MachineError::Stuck {
-                    state: t.core().state_name(cfg.state).to_string(),
-                })
-            }
-            Some(StepResult::Moved(next)) => {
-                if !visited.insert(next.clone()) {
-                    return Err(MachineError::NonTerminating {
-                        state: t.core().state_name(next.state).to_string(),
-                    });
+        let Some((action, to)) = fired else {
+            return Err(MachineError::Stuck { state: name(state) });
+        };
+        let mut done = match *action {
+            Action::Move(m, q) => {
+                m.make(&mut pebbles, to);
+                state = q;
+                if brent.repeats(state, &pebbles) {
+                    return Err(MachineError::NonTerminating { state: name(state) });
                 }
-                cfg = next;
+                continue;
             }
-            Some(StepResult::Output0(a)) => return Ok(builder.leaf(a)?),
-            Some(StepResult::Output2(a, c1, c2)) => {
-                let l = run_branch(t, tree, c1, builder, steps, limit)?;
-                let r = run_branch(t, tree, c2, builder, steps, limit)?;
-                return Ok(builder.node(a, l, r)?);
+            Action::Output2(a, q1, q2) => {
+                frames.push(Frame::Right(a, q2, arena.len()));
+                arena.extend_from_slice(&pebbles);
+                state = q1;
+                brent.start(state, &pebbles);
+                continue;
             }
-            Some(StepResult::Branch0) | Some(StepResult::Branch2(..)) => {
+            Action::Output0(a) => builder.leaf(a)?,
+            Action::Branch0 | Action::Branch2(..) => {
                 unreachable!("transducers have no branch transitions")
+            }
+        };
+        // A subtree is complete: close the nodes it completes, up to the
+        // innermost right branch still to run, and start that branch.
+        loop {
+            match frames.pop() {
+                None => return Ok(builder.finish(done)),
+                Some(Frame::Node(a, left)) => done = builder.node(a, left, done)?,
+                Some(Frame::Right(a, q, at)) => {
+                    frames.push(Frame::Node(a, done));
+                    pebbles.clear();
+                    pebbles.extend_from_slice(&arena[at..]);
+                    arena.truncate(at);
+                    state = q;
+                    brent.start(state, &pebbles);
+                    break;
+                }
             }
         }
     }
@@ -185,6 +262,7 @@ pub fn is_output(
 mod tests {
     use super::*;
     use crate::library;
+    use crate::machine::{Guard, Move, SymSpec, TransducerBuilder};
     use std::sync::Arc;
 
     fn alpha() -> Arc<Alphabet> {
@@ -236,6 +314,312 @@ mod tests {
             eval_with_limit(&t, &tree, 3),
             Err(MachineError::StepLimit)
         ));
+    }
+
+    /// Builds a transducer over `alpha()` from `(symbol, state, action)`
+    /// rules, `*` standing for every symbol. Its states are `{prefix}0` to
+    /// `{prefix}{n - 1}`, the first initial; those from `split` on sit at
+    /// level 2, and the machine then has two pebbles.
+    fn machine(
+        prefix: &str,
+        n: usize,
+        split: usize,
+        rules: &[(&str, usize, Act)],
+    ) -> PebbleTransducer {
+        let al = alpha();
+        let k = if split < n { 2 } else { 1 };
+        let mut b = TransducerBuilder::new(&al, &al, k);
+        let qs: Vec<State> = (0..n)
+            .map(|i| {
+                b.state(&format!("{prefix}{i}"), if i < split { 1 } else { 2 })
+                    .unwrap()
+            })
+            .collect();
+        b.set_initial(qs[0]);
+        for &(sym, q, ref act) in rules {
+            let spec = match sym {
+                "*" => SymSpec::Any,
+                name => SymSpec::One(al.get(name).unwrap()),
+            };
+            match *act {
+                Act::Move(m, to) => b.move_rule(spec, qs[q], Guard::any(), m, qs[to]),
+                Act::Out0(o) => b.output0(spec, qs[q], Guard::any(), al.get(o).unwrap()),
+                Act::Out2(o, l, r) => {
+                    b.output2(spec, qs[q], Guard::any(), al.get(o).unwrap(), qs[l], qs[r])
+                }
+            }
+            .unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Act {
+        Move(Move, usize),
+        Out0(&'static str),
+        Out2(&'static str, usize, usize),
+    }
+
+    fn run(t: &PebbleTransducer, src: &str, limit: usize) -> Result<String, MachineError> {
+        let tree = BinaryTree::parse(src, t.input_alphabet()).unwrap();
+        eval_with_limit(t, &tree, limit).map(|out| out.to_string())
+    }
+
+    /// The smallest budget under which `eval` succeeds: its step count.
+    fn steps(t: &PebbleTransducer, src: &str) -> usize {
+        let (mut lo, mut hi) = (1, 1 << 20);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if run(t, src, mid).is_ok() {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
+    #[test]
+    fn every_rule_application_is_one_step() {
+        // Copy takes one step per output node and one per move down: 13
+        // for this tree of 7 nodes and 6 edges, 1 for a leaf.
+        let t = library::copy(&alpha()).unwrap();
+        assert_eq!(steps(&t, "f(f(x, y), g(y, x))"), 13);
+        assert_eq!(steps(&t, "x"), 1);
+        assert!(matches!(
+            run(&t, "f(f(x, y), g(y, x))", 12),
+            Err(MachineError::StepLimit)
+        ));
+    }
+
+    #[test]
+    fn stuck_names_the_state_without_a_rule() {
+        // q0 walks down-left into q1, which has no rule on `x`.
+        let t = machine(
+            "q",
+            2,
+            2,
+            &[
+                ("*", 0, Act::Move(Move::DownLeft, 1)),
+                ("y", 1, Act::Out0("y")),
+            ],
+        );
+        assert_eq!(run(&t, "f(y, x)", 100), Ok("y".into()));
+        assert_eq!(
+            run(&t, "f(x, y)", 100),
+            Err(MachineError::Stuck { state: "q1".into() })
+        );
+    }
+
+    #[test]
+    fn nondeterministic_counts_only_applicable_rules() {
+        // q1 has two rules on `x`, both applicable.
+        let t = machine(
+            "q",
+            2,
+            2,
+            &[
+                ("*", 0, Act::Move(Move::DownRight, 1)),
+                ("x", 1, Act::Out0("x")),
+                ("x", 1, Act::Move(Move::Stay, 0)),
+                ("y", 1, Act::Out0("y")),
+            ],
+        );
+        assert_eq!(run(&t, "f(x, y)", 100), Ok("y".into()));
+        assert_eq!(
+            run(&t, "f(y, x)", 100),
+            Err(MachineError::Nondeterministic { state: "q1".into() })
+        );
+        // A move that cannot be made does not count: at the root only
+        // down-left applies, at a left leaf only up-left.
+        let t = machine(
+            "q",
+            2,
+            2,
+            &[
+                ("f", 0, Act::Move(Move::DownLeft, 1)),
+                ("f", 0, Act::Move(Move::UpLeft, 1)),
+                ("x", 1, Act::Move(Move::UpLeft, 1)),
+                ("x", 1, Act::Move(Move::DownLeft, 1)),
+                ("f", 1, Act::Out0("y")),
+            ],
+        );
+        assert_eq!(run(&t, "f(x, y)", 100), Ok("y".into()));
+    }
+
+    /// Loops are caught by Brent's method, which names a state on the
+    /// cycle — the one in the configuration it saved, not necessarily the
+    /// first state to repeat — and needs at most about three times the
+    /// moves that first close the loop, so a budget that runs out in
+    /// between wins.
+    #[test]
+    fn non_terminating_names_a_state_on_the_cycle() {
+        // A stay cycle q2 → q3 → q4 → q2 after the prefix q0 → q1 → q2.
+        let stay = |q: usize, to: usize| ("*", q, Act::Move(Move::Stay, to));
+        let t = machine(
+            "q",
+            5,
+            5,
+            &[stay(0, 1), stay(1, 2), stay(2, 3), stay(3, 4), stay(4, 2)],
+        );
+        // The sixth move closes the loop a second time and finds it; the
+        // fifth, which first repeats a configuration, does not.
+        assert_eq!(
+            run(&t, "x", 6),
+            Err(MachineError::NonTerminating { state: "q3".into() })
+        );
+        assert_eq!(run(&t, "x", 5), Err(MachineError::StepLimit));
+        // A down/up cycle between the root and its left child.
+        let t = machine(
+            "r",
+            2,
+            2,
+            &[
+                ("f", 0, Act::Move(Move::DownLeft, 1)),
+                ("x", 1, Act::Move(Move::UpLeft, 0)),
+            ],
+        );
+        assert_eq!(
+            run(&t, "f(x, y)", 100),
+            Err(MachineError::NonTerminating { state: "r1".into() })
+        );
+        assert_eq!(
+            run(&t, "f(y, y)", 100),
+            Err(MachineError::Stuck { state: "r1".into() })
+        );
+        // A cycle inside the right branch of an output2, after the left
+        // branch has produced its leaf.
+        let t = machine(
+            "s",
+            4,
+            4,
+            &[
+                ("*", 0, Act::Out2("f", 1, 2)),
+                ("*", 1, Act::Out0("x")),
+                ("*", 2, Act::Move(Move::Stay, 3)),
+                ("*", 3, Act::Move(Move::Stay, 2)),
+            ],
+        );
+        assert_eq!(
+            run(&t, "y", 100),
+            Err(MachineError::NonTerminating { state: "s3".into() })
+        );
+        // Placing and picking a pebble changes the stack's height; the
+        // configurations still repeat.
+        let t = machine(
+            "p",
+            2,
+            1,
+            &[
+                ("*", 0, Act::Move(Move::PlaceNew, 1)),
+                ("*", 1, Act::Move(Move::PickCurrent, 0)),
+            ],
+        );
+        assert_eq!(
+            run(&t, "f(x, y)", 100),
+            Err(MachineError::NonTerminating { state: "p1".into() })
+        );
+    }
+
+    /// The right branch of an `output2` starts a segment of its own:
+    /// passing through the configuration the left branch saved is no loop.
+    #[test]
+    fn each_branch_detects_loops_on_its_own() {
+        let t = machine(
+            "q",
+            4,
+            4,
+            &[
+                ("*", 0, Act::Out2("f", 1, 2)),
+                ("*", 1, Act::Move(Move::Stay, 3)),
+                ("*", 2, Act::Move(Move::Stay, 3)),
+                ("*", 3, Act::Out0("x")),
+            ],
+        );
+        assert_eq!(run(&t, "y", 100), Ok("f(x, x)".into()));
+    }
+
+    /// Shuffling the rules across (state, symbol) slots, each slot keeping
+    /// its own order, changes neither the table nor anything read from it.
+    #[test]
+    fn rule_insertion_order_across_slots_changes_nothing() {
+        let syms = ["x", "y", "f", "g"];
+        let mut rng = xmltc_trees::SmallRng::seed_from_u64(0x0bde);
+        for case in 0..64 {
+            let n = rng.gen_range(2..6);
+            let mut rules = Vec::new();
+            for _ in 0..rng.gen_range(8..64) {
+                let sym = *rng.choose(&syms);
+                let q = rng.gen_range(0..n);
+                let binary = sym == "f" || sym == "g";
+                let act = match rng.gen_range(0..4) {
+                    0 => Act::Out0(if rng.gen_bool(0.5) { "x" } else { "y" }),
+                    1 => Act::Out2(
+                        if binary { sym } else { "f" },
+                        rng.gen_range(0..n),
+                        rng.gen_range(0..n),
+                    ),
+                    2 if binary => Act::Move(
+                        if rng.gen_bool(0.5) {
+                            Move::DownLeft
+                        } else {
+                            Move::DownRight
+                        },
+                        rng.gen_range(0..n),
+                    ),
+                    _ => Act::Move(
+                        *rng.choose(&[Move::Stay, Move::UpLeft, Move::UpRight]),
+                        rng.gen_range(0..n),
+                    ),
+                };
+                rules.push((sym, q, act));
+            }
+            // Deal the slots' rule sequences out in a random interleaving.
+            let slot = |r: &(&'static str, usize, Act)| (r.1, r.0);
+            let mut order: Vec<_> = rules.iter().map(slot).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..i + 1));
+            }
+            let mut taken = vec![false; rules.len()];
+            let shuffled: Vec<_> = order
+                .iter()
+                .map(|&key| {
+                    let i = (0..rules.len())
+                        .find(|&i| !taken[i] && slot(&rules[i]) == key)
+                        .unwrap();
+                    taken[i] = true;
+                    rules[i]
+                })
+                .collect();
+            let (a, b) = (machine("q", n, n, &rules), machine("q", n, n, &shuffled));
+            let listed = |t: &PebbleTransducer| -> Vec<_> {
+                t.core()
+                    .rules()
+                    .map(|(s, q, g, act)| (s, q, g.clone(), act.clone()))
+                    .collect()
+            };
+            assert_eq!(listed(&a), listed(&b), "case {case}");
+            for src in ["x", "f(x, y)", "g(f(y, x), x)", "f(g(x, x), f(y, y))"] {
+                let what = format!("case {case} on {src}");
+                assert_eq!(run(&a, src, 500), run(&b, src, 500), "{what}");
+                let automaton = |t: &PebbleTransducer| {
+                    let tree = BinaryTree::parse(src, t.input_alphabet()).unwrap();
+                    let outs = outputs(t, &tree, 6, 20).unwrap();
+                    let outs: Vec<String> = outs.iter().map(BinaryTree::to_string).collect();
+                    (output_automaton(t, &tree).unwrap(), outs)
+                };
+                let ((oa, outs_a), (ob, outs_b)) = (automaton(&a), automaton(&b));
+                assert_eq!(outs_a, outs_b, "{what}");
+                let shape = |o: &TdTa| {
+                    let mut trans: Vec<_> = o.transitions().collect();
+                    let mut finals: Vec<_> = o.final_pairs().collect();
+                    trans.sort_unstable();
+                    finals.sort_unstable();
+                    (o.n_states(), o.n_transitions(), trans, finals)
+                };
+                assert_eq!(shape(&oa), shape(&ob), "{what}");
+            }
+        }
     }
 
     #[test]

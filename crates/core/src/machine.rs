@@ -4,7 +4,7 @@
 use crate::error::MachineError;
 use std::sync::Arc;
 use xmltc_automata::State;
-use xmltc_trees::{Alphabet, BinaryTree, ChildSide, FxHashMap, NodeId, Rank, Symbol};
+use xmltc_trees::{Alphabet, BinaryTree, ChildSide, NodeId, Rank, Symbol};
 
 /// A move-transition direction (Definition 3.1).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -25,6 +25,45 @@ pub enum Move {
     PlaceNew,
     /// Remove the current pebble `i > 1`; pebble `i-1` becomes current.
     PickCurrent,
+}
+
+impl Move {
+    /// The node that is current after the move from the pebble stack
+    /// `pebbles` (the current pebble last) on `t`, or `None` when the move
+    /// cannot be made there: a walk's destination, the root for
+    /// `PlaceNew`, and the node of the pebble below for `PickCurrent`.
+    #[inline]
+    pub(crate) fn landing(self, t: &BinaryTree, pebbles: &[NodeId]) -> Option<NodeId> {
+        let current = *pebbles.last().expect("configs have at least pebble 1");
+        match self {
+            Move::Stay => Some(current),
+            Move::DownLeft => t.children(current).map(|(l, _)| l),
+            Move::DownRight => t.children(current).map(|(_, r)| r),
+            Move::UpLeft => match t.parent(current)? {
+                (parent, ChildSide::Left) => Some(parent),
+                _ => None,
+            },
+            Move::UpRight => match t.parent(current)? {
+                (parent, ChildSide::Right) => Some(parent),
+                _ => None,
+            },
+            Move::PlaceNew => Some(t.root()),
+            Move::PickCurrent => pebbles.len().checked_sub(2).map(|i| pebbles[i]),
+        }
+    }
+
+    /// Makes the move on the pebble stack in place, given its
+    /// [`landing`](Move::landing) node.
+    #[inline]
+    pub(crate) fn make(self, pebbles: &mut Vec<NodeId>, to: NodeId) {
+        match self {
+            Move::PlaceNew => pebbles.push(to),
+            Move::PickCurrent => {
+                pebbles.pop();
+            }
+            _ => *pebbles.last_mut().expect("configs have at least pebble 1") = to,
+        }
+    }
 }
 
 /// A per-pebble presence test in a guard.
@@ -160,6 +199,12 @@ pub enum StepResult {
 }
 
 /// The state/rule core shared by transducers and automata.
+///
+/// The rules form one table, built once by the builder: every rule in
+/// (state, symbol) order, each slot's rules in insertion order, and the
+/// start of every slot's run. So [`MachineCore::rules_at`] is two loads
+/// and a slice, and [`MachineCore::rules`] lists the rules in that
+/// canonical order whatever order they were added in.
 #[derive(Clone, Debug)]
 pub struct MachineCore {
     input: Arc<Alphabet>,
@@ -167,7 +212,10 @@ pub struct MachineCore {
     levels: Vec<u8>,
     names: Vec<String>,
     initial: State,
-    rules: FxHashMap<(Symbol, State), Vec<(Guard, Action)>>,
+    rules: Vec<(Guard, Action)>,
+    /// `rules[slots[s]..slots[s + 1]]` are the rules of state `q` on
+    /// symbol `a` for slot `s = q·|Σ| + a`.
+    slots: Vec<u32>,
 }
 
 impl MachineCore {
@@ -203,14 +251,33 @@ impl MachineCore {
 
     /// Total number of rules.
     pub fn n_rules(&self) -> usize {
-        self.rules.values().map(Vec::len).sum()
+        self.rules.len()
     }
 
-    /// Iterates over all rules as `(symbol, state, guard, action)`.
+    /// The rules of state `q` on symbol `a`, in the order they were added.
+    #[inline]
+    pub fn rules_at(&self, q: State, a: Symbol) -> &[(Guard, Action)] {
+        let s = q.index() * self.input.len() + a.index();
+        &self.rules[self.slots[s] as usize..self.slots[s + 1] as usize]
+    }
+
+    /// The rules of state `q` as `(symbol, guard, action)`, by symbol.
+    pub fn state_rules(&self, q: State) -> impl Iterator<Item = (Symbol, &Guard, &Action)> + '_ {
+        let sigma = self.input.len();
+        let slots = &self.slots[q.index() * sigma..=(q.index() + 1) * sigma];
+        slots.windows(2).enumerate().flat_map(move |(a, w)| {
+            self.rules[w[0] as usize..w[1] as usize]
+                .iter()
+                .map(move |(g, act)| (Symbol(a as u32), g, act))
+        })
+    }
+
+    /// Iterates over all rules as `(symbol, state, guard, action)`, in
+    /// (state, symbol) order.
     pub fn rules(&self) -> impl Iterator<Item = (Symbol, State, &Guard, &Action)> + '_ {
-        self.rules
-            .iter()
-            .flat_map(|(&(a, q), v)| v.iter().map(move |(g, act)| (a, q, g, act)))
+        (0..self.n_states())
+            .map(State)
+            .flat_map(move |q| self.state_rules(q).map(move |(a, g, act)| (a, q, g, act)))
     }
 
     /// The initial configuration on `t`: pebble 1 on the root, initial
@@ -228,82 +295,31 @@ impl MachineCore {
     /// possible, the transition does not apply").
     pub fn successors(&self, t: &BinaryTree, cfg: &Config) -> Vec<StepResult> {
         let current = cfg.current();
-        let symbol = t.symbol(current);
-        let mut out = Vec::new();
-        let Some(rules) = self.rules.get(&(symbol, cfg.state)) else {
-            return out;
+        let with = |state: State| Config {
+            state,
+            pebbles: cfg.pebbles.clone(),
         };
-        for (guard, action) in rules {
+        let mut out = Vec::new();
+        for (guard, action) in self.rules_at(cfg.state, t.symbol(current)) {
             if !guard.matches(&cfg.pebbles, current) {
                 continue;
             }
-            match action {
+            out.push(match *action {
                 Action::Move(m, q) => {
-                    if let Some(cfg2) = self.apply_move(t, cfg, *m, *q) {
-                        out.push(StepResult::Moved(cfg2));
-                    }
+                    let Some(to) = m.landing(t, &cfg.pebbles) else {
+                        continue;
+                    };
+                    let mut next = with(q);
+                    m.make(&mut next.pebbles, to);
+                    StepResult::Moved(next)
                 }
-                Action::Output0(a) => out.push(StepResult::Output0(*a)),
-                Action::Output2(a, q1, q2) => out.push(StepResult::Output2(
-                    *a,
-                    Config {
-                        state: *q1,
-                        pebbles: cfg.pebbles.clone(),
-                    },
-                    Config {
-                        state: *q2,
-                        pebbles: cfg.pebbles.clone(),
-                    },
-                )),
-                Action::Branch0 => out.push(StepResult::Branch0),
-                Action::Branch2(q1, q2) => out.push(StepResult::Branch2(
-                    Config {
-                        state: *q1,
-                        pebbles: cfg.pebbles.clone(),
-                    },
-                    Config {
-                        state: *q2,
-                        pebbles: cfg.pebbles.clone(),
-                    },
-                )),
-            }
+                Action::Output0(a) => StepResult::Output0(a),
+                Action::Output2(a, q1, q2) => StepResult::Output2(a, with(q1), with(q2)),
+                Action::Branch0 => StepResult::Branch0,
+                Action::Branch2(q1, q2) => StepResult::Branch2(with(q1), with(q2)),
+            });
         }
         out
-    }
-
-    fn apply_move(&self, t: &BinaryTree, cfg: &Config, m: Move, q: State) -> Option<Config> {
-        let current = cfg.current();
-        let mut pebbles = cfg.pebbles.clone();
-        match m {
-            Move::Stay => {}
-            Move::DownLeft => {
-                let (l, _) = t.children(current)?;
-                *pebbles.last_mut().expect("nonempty") = l;
-            }
-            Move::DownRight => {
-                let (_, r) = t.children(current)?;
-                *pebbles.last_mut().expect("nonempty") = r;
-            }
-            Move::UpLeft => {
-                let (parent, side) = t.parent(current)?;
-                if side != ChildSide::Left {
-                    return None;
-                }
-                *pebbles.last_mut().expect("nonempty") = parent;
-            }
-            Move::UpRight => {
-                let (parent, side) = t.parent(current)?;
-                if side != ChildSide::Right {
-                    return None;
-                }
-                *pebbles.last_mut().expect("nonempty") = parent;
-            }
-            Move::PlaceNew => pebbles.push(t.root()),
-            Move::PickCurrent => {
-                pebbles.pop();
-            }
-        }
-        Some(Config { state: q, pebbles })
     }
 }
 
@@ -375,28 +391,18 @@ impl PebbleAutomaton {
         let n = core.n_states() as usize;
         let mut reach = vec![false; n];
         reach[core.initial.index()] = true;
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (_, q, _, action) in core.rules() {
-                if !reach[q.index()] {
-                    continue;
-                }
-                let targets: &[State] = match action {
-                    Action::Move(_, t) => std::slice::from_ref(t),
-                    Action::Branch2(a, b) => {
-                        if !reach[a.index()] {
-                            reach[a.index()] = true;
-                            changed = true;
-                        }
-                        std::slice::from_ref(b)
-                    }
-                    _ => &[],
+        let mut stack = vec![core.initial];
+        while let Some(q) = stack.pop() {
+            for (_, _, action) in core.state_rules(q) {
+                let targets = match *action {
+                    Action::Move(_, t) => [Some(t), None],
+                    Action::Branch2(a, b) => [Some(a), Some(b)],
+                    _ => [None, None],
                 };
-                for t in targets {
+                for t in targets.into_iter().flatten() {
                     if !reach[t.index()] {
                         reach[t.index()] = true;
-                        changed = true;
+                        stack.push(t);
                     }
                 }
             }
@@ -411,7 +417,10 @@ impl PebbleAutomaton {
                 names.push(core.names[i].clone());
             }
         }
-        let mut rules: FxHashMap<(Symbol, State), Vec<(Guard, Action)>> = FxHashMap::default();
+        // The renumbering keeps the states' order, so the rules stay in
+        // (state, symbol) order.
+        let sigma = core.input.len();
+        let (mut keys, mut rules) = (Vec::new(), Vec::new());
         for (sym, q, guard, action) in core.rules() {
             let Some(nq) = remap[q.index()] else { continue };
             let new_action = match action {
@@ -425,11 +434,10 @@ impl PebbleAutomaton {
                 },
                 other => other.clone(),
             };
-            rules
-                .entry((sym, nq))
-                .or_default()
-                .push((guard.clone(), new_action));
+            keys.push(nq.index() * sigma + sym.index());
+            rules.push((guard.clone(), new_action));
         }
+        let (rules, slots) = rule_table(keys, rules, levels.len() * sigma);
         PebbleAutomaton {
             core: MachineCore {
                 input: Arc::clone(&core.input),
@@ -438,9 +446,35 @@ impl PebbleAutomaton {
                 names,
                 initial: remap[core.initial.index()].expect("initial is reachable"),
                 rules,
+                slots,
             },
         }
     }
+}
+
+/// Lays rules out as [`MachineCore`]'s table. `keys[i]` is rule `i`'s slot
+/// `q·|Σ| + a`; the rules are sorted by slot, stably so that each slot
+/// keeps its insertion order, but only when they are not in order already.
+fn rule_table(
+    keys: Vec<usize>,
+    rules: Vec<(Guard, Action)>,
+    n_slots: usize,
+) -> (Vec<(Guard, Action)>, Vec<u32>) {
+    let (keys, rules) = if keys.windows(2).all(|w| w[0] <= w[1]) {
+        (keys, rules)
+    } else {
+        let mut keyed: Vec<_> = keys.into_iter().zip(rules).collect();
+        keyed.sort_by_key(|&(key, _)| key);
+        keyed.into_iter().unzip()
+    };
+    let mut slots = vec![0u32; n_slots + 1];
+    for &key in &keys {
+        slots[key + 1] += 1;
+    }
+    for s in 1..slots.len() {
+        slots[s] += slots[s - 1];
+    }
+    (rules, slots)
 }
 
 struct BuilderCore {
@@ -449,7 +483,9 @@ struct BuilderCore {
     levels: Vec<u8>,
     names: Vec<String>,
     initial: Option<State>,
-    rules: FxHashMap<(Symbol, State), Vec<(Guard, Action)>>,
+    /// Each rule's slot `q·|Σ| + a`, beside `rules`.
+    keys: Vec<usize>,
+    rules: Vec<(Guard, Action)>,
 }
 
 impl BuilderCore {
@@ -460,7 +496,8 @@ impl BuilderCore {
             levels: Vec::new(),
             names: Vec::new(),
             initial: None,
-            rules: FxHashMap::default(),
+            keys: Vec::new(),
+            rules: Vec::new(),
         }
     }
 
@@ -542,11 +579,27 @@ impl BuilderCore {
     ) -> Result<(), MachineError> {
         self.check_state(q)?;
         self.check_guard(q, &guard)?;
+        let sigma = self.input.len();
+        let foreign = match spec {
+            SymSpec::One(a) => a.index() >= sigma,
+            SymSpec::AnyOf(v) => v.iter().any(|a| a.index() >= sigma),
+            _ => false,
+        };
+        if foreign {
+            return Err(MachineError::IllTyped(format!(
+                "a rule of `{}` reads a symbol outside the input alphabet",
+                self.names[q.index()]
+            )));
+        }
+        let slot = |a: Symbol| q.index() * sigma + a.index();
+        if let SymSpec::One(a) = *spec {
+            self.keys.push(slot(a));
+            self.rules.push((guard, action));
+            return Ok(());
+        }
         for a in spec.resolve(&self.input) {
-            self.rules
-                .entry((a, q))
-                .or_default()
-                .push((guard.clone(), action.clone()));
+            self.keys.push(slot(a));
+            self.rules.push((guard.clone(), action.clone()));
         }
         Ok(())
     }
@@ -560,13 +613,16 @@ impl BuilderCore {
                 "the initial state must be at level 1".into(),
             ));
         }
+        let n_slots = self.levels.len() * self.input.len();
+        let (rules, slots) = rule_table(self.keys, self.rules, n_slots);
         Ok(MachineCore {
             input: self.input,
             k: self.k,
             levels: self.levels,
             names: self.names,
             initial,
-            rules: self.rules,
+            rules,
+            slots,
         })
     }
 }

@@ -373,3 +373,45 @@ fn oneshot_serves_one_connection_then_exits_with_report() {
         .iter()
         .any(|(k, v)| k == "serve.requests.typecheck" && *v == 1));
 }
+
+/// A flat document of 20 000 children transforms on a connection thread,
+/// whose stack is 2 MiB, and the server goes on answering other clients:
+/// evaluation and the encoding of siblings keep no stack frame per child.
+#[test]
+fn flat_document_transform_leaves_the_server_up() {
+    const Q2: &str = "root -> result(b, @apply, b, @apply, b, @apply)\na -> a";
+    let n = 20_000;
+    let (addr, handle, _state) = start(false);
+    let mut client = Client::connect(&addr).expect("connect");
+    let transform = client
+        .roundtrip(&Json::obj(vec![
+            ("cmd", Json::Str("transform".into())),
+            ("input_dtd", Json::Str(INPUT_DTD.into())),
+            ("stylesheet", Json::Str(Q2.into())),
+            (
+                "document",
+                Json::Str(format!("<root>{}</root>", "<a/>".repeat(n))),
+            ),
+        ]))
+        .unwrap();
+    let third = format!("<b/>{}", "<a/>".repeat(n));
+    let expected = format!("<result>{}</result>", third.repeat(3));
+    assert_eq!(
+        field(&transform, "result.output").as_str(),
+        Some(expected.as_str())
+    );
+
+    let mut second = Client::connect(&addr).expect("second connection");
+    let valid = second
+        .roundtrip(&Json::obj(vec![
+            ("cmd", Json::Str("validate".into())),
+            ("input_dtd", Json::Str(INPUT_DTD.into())),
+            ("document", Json::Str("<root><a/></root>".into())),
+        ]))
+        .unwrap();
+    assert_eq!(field(&valid, "result.verdict").as_str(), Some("valid"));
+    second
+        .roundtrip(&Json::obj(vec![("cmd", Json::Str("shutdown".into()))]))
+        .unwrap();
+    handle.join().expect("server thread");
+}

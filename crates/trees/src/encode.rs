@@ -20,6 +20,7 @@
 //! is sound for it.
 
 use crate::error::TreeError;
+use crate::raw::RawTree;
 use crate::symbol::{Alphabet, AlphabetBuilder, Rank, Symbol};
 use crate::tree::{BinaryTree, BinaryTreeBuilder, NodeId as BNodeId};
 use crate::unranked::{NodeId as UNodeId, UnrankedTree};
@@ -84,41 +85,38 @@ impl EncodedAlphabet {
 /// Encodes an unranked tree into its complete binary representation.
 ///
 /// The tree must be over `enc.source()`.
+///
+/// Runs on an explicit stack, so neither the number of siblings nor the
+/// depth of the tree costs call-stack frames. The nodes are created in the
+/// order the recursive equations create them: an element's children in
+/// order, then the nil leaf, then the cons cells from the last child back,
+/// then the element's own nil leaf and node.
 pub fn encode(t: &UnrankedTree, enc: &EncodedAlphabet) -> Result<BinaryTree, TreeError> {
     if !Alphabet::same(t.alphabet(), enc.source()) {
         return Err(TreeError::AlphabetMismatch);
     }
     let mut builder = BinaryTreeBuilder::new(enc.encoded());
-    let root = encode_tree(t, t.root(), enc, &mut builder)?;
-    Ok(builder.finish(root))
-}
-
-fn encode_tree(
-    t: &UnrankedTree,
-    n: UNodeId,
-    enc: &EncodedAlphabet,
-    builder: &mut BinaryTreeBuilder,
-) -> Result<BNodeId, TreeError> {
-    let forest = encode_forest(t, t.children(n), enc, builder)?;
-    let nil = builder.leaf(enc.nil())?;
-    // Symbol ids are shared between source and encoded alphabets.
-    builder.node(t.symbol(n), forest, nil)
-}
-
-fn encode_forest(
-    t: &UnrankedTree,
-    kids: &[UNodeId],
-    enc: &EncodedAlphabet,
-    builder: &mut BinaryTreeBuilder,
-) -> Result<BNodeId, TreeError> {
-    match kids.split_first() {
-        None => builder.leaf(enc.nil()),
-        Some((&head, rest)) => {
-            let h = encode_tree(t, head, enc, builder)?;
-            let r = encode_forest(t, rest, enc, builder)?;
-            builder.node(enc.cons(), h, r)
+    // The open elements, each with how many of its children are encoded;
+    // the encodings of those children wait on `heads`.
+    let mut open: Vec<(UNodeId, usize)> = vec![(t.root(), 0)];
+    let mut heads: Vec<BNodeId> = Vec::new();
+    while let Some(&mut (n, ref mut done)) = open.last_mut() {
+        let kids = t.children(n);
+        if let Some(&kid) = kids.get(*done) {
+            *done += 1;
+            open.push((kid, 0));
+            continue;
         }
+        open.pop();
+        let mut forest = builder.leaf(enc.nil())?;
+        for head in heads.drain(heads.len() - kids.len()..).rev() {
+            forest = builder.node(enc.cons(), head, forest)?;
+        }
+        let nil = builder.leaf(enc.nil())?;
+        // Symbol ids are shared between source and encoded alphabets.
+        heads.push(builder.node(t.symbol(n), forest, nil)?);
     }
+    Ok(builder.finish(heads[0]))
 }
 
 /// Decodes a binary tree back into the unranked tree it encodes.
@@ -126,18 +124,22 @@ fn encode_forest(
 /// Errors with [`TreeError::MalformedEncoding`] when the input is not in the
 /// image of [`encode`].
 pub fn decode(t: &BinaryTree, enc: &EncodedAlphabet) -> Result<UnrankedTree, TreeError> {
+    UnrankedTree::from_raw(&decode_raw(t, enc)?, enc.source())
+}
+
+/// Decodes a binary tree into the [`RawTree`] of the unranked tree it
+/// encodes: [`decode`] without building the interned tree, for callers that
+/// only print the result.
+///
+/// Errors as [`decode`] does.
+pub fn decode_raw(t: &BinaryTree, enc: &EncodedAlphabet) -> Result<RawTree, TreeError> {
     if !Alphabet::same(t.alphabet(), enc.encoded()) {
         return Err(TreeError::AlphabetMismatch);
     }
-    let raw = decode_tree(t, t.root(), enc)?;
-    UnrankedTree::from_raw(&raw, enc.source())
+    decode_tree(t, t.root(), enc)
 }
 
-fn decode_tree(
-    t: &BinaryTree,
-    n: BNodeId,
-    enc: &EncodedAlphabet,
-) -> Result<crate::raw::RawTree, TreeError> {
+fn decode_tree(t: &BinaryTree, n: BNodeId, enc: &EncodedAlphabet) -> Result<RawTree, TreeError> {
     let sym = t.symbol(n);
     if !enc.is_original(sym) {
         return Err(TreeError::MalformedEncoding(format!(
@@ -155,7 +157,7 @@ fn decode_tree(
     }
     let mut children = Vec::new();
     decode_forest(t, forest, enc, &mut children)?;
-    Ok(crate::raw::RawTree {
+    Ok(RawTree {
         name: enc.source().name(sym).to_string(),
         children,
     })
@@ -165,7 +167,7 @@ fn decode_forest(
     t: &BinaryTree,
     mut n: BNodeId,
     enc: &EncodedAlphabet,
-    out: &mut Vec<crate::raw::RawTree>,
+    out: &mut Vec<RawTree>,
 ) -> Result<(), TreeError> {
     loop {
         let sym = t.symbol(n);
@@ -221,6 +223,61 @@ mod tests {
         }
         assert!(enc.is_original(Symbol(0)));
         assert!(!enc.is_original(enc.cons()));
+    }
+
+    /// The equations, applied recursively: the node order `encode` keeps.
+    fn encode_by_equations(
+        t: &UnrankedTree,
+        n: UNodeId,
+        enc: &EncodedAlphabet,
+        b: &mut BinaryTreeBuilder,
+    ) -> BNodeId {
+        let heads: Vec<_> = t
+            .children(n)
+            .iter()
+            .map(|&c| encode_by_equations(t, c, enc, b))
+            .collect();
+        let nil = b.leaf(enc.nil()).unwrap();
+        let forest = heads
+            .into_iter()
+            .rev()
+            .fold(nil, |tail, h| b.node(enc.cons(), h, tail).unwrap());
+        let nil = b.leaf(enc.nil()).unwrap();
+        b.node(t.symbol(n), forest, nil).unwrap()
+    }
+
+    #[test]
+    fn nodes_are_created_in_equation_order() {
+        let (src, enc) = setup();
+        let mut rng = crate::SmallRng::seed_from_u64(0xe7c0);
+        for case in 0..200 {
+            let t = crate::generate::random_unranked(&src, 5, 4, &mut rng).unwrap();
+            let mut b = BinaryTreeBuilder::new(enc.encoded());
+            let root = encode_by_equations(&t, t.root(), &enc, &mut b);
+            let expected = b.finish(root);
+            let got = encode(&t, &enc).unwrap();
+            assert_eq!(got.root(), expected.root(), "case {case}");
+            for (x, y) in got.preorder().zip(expected.preorder()) {
+                assert_eq!(
+                    (x, got.children(x)),
+                    (y, expected.children(y)),
+                    "case {case}"
+                );
+            }
+            assert_eq!(got, expected, "case {case}");
+        }
+    }
+
+    /// 100 000 siblings on a test thread's 2 MiB stack: one frame per
+    /// sibling would not fit.
+    #[test]
+    fn siblings_encode_without_recursion() {
+        let (src, enc) = setup();
+        let n = 100_000;
+        let wide = UnrankedTree::parse(&format!("a({})", vec!["b"; n].join(", ")), &src).unwrap();
+        let bt = encode(&wide, &enc).unwrap();
+        assert_eq!(bt.len(), 4 * n + 3);
+        assert_eq!(decode(&bt, &enc).unwrap(), wide);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod symbol;
 pub mod tree;
 pub mod unranked;
 
-pub use encode::{decode, encode, EncodedAlphabet};
+pub use encode::{decode, decode_raw, encode, EncodedAlphabet};
 pub use error::TreeError;
 pub use fx::{FxHashMap, FxHashSet};
 pub use raw::RawTree;

@@ -55,9 +55,8 @@ pub fn forward_image(t: &PebbleTransducer, input_type: &Nta) -> Result<TdTa, Typ
         )));
     }
     let core = t.core();
-    // Index rules and reject non-downward moves.
-    let mut rules: FxHashMap<(Symbol, State), Vec<&Action>> = FxHashMap::default();
-    for (sym, q, _guard, action) in core.rules() {
+    // Reject non-downward moves.
+    for (_, _, _, action) in core.rules() {
         if let Action::Move(m, _) = action {
             if !matches!(m, Move::Stay | Move::DownLeft | Move::DownRight) {
                 return Err(TypecheckError::UnsupportedForForward(format!(
@@ -65,7 +64,6 @@ pub fn forward_image(t: &PebbleTransducer, input_type: &Nta) -> Result<TdTa, Typ
                 )));
             }
         }
-        rules.entry((sym, q)).or_default().push(action);
     }
 
     let td_type = input_type.to_tdta().eliminate_silent();
@@ -139,10 +137,7 @@ pub fn forward_image(t: &PebbleTransducer, input_type: &Nta) -> Result<TdTa, Typ
 
     while let Some(abs @ (q, a, p)) = queue.pop() {
         let s = index[&abs];
-        let Some(actions) = rules.get(&(a, q)) else {
-            continue;
-        };
-        for action in actions {
+        for (_, action) in core.rules_at(q, a) {
             match action {
                 Action::Move(Move::Stay, q2) => {
                     let s2 = intern((*q2, a, p), &mut index, &mut automaton, &mut queue);

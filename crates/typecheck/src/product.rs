@@ -42,10 +42,6 @@ pub fn product_with_tdta(
     // rule keeps qB, an Output2 rule advances qB through B's transitions.
     // Symbols and guards are ignored — the same over-approximation as
     // `trim_states`, so pre-pruning here changes nothing downstream.
-    let mut by_state: Vec<Vec<&Action>> = vec![Vec::new(); n_t as usize];
-    for (_a, qt, _guard, action) in core.rules() {
-        by_state[qt.index()].push(action);
-    }
     let pair_idx = |qt: State, qb: State| (qt.0 * n_b + qb.0) as usize;
     let total = (n_t * n_b) as usize;
     let mut reach = vec![false; total];
@@ -60,7 +56,7 @@ pub fn product_with_tdta(
                 stack.push((qt, qb));
             }
         };
-        for action in &by_state[qt.index()] {
+        for (_, _, action) in core.state_rules(qt) {
             match action {
                 Action::Move(_, target) => visit(*target, qb, &mut stack),
                 Action::Output0(_) => {}
@@ -99,16 +95,19 @@ pub fn product_with_tdta(
         pair_states[(qt.0 * n_b + qb.0) as usize].expect("rule target is reachable")
     };
 
-    for (a, qt, guard, action) in core.rules() {
-        for qb in (0..n_b).map(State) {
-            if !reach[pair_idx(qt, qb)] {
-                continue;
-            }
+    // Rules by (pair state, symbol), the order the automaton's rule table
+    // keeps, so building it sorts nothing.
+    for (qt, qb) in (0..n_t).flat_map(|qt| (0..n_b).map(move |qb| (State(qt), State(qb)))) {
+        if !reach[pair_idx(qt, qb)] {
+            continue;
+        }
+        let from = pair(qt, qb);
+        for (a, guard, action) in core.state_rules(qt) {
             match action {
                 Action::Move(m, target) => {
                     builder.move_rule(
                         SymSpec::One(a),
-                        pair(qt, qb),
+                        from,
                         guard.clone(),
                         *m,
                         pair(*target, qb),
@@ -116,14 +115,14 @@ pub fn product_with_tdta(
                 }
                 Action::Output0(out) => {
                     if b.is_final_pair(*out, qb) {
-                        builder.branch0(SymSpec::One(a), pair(qt, qb), guard.clone())?;
+                        builder.branch0(SymSpec::One(a), from, guard.clone())?;
                     }
                 }
                 Action::Output2(out, q1, q2) => {
                     for &(b1, b2) in b.transitions_for(*out, qb) {
                         builder.branch2(
                             SymSpec::One(a),
-                            pair(qt, qb),
+                            from,
                             guard.clone(),
                             pair(*q1, b1),
                             pair(*q2, b2),

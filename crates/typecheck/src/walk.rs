@@ -508,22 +508,17 @@ fn bisimulation_quotient(
     let core = a.core();
     let n = core.n_states() as usize;
     // One rule word per rule, `words[off[q]..off[q + 1]]` for state `q`,
-    // with the offsets filled downward from the running sums.
-    let mut off = vec![0u32; n + 1];
-    for (_, q, _, _) in core.rules() {
-        off[q.index()] += 1;
+    // read from the state's range of the rule table.
+    let mut off = Vec::with_capacity(n + 1);
+    let mut words = Vec::with_capacity(core.n_rules());
+    for q in 0..n as u32 {
+        off.push(words.len() as u32);
+        for (sym, guard, action) in core.state_rules(State(q)) {
+            debug_assert!(guard.0.is_empty(), "k = 1 guards are trivial");
+            words.push(rule_word(table_of[sym.index()], action));
+        }
     }
-    let mut sum = 0;
-    for o in off.iter_mut() {
-        sum += *o;
-        *o = sum;
-    }
-    let mut words = vec![0u128; sum as usize];
-    for (sym, q, guard, action) in core.rules() {
-        debug_assert!(guard.0.is_empty(), "k = 1 guards are trivial");
-        off[q.index()] -= 1;
-        words[off[q.index()] as usize] = rule_word(table_of[sym.index()], action);
-    }
+    off.push(words.len() as u32);
     // Group each state's rules by action into entries sorted by key.
     let mut ents: Vec<Entry> = Vec::with_capacity(words.len());
     for q in 0..n {

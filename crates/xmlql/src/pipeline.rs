@@ -25,7 +25,7 @@ use xmltc_automata::Nta;
 use xmltc_core::{MachineError, PebbleTransducer};
 use xmltc_dtd::{Dtd, DtdError};
 use xmltc_obs as obs;
-use xmltc_trees::{decode, encode, Alphabet, EncodedAlphabet, RawTree, UnrankedTree};
+use xmltc_trees::{decode_raw, encode, Alphabet, EncodedAlphabet, RawTree, UnrankedTree};
 use xmltc_typecheck::{typecheck, TypecheckError, TypecheckOptions, TypecheckOutcome};
 
 /// A compiled stylesheet pipeline over documents.
@@ -176,8 +176,7 @@ impl DocumentPipeline {
         self.input_dtd.validate(doc)?;
         let encoded = encode(doc, &self.enc_in).map_err(QueryError::Tree)?;
         let out = xmltc_core::eval(&self.transducer, &encoded)?;
-        let decoded = decode(&out, &self.enc_out).map_err(QueryError::Tree)?;
-        Ok(decoded.to_raw())
+        Ok(decode_raw(&out, &self.enc_out).map_err(QueryError::Tree)?)
     }
 
     /// Statically typechecks the transformation against an output DTD
@@ -259,15 +258,9 @@ impl DocumentPipeline {
         match outcome {
             TypecheckOutcome::Ok => Ok(DocumentVerdict::Ok),
             TypecheckOutcome::CounterExample { input, bad_output } => {
-                let input = decode(&input, &self.enc_in)
-                    .map_err(QueryError::Tree)?
-                    .to_raw();
+                let input = decode_raw(&input, &self.enc_in).map_err(QueryError::Tree)?;
                 let bad_output = match bad_output {
-                    Some(b) => Some(
-                        decode(&b, &self.enc_out)
-                            .map_err(QueryError::Tree)?
-                            .to_raw(),
-                    ),
+                    Some(b) => Some(decode_raw(&b, &self.enc_out).map_err(QueryError::Tree)?),
                     None => None,
                 };
                 Ok(DocumentVerdict::CounterExample { input, bad_output })
@@ -289,9 +282,7 @@ impl DocumentPipeline {
         match image.inclusion_counterexample(&tau2) {
             None => Ok(None),
             Some(w) => Ok(Some(
-                decode(&w, &self.enc_out)
-                    .map_err(QueryError::Tree)?
-                    .to_raw(),
+                decode_raw(&w, &self.enc_out).map_err(QueryError::Tree)?,
             )),
         }
     }

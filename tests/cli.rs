@@ -109,6 +109,28 @@ fn transform_outputs_xml() {
     assert_eq!(stdout(&out), "<result><b/><b/></result>\n");
 }
 
+/// A flat document of 60 000 children transforms: evaluation and the
+/// encoding of siblings keep no stack frame per child.
+#[test]
+fn transform_handles_a_flat_document_of_60000_children() {
+    let n = 60_000;
+    let dir = std::env::temp_dir().join("xmltc-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let doc = dir.join("flat-60000.xml");
+    std::fs::write(&doc, format!("<root>{}</root>", "<a/>".repeat(n))).unwrap();
+    let out = run(&[
+        "transform",
+        &fixture("q2.dtd"),
+        &fixture("q2.xsl"),
+        doc.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let third = format!("<b/>{}", "<a/>".repeat(n));
+    let expected = format!("<result>{}</result>\n", third.repeat(3));
+    assert_eq!(stdout(&out).len(), expected.len());
+    assert_eq!(stdout(&out), expected);
+}
+
 #[test]
 fn typecheck_passes_on_even_dtd() {
     let out = run(&[
