@@ -2,21 +2,25 @@
 
 use crate::error::DtdError;
 use crate::specialized::{SpecializedDtd, TypeId};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use xmltc_automata::Nta;
 use xmltc_regex::{Dfa, Regex};
-use xmltc_trees::{Alphabet, EncodedAlphabet, FxHashMap, Rank, Symbol, UnrankedTree};
+use xmltc_trees::{Alphabet, EncodedAlphabet, FxHashMap, NodeId, Rank, Symbol, UnrankedTree};
 
 /// A Document Type Definition: an extended context-free grammar with
 /// nonterminals `Σ` (Section 2.3). `inst(D)` is the set of derivation
 /// trees: the root is labeled `root`, and every node's children word
 /// matches its tag's content model. Tags without an explicit rule are
 /// leaves (content model `ε`).
+///
+/// The content models are compiled to DFAs once, on the first
+/// [`Dtd::validate`] or [`Dtd::diagnose`], and kept until a rule changes.
 #[derive(Clone, Debug)]
 pub struct Dtd {
     alphabet: Arc<Alphabet>,
     root: Symbol,
     rules: FxHashMap<Symbol, Regex<Symbol>>,
+    content: OnceLock<ContentDfas>,
 }
 
 impl Dtd {
@@ -26,12 +30,14 @@ impl Dtd {
             alphabet: Arc::clone(alphabet),
             root,
             rules: FxHashMap::default(),
+            content: OnceLock::new(),
         }
     }
 
     /// Sets the content model of a tag (replacing any previous one).
     pub fn set_rule(&mut self, tag: Symbol, content: Regex<Symbol>) {
         self.rules.insert(tag, content);
+        self.content = OnceLock::new();
     }
 
     /// Parses the paper's notation, e.g. the DTD of Figure 1:
@@ -140,8 +146,18 @@ impl Dtd {
         self.rules.get(&tag)
     }
 
+    /// The content DFAs, compiled on first use.
+    fn content_dfas(&self) -> &ContentDfas {
+        self.content
+            .get_or_init(|| ContentDfas::new(&self.alphabet, &self.rules))
+    }
+
     /// Validates an unranked tree, returning the first violation found (in
     /// pre-order).
+    ///
+    /// Steps the compiled content DFAs over each node's children in id
+    /// order, which is pre-order; after the first call on a DTD it
+    /// allocates only to report a violation.
     pub fn validate(&self, t: &UnrankedTree) -> Result<(), DtdError> {
         if !Alphabet::same(&self.alphabet, t.alphabet()) {
             return Err(DtdError::Tree(xmltc_trees::TreeError::AlphabetMismatch));
@@ -152,32 +168,15 @@ impl Dtd {
                 got: self.alphabet.name(t.symbol(t.root())).to_string(),
             });
         }
-        // Compile each used content model once.
-        let universe: Vec<Symbol> = self.alphabet.symbols().collect();
-        let mut dfas: FxHashMap<Symbol, Dfa<Symbol>> = FxHashMap::default();
-        for n in t.preorder() {
-            let tag = t.symbol(n);
-            let word = t.child_word(n);
-            let ok = match self.rules.get(&tag) {
-                None => word.is_empty(),
-                Some(r) => {
-                    let dfa = dfas
-                        .entry(tag)
-                        .or_insert_with(|| Dfa::from_regex(r, &universe));
-                    dfa.accepts(&word)
-                }
-            };
-            if !ok {
-                return Err(DtdError::InvalidContent {
-                    element: self.alphabet.name(tag).to_string(),
-                    word: word
-                        .iter()
-                        .map(|&s| self.alphabet.name(s).to_string())
-                        .collect(),
-                });
-            }
+        let dfas = self.content_dfas();
+        let name = |s: Symbol| self.alphabet.name(s).to_string();
+        match t.nodes().find(|&n| !dfas.accepts(t, n)) {
+            None => Ok(()),
+            Some(n) => Err(DtdError::InvalidContent {
+                element: name(t.symbol(n)),
+                word: t.children(n).iter().map(|&c| name(t.symbol(c))).collect(),
+            }),
         }
-        Ok(())
     }
 
     /// True when the tree is valid.
@@ -185,9 +184,9 @@ impl Dtd {
         self.validate(t).is_ok()
     }
 
-    /// Explains the first violation found (same pre-order walk as
-    /// [`Dtd::validate`], so both always implicate the same node). `None`
-    /// when the tree is valid or over a different alphabet.
+    /// Explains the first violation found (the node [`Dtd::validate`]
+    /// reports). `None` when the tree is valid or over a different
+    /// alphabet.
     ///
     /// For a content-model violation the diagnosis pins the failure inside
     /// the content DFA: the state sequence walked, the position where
@@ -207,77 +206,53 @@ impl Dtd {
                 got: name(t.symbol(t.root())),
             });
         }
-        let universe: Vec<Symbol> = self.alphabet.symbols().collect();
-        for n in t.preorder() {
-            let tag = t.symbol(n);
-            let word = t.child_word(n);
-            let rendered_word: Vec<String> = word.iter().map(|&s| name(s)).collect();
-            match self.rules.get(&tag) {
-                None => {
-                    if !word.is_empty() {
-                        return Some(Diagnosis::InvalidContent {
-                            path: unranked_path(t, n),
-                            element: name(tag),
-                            word: rendered_word,
-                            production: format!("{} := @eps", name(tag)),
-                            failed_at: 0,
-                            dfa_states: vec![0],
-                            expected: Vec::new(),
-                        });
+        let dfas = self.content_dfas();
+        let n = t.nodes().find(|&n| !dfas.accepts(t, n))?;
+        let tag = t.symbol(n);
+        let word = t.child_word(n);
+        let base = dfas.base[tag.index()];
+        let live = |q: u32| dfas.live[q as usize];
+        let mut cur = dfas.start[tag.index()];
+        let mut states = vec![cur - base];
+        let mut failed_at = word.len();
+        if !live(cur) {
+            failed_at = 0;
+        } else {
+            for (i, &s) in word.iter().enumerate() {
+                match dfas.step(cur, s) {
+                    Some(q) if live(q) => {
+                        cur = q;
+                        states.push(q - base);
                     }
-                }
-                Some(r) => {
-                    let dfa = Dfa::from_regex(r, &universe);
-                    let co = co_reachable(&dfa);
-                    let mut states = vec![dfa.start()];
-                    let mut cur = dfa.start();
-                    let mut failed_at = None;
-                    if co[cur as usize] {
-                        for (i, &s) in word.iter().enumerate() {
-                            match dfa.step(cur, s) {
-                                Some(q) if co[q as usize] => {
-                                    cur = q;
-                                    states.push(q);
-                                }
-                                _ => {
-                                    failed_at = Some(i);
-                                    break;
-                                }
-                            }
-                        }
-                    } else {
-                        failed_at = Some(0);
+                    _ => {
+                        failed_at = i;
+                        break;
                     }
-                    if failed_at.is_none() && dfa.is_final(cur) {
-                        continue; // this node is fine
-                    }
-                    let failed_at = failed_at.unwrap_or(word.len());
-                    let expected = if co[cur as usize] {
-                        universe
-                            .iter()
-                            .filter(|&&s| dfa.step(cur, s).is_some_and(|q| co[q as usize]))
-                            .map(|&s| name(s))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    return Some(Diagnosis::InvalidContent {
-                        path: unranked_path(t, n),
-                        element: name(tag),
-                        word: rendered_word,
-                        production: format!(
-                            "{} := {}",
-                            name(tag),
-                            r.map(&mut |s: &Symbol| name(*s))
-                        ),
-                        failed_at,
-                        dfa_states: states,
-                        expected,
-                    });
                 }
             }
         }
-        None
+        let expected = if live(cur) {
+            self.alphabet
+                .symbols()
+                .filter(|&s| dfas.step(cur, s).is_some_and(live))
+                .map(name)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let model = match self.rules.get(&tag) {
+            None => "@eps".to_string(),
+            Some(r) => r.map(&mut |s: &Symbol| name(*s)).to_string(),
+        };
+        Some(Diagnosis::InvalidContent {
+            path: unranked_path(t, n),
+            element: name(tag),
+            word: word.iter().map(|&s| name(s)).collect(),
+            production: format!("{} := {model}", name(tag)),
+            failed_at,
+            dfa_states: states,
+            expected,
+        })
     }
 
     /// Views the DTD as a specialized DTD with one type per tag.
@@ -344,32 +319,99 @@ pub enum Diagnosis {
     },
 }
 
-/// States of `dfa` from which some final state is reachable.
-fn co_reachable(dfa: &Dfa<Symbol>) -> Vec<bool> {
-    let n = dfa.len();
-    let mut co: Vec<bool> = (0..n as u32).map(|q| dfa.is_final(q)).collect();
-    let alphabet: Vec<Symbol> = dfa.alphabet().to_vec();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for q in 0..n as u32 {
-            if co[q as usize] {
+/// Every tag's content model as a DFA, all laid out in one transition
+/// table. Each DFA keeps its own state numbers, offset by its tag's base;
+/// a tag without a rule gets a one-state DFA that accepts only `ε`.
+#[derive(Clone, Debug)]
+struct ContentDfas {
+    /// |Σ|, the width of a row of `next`.
+    width: usize,
+    /// Each tag's first state.
+    base: Vec<u32>,
+    /// Each tag's start state.
+    start: Vec<u32>,
+    /// `next[q·width + s]`: the successor of state `q` on symbol `s`, or
+    /// [`DEAD`].
+    next: Vec<u32>,
+    accepting: Vec<bool>,
+    /// The co-reachable states: those from which an accepting state is
+    /// reachable.
+    live: Vec<bool>,
+}
+
+/// No successor.
+const DEAD: u32 = u32::MAX;
+
+impl ContentDfas {
+    fn new(alphabet: &Alphabet, rules: &FxHashMap<Symbol, Regex<Symbol>>) -> ContentDfas {
+        let universe: Vec<Symbol> = alphabet.symbols().collect();
+        let width = universe.len();
+        let mut c = ContentDfas {
+            width,
+            base: Vec::with_capacity(width),
+            start: Vec::with_capacity(width),
+            next: Vec::new(),
+            accepting: Vec::new(),
+            live: Vec::new(),
+        };
+        for tag in alphabet.symbols() {
+            let base = c.accepting.len() as u32;
+            c.base.push(base);
+            let Some(r) = rules.get(&tag) else {
+                c.start.push(base);
+                c.next.resize(c.next.len() + width, DEAD);
+                c.accepting.push(true);
                 continue;
-            }
-            if alphabet
-                .iter()
-                .any(|&s| dfa.step(q, s).is_some_and(|p| co[p as usize]))
-            {
-                co[q as usize] = true;
-                changed = true;
+            };
+            let dfa = Dfa::from_regex(r, &universe);
+            c.start.push(base + dfa.start());
+            for q in 0..dfa.len() as u32 {
+                c.next.extend(
+                    universe
+                        .iter()
+                        .map(|&s| dfa.step(q, s).map_or(DEAD, |p| base + p)),
+                );
+                c.accepting.push(dfa.is_final(q));
             }
         }
+        c.live = c.accepting.clone();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for q in 0..c.live.len() {
+                if !c.live[q]
+                    && c.next[q * width..(q + 1) * width]
+                        .iter()
+                        .any(|&p| p != DEAD && c.live[p as usize])
+                {
+                    c.live[q] = true;
+                    changed = true;
+                }
+            }
+        }
+        c
     }
-    co
+
+    fn step(&self, q: u32, s: Symbol) -> Option<u32> {
+        let p = self.next[q as usize * self.width + s.index()];
+        (p != DEAD).then_some(p)
+    }
+
+    /// True when node `n`'s children word matches its tag's content model.
+    fn accepts(&self, t: &UnrankedTree, n: NodeId) -> bool {
+        let mut q = self.start[t.symbol(n).index()];
+        for &c in t.children(n) {
+            match self.step(q, t.symbol(c)) {
+                Some(p) => q = p,
+                None => return false,
+            }
+        }
+        self.accepting[q as usize]
+    }
 }
 
 /// 1-based child-index path of `n` in an unranked tree (`/` = root).
-fn unranked_path(t: &UnrankedTree, n: xmltc_trees::NodeId) -> String {
+fn unranked_path(t: &UnrankedTree, n: NodeId) -> String {
     let mut segs = Vec::new();
     let mut cur = n;
     while let Some(p) = t.parent(cur) {
@@ -513,6 +555,19 @@ mod tests {
         let al = d.alphabet().clone();
         assert!(d.is_valid(&UnrankedTree::parse("a(b, b)", &al).unwrap()));
         assert!(!d.is_valid(&UnrankedTree::parse("a(b(b))", &al).unwrap()));
+    }
+
+    /// The content DFAs are compiled on first use and recompiled after a
+    /// rule changes.
+    #[test]
+    fn set_rule_recompiles_the_content_dfas() {
+        let mut d = figure_one();
+        let al = d.alphabet().clone();
+        let t = UnrankedTree::parse("a(e)", &al).unwrap();
+        assert!(d.validate(&t).is_err());
+        d.set_rule(al.get("a").unwrap(), Regex::Sym(al.get("e").unwrap()));
+        assert!(d.validate(&t).is_ok());
+        assert!(d.diagnose(&t).is_none());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Driven by the workspace's deterministic [`SmallRng`]; each test runs a
 //! fixed number of seeded cases.
 
-use xmltc_dtd::Dtd;
+use xmltc_dtd::{Diagnosis, Dtd, DtdError};
 use xmltc_trees::{encode, EncodedAlphabet, RawTree, SmallRng, UnrankedTree};
 
 /// A small pool of content models over tags {a, b, c}.
@@ -67,6 +67,41 @@ fn witness_of_compiled_automaton_is_valid() {
             assert!(dtd.is_valid(&doc), "case {case}: witness {doc} invalid");
         }
     }
+}
+
+/// `diagnose` implicates the element and children word that `validate`
+/// reports, and neither finds fault with a valid document.
+#[test]
+fn diagnose_agrees_with_validate() {
+    let mut rng = SmallRng::seed_from_u64(0xD004);
+    let mut valid = 0;
+    for case in 0..512 {
+        let dtd = rand_dtd(&mut rng);
+        let doc = rand_doc(&mut rng);
+        let t = UnrankedTree::from_raw(&doc, dtd.alphabet()).unwrap();
+        match (dtd.validate(&t), dtd.diagnose(&t)) {
+            (Ok(()), None) => valid += 1,
+            (
+                Err(DtdError::InvalidContent { element, word }),
+                Some(Diagnosis::InvalidContent {
+                    element: diagnosed,
+                    word: diagnosed_word,
+                    failed_at,
+                    ..
+                }),
+            ) => {
+                assert_eq!(
+                    (&element, &word),
+                    (&diagnosed, &diagnosed_word),
+                    "case {case}: {dtd:?} on {doc}"
+                );
+                assert!(failed_at <= word.len(), "case {case}");
+            }
+            other => panic!("case {case}: {dtd:?} on {doc}: {other:?}"),
+        }
+    }
+    // Both outcomes are exercised.
+    assert!((64..448).contains(&valid), "{valid} of 512 valid");
 }
 
 /// decompile ∘ compile is a language identity on random DTDs.

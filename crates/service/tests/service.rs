@@ -415,3 +415,39 @@ fn flat_document_transform_leaves_the_server_up() {
         .unwrap();
     handle.join().expect("server thread");
 }
+
+/// A `validate` request for a chain 100 000 deep is answered on a
+/// connection thread, whose stack is 2 MiB, and the server goes on
+/// answering other clients: parsing, the tree and validation keep no
+/// stack frame per level.
+#[test]
+fn deep_document_validate_leaves_the_server_up() {
+    const CHAIN_DTD: &str = "doc := node*\nnode := (node|leaf)*\nleaf := @eps";
+    let depth = 100_000;
+    let validate = |document: String| {
+        Json::obj(vec![
+            ("cmd", Json::Str("validate".into())),
+            ("input_dtd", Json::Str(CHAIN_DTD.into())),
+            ("document", Json::Str(document)),
+        ])
+    };
+    let (addr, handle, _state) = start(false);
+    let mut client = Client::connect(&addr).expect("connect");
+    let chain = format!(
+        "<doc>{}<leaf/>{}</doc>",
+        "<node>".repeat(depth),
+        "</node>".repeat(depth)
+    );
+    let deep = client.roundtrip(&validate(chain)).unwrap();
+    assert_eq!(field(&deep, "result.verdict").as_str(), Some("valid"));
+
+    let mut second = Client::connect(&addr).expect("second connection");
+    let small = second
+        .roundtrip(&validate("<doc><node/></doc>".into()))
+        .unwrap();
+    assert_eq!(field(&small, "result.verdict").as_str(), Some("valid"));
+    second
+        .roundtrip(&Json::obj(vec![("cmd", Json::Str("shutdown".into()))]))
+        .unwrap();
+    handle.join().expect("server thread");
+}

@@ -91,11 +91,15 @@ impl EncodedAlphabet {
 /// order the recursive equations create them: an element's children in
 /// order, then the nil leaf, then the cons cells from the last child back,
 /// then the element's own nil leaf and node.
+///
+/// A tree of `n` elements encodes to exactly `4n − 1` nodes: each element,
+/// its right nil leaf and its forest's nil leaf, plus one cons cell per
+/// element but the root.
 pub fn encode(t: &UnrankedTree, enc: &EncodedAlphabet) -> Result<BinaryTree, TreeError> {
     if !Alphabet::same(t.alphabet(), enc.source()) {
         return Err(TreeError::AlphabetMismatch);
     }
-    let mut builder = BinaryTreeBuilder::new(enc.encoded());
+    let mut builder = BinaryTreeBuilder::with_capacity(enc.encoded(), 4 * t.len() - 1);
     // The open elements, each with how many of its children are encoded;
     // the encodings of those children wait on `heads`.
     let mut open: Vec<(UNodeId, usize)> = vec![(t.root(), 0)];
@@ -155,12 +159,23 @@ fn decode_tree(t: &BinaryTree, n: BNodeId, enc: &EncodedAlphabet) -> Result<RawT
             "element's right child must be `#`".into(),
         ));
     }
-    let mut children = Vec::new();
+    let mut children = Vec::with_capacity(forest_len(t, forest, enc));
     decode_forest(t, forest, enc, &mut children)?;
     Ok(RawTree {
         name: enc.source().name(sym).to_string(),
         children,
     })
+}
+
+/// The number of cons cells on the spine from `n`: the length of the
+/// forest it encodes, when well formed.
+fn forest_len(t: &BinaryTree, mut n: BNodeId, enc: &EncodedAlphabet) -> usize {
+    let mut len = 0;
+    while t.symbol(n) == enc.cons() {
+        len += 1;
+        n = t.children(n).expect("`-` is binary").1;
+    }
+    len
 }
 
 fn decode_forest(

@@ -44,4 +44,4 @@ pub use raw::RawTree;
 pub use rng::SmallRng;
 pub use symbol::{Alphabet, AlphabetBuilder, Rank, Symbol};
 pub use tree::{BinaryTree, ChildSide, NodeId};
-pub use unranked::UnrankedTree;
+pub use unranked::{UnrankedTree, UnrankedTreeBuilder};

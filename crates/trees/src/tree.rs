@@ -331,9 +331,14 @@ pub struct BinaryTreeBuilder {
 impl BinaryTreeBuilder {
     /// Creates a builder over the given alphabet.
     pub fn new(alphabet: &Arc<Alphabet>) -> Self {
+        Self::with_capacity(alphabet, 0)
+    }
+
+    /// Creates a builder with room for `nodes` nodes.
+    pub fn with_capacity(alphabet: &Arc<Alphabet>, nodes: usize) -> Self {
         Self {
             alphabet: Arc::clone(alphabet),
-            nodes: Vec::new(),
+            nodes: Vec::with_capacity(nodes),
         }
     }
 

@@ -19,7 +19,7 @@
 
 use std::fmt;
 use std::sync::Arc;
-use xmltc_trees::{Alphabet, RawTree, UnrankedTree};
+use xmltc_trees::{Alphabet, RawTree, TreeError, UnrankedTree, UnrankedTreeBuilder};
 
 /// XML parse errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,28 +38,74 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
-/// Parses an element-only XML document into a [`RawTree`].
-pub fn parse_raw(input: &str) -> Result<RawTree, XmlError> {
+/// Parses an XML document into an [`UnrankedTree`] over the given alphabet.
+///
+/// One pass over the input bytes with an explicit stack of open elements:
+/// each start tag is looked up in the alphabet by its name's slice of the
+/// input and opened in an [`UnrankedTreeBuilder`], and each close tag is
+/// matched against its element's name by slice. So neither depth nor
+/// width costs call-stack frames, and elements cost no allocation of their
+/// own. The first error in document order is reported, with its byte
+/// offset; an unknown tag's offset is that of its name.
+pub fn parse_document(input: &str, alphabet: &Arc<Alphabet>) -> Result<UnrankedTree, XmlError> {
     let mut p = Parser {
+        src: input,
         s: input.as_bytes(),
         i: 0,
     };
+    let mut tree = UnrankedTreeBuilder::new(alphabet);
+    // The names of the open elements, innermost last.
+    let mut open: Vec<&str> = Vec::new();
     p.ws();
-    let t = p.element()?;
-    p.ws();
-    if p.i != p.s.len() {
-        return Err(p.err("trailing content after the root element"));
+    loop {
+        // A start tag: the root's, or a child's of the innermost open
+        // element.
+        p.expect(b'<')?;
+        let at = p.i;
+        let name = p.name()?;
+        let symbol = alphabet.get(name).ok_or_else(|| XmlError {
+            message: TreeError::UnknownSymbol(name.to_string()).to_string(),
+            offset: at,
+        })?;
+        tree.open(symbol);
+        p.ws();
+        if p.peek() == Some(b'/') {
+            p.i += 1;
+            p.expect(b'>')?;
+            p.close(&mut tree)?;
+        } else {
+            p.expect(b'>')?;
+            open.push(name);
+        }
+        // Close tags, up to the next start tag or the end of the root.
+        loop {
+            let Some(&name) = open.last() else {
+                p.ws();
+                if p.i != p.s.len() {
+                    return Err(p.err("trailing content after the root element"));
+                }
+                return Ok(tree.finish());
+            };
+            p.ws();
+            match (p.peek(), p.s.get(p.i + 1)) {
+                (Some(b'<'), Some(b'/')) => {
+                    p.i += 2;
+                    let close = p.name()?;
+                    if close != name {
+                        return Err(p.err(&format!(
+                            "mismatched close tag: expected </{name}>, found </{close}>"
+                        )));
+                    }
+                    p.ws();
+                    p.expect(b'>')?;
+                    open.pop();
+                    p.close(&mut tree)?;
+                }
+                (Some(b'<'), _) => break,
+                _ => return Err(p.err("expected a child element or a close tag")),
+            }
+        }
     }
-    Ok(t)
-}
-
-/// Parses an XML document into an [`UnrankedTree`] over the given alphabet.
-pub fn parse_document(input: &str, alphabet: &Arc<Alphabet>) -> Result<UnrankedTree, XmlError> {
-    let raw = parse_raw(input)?;
-    UnrankedTree::from_raw(&raw, alphabet).map_err(|e| XmlError {
-        message: e.to_string(),
-        offset: 0,
-    })
 }
 
 /// Serializes an unranked tree as compact XML (self-closing empty
@@ -96,6 +142,7 @@ fn write_raw(t: &RawTree, out: &mut String) {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     s: &'a [u8],
     i: usize,
 }
@@ -108,31 +155,34 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn peek(&self) -> Option<u8> {
+        self.s.get(self.i).copied()
+    }
+
     fn ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
+        while self.peek().is_some_and(|c| c.is_ascii_whitespace()) {
             self.i += 1;
         }
     }
 
-    fn name(&mut self) -> Result<String, XmlError> {
+    /// A tag name, as a slice of the input (its bytes are ASCII, so its
+    /// ends are character boundaries).
+    fn name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.i;
         while self
-            .s
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_' || *c == b'-' || *c == b'.')
+            .peek()
+            .is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'-' || c == b'.')
         {
             self.i += 1;
         }
         if self.i == start {
             return Err(self.err("expected a tag name"));
         }
-        Ok(std::str::from_utf8(&self.s[start..self.i])
-            .expect("ascii")
-            .to_string())
+        Ok(&self.src[start..self.i])
     }
 
     fn expect(&mut self, c: u8) -> Result<(), XmlError> {
-        if self.s.get(self.i) == Some(&c) {
+        if self.peek() == Some(c) {
             self.i += 1;
             Ok(())
         } else {
@@ -140,38 +190,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn element(&mut self) -> Result<RawTree, XmlError> {
-        self.expect(b'<')?;
-        let name = self.name()?;
-        self.ws();
-        // Self-closing?
-        if self.s.get(self.i) == Some(&b'/') {
-            self.i += 1;
-            self.expect(b'>')?;
-            return Ok(RawTree::leaf(name));
-        }
-        self.expect(b'>')?;
-        let mut children = Vec::new();
-        loop {
-            self.ws();
-            if self.s.get(self.i) == Some(&b'<') && self.s.get(self.i + 1) == Some(&b'/') {
-                self.i += 2;
-                let close = self.name()?;
-                if close != name {
-                    return Err(self.err(&format!(
-                        "mismatched close tag: expected </{name}>, found </{close}>"
-                    )));
-                }
-                self.ws();
-                self.expect(b'>')?;
-                return Ok(RawTree::node(name, children));
-            }
-            if self.s.get(self.i) == Some(&b'<') {
-                children.push(self.element()?);
-            } else {
-                return Err(self.err("expected a child element or a close tag"));
-            }
-        }
+    /// Closes the innermost open element of `tree`, which checks its
+    /// number of children against its symbol's rank.
+    fn close(&self, tree: &mut UnrankedTreeBuilder) -> Result<(), XmlError> {
+        tree.close().map_err(|e| self.err(&e.to_string()))
     }
 }
 
@@ -209,14 +231,100 @@ mod tests {
         }
     }
 
+    /// Each malformed input's message and byte offset. The first error in
+    /// document order wins: an unknown tag before a syntax error is what
+    /// is reported.
     #[test]
     fn errors() {
-        assert!(parse_raw("").is_err());
-        assert!(parse_raw("<a>").is_err());
-        assert!(parse_raw("<a></b>").is_err());
-        assert!(parse_raw("<a/><b/>").is_err());
-        assert!(parse_raw("<a>text</a>").is_err());
-        assert!(parse_raw("< a/>").is_err());
+        let al = alpha();
+        for (input, message, offset) in [
+            ("", "expected `<`", 0),
+            ("<a>", "expected a child element or a close tag", 3),
+            (
+                "<a></b>",
+                "mismatched close tag: expected </a>, found </b>",
+                6,
+            ),
+            ("<a/><b/>", "trailing content after the root element", 4),
+            ("<a>text</a>", "expected a child element or a close tag", 3),
+            ("< a/>", "expected a tag name", 1),
+            ("<zz/>", "unknown symbol `zz`", 1),
+            ("<a> <zz/></a>", "unknown symbol `zz`", 5),
+            ("<a><zz/><b></a>", "unknown symbol `zz`", 4),
+            (
+                "<a><b><c/></a></b>",
+                "mismatched close tag: expected </b>, found </a>",
+                13,
+            ),
+            ("<a/> x", "trailing content after the root element", 5),
+            ("<a><b/>", "expected a child element or a close tag", 7),
+            ("<a", "expected `>`", 2),
+            ("<a/", "expected `>`", 3),
+            ("<a></a", "expected `>`", 6),
+            ("<a></>", "expected a tag name", 5),
+        ] {
+            let e = parse_document(input, &al).unwrap_err();
+            assert_eq!(
+                (e.message.as_str(), e.offset),
+                (message, offset),
+                "{input:?}"
+            );
+        }
+    }
+
+    /// A ranked alphabet's arities are checked when an element closes.
+    #[test]
+    fn ranks_are_checked() {
+        let al = Alphabet::ranked(&["x"], &["f"]);
+        assert!(parse_document("<f><x/><x/></f>", &al).is_ok());
+        let e = parse_document("<f><x/></f>", &al).unwrap_err();
+        assert_eq!(
+            (e.message.as_str(), e.offset),
+            ("symbol `f` has rank 2 but was given 1 children", 11)
+        );
+    }
+
+    /// Random trees, written by `to_xml` and then re-spaced at random with a
+    /// random mix of `<x/>` and `<x></x>`, parse back to themselves.
+    #[test]
+    fn random_documents_round_trip() {
+        use xmltc_trees::generate::random_unranked;
+        use xmltc_trees::SmallRng;
+        const SPACE: [&str; 5] = ["", " ", "\n", "\t ", "\r\n  "];
+        let al = alpha();
+        let mut rng = SmallRng::seed_from_u64(0x3a1);
+        for case in 0..500 {
+            let t = random_unranked(&al, 6, 4, &mut rng).unwrap();
+            let compact = to_xml(&t);
+            let mut text = String::from(*rng.choose(&SPACE));
+            for tag in compact.split_inclusive('>') {
+                let name = tag.trim_matches(|c| "</>".contains(c));
+                let pad = *rng.choose(&SPACE);
+                if tag.ends_with("/>") && rng.gen_bool(0.5) {
+                    text.push_str(&format!("<{name}{pad}></{name}>"));
+                } else if tag.ends_with("/>") {
+                    text.push_str(&format!("<{name}{pad}/>"));
+                } else if tag.starts_with("</") {
+                    text.push_str(&format!("</{name}{pad}>"));
+                } else {
+                    text.push_str(&format!("<{name}{pad}>"));
+                }
+                text.push_str(rng.choose::<&str>(&SPACE));
+            }
+            let back = parse_document(&text, &al).unwrap_or_else(|e| panic!("case {case}: {e}"));
+            assert_eq!(back, t, "case {case}: {text:?}");
+        }
+    }
+
+    /// Depth costs no call-stack frames: 100 000 levels on a test
+    /// thread's 2 MiB stack.
+    #[test]
+    fn deep_documents_parse_without_recursion() {
+        let al = alpha();
+        let depth = 100_000;
+        let text = format!("{}<b/>{}", "<a>".repeat(depth), "</a>".repeat(depth));
+        let t = parse_document(&text, &al).unwrap();
+        assert_eq!((t.len(), t.depth()), (depth + 1, depth + 1));
     }
 
     #[test]

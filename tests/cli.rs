@@ -97,6 +97,27 @@ fn validate_rejects_invalid_document() {
     assert!(stdout(&out).starts_with("invalid"));
 }
 
+/// A chain 100 000 deep validates: the parser, the tree and the validator
+/// keep no call-stack frame per level.
+#[test]
+fn validate_accepts_a_chain_100000_deep() {
+    let depth = 100_000;
+    let dir = std::env::temp_dir().join("xmltc-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let dtd = dir.join("chain.dtd");
+    std::fs::write(&dtd, "doc := node*\nnode := (node|leaf)*\nleaf := @eps\n").unwrap();
+    let doc = dir.join("chain-100000.xml");
+    let text = format!(
+        "<doc>{}<leaf/>{}</doc>",
+        "<node>".repeat(depth),
+        "</node>".repeat(depth)
+    );
+    std::fs::write(&doc, text).unwrap();
+    let out = run(&["validate", dtd.to_str().unwrap(), doc.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert_eq!(stdout(&out), "valid\n");
+}
+
 #[test]
 fn transform_outputs_xml() {
     let out = run(&[
