@@ -85,14 +85,12 @@ pub struct LazyStats {
 
 impl LazyStats {
     fn publish(&self) {
-        if obs::is_active() {
-            obs::record("lazy.states_materialized", self.states_materialized);
-            obs::record("lazy.states_eager", self.states_eager);
-            obs::record("lazy.subset_states", self.subset_states);
-            obs::record("lazy.worklist_peak", self.worklist_peak);
-            obs::record("lazy.memo_hits", self.memo_hits);
-            obs::record("lazy.assumption_hits", self.assumption_hits);
-        }
+        obs::record("lazy.states_materialized", self.states_materialized);
+        obs::record("lazy.states_eager", self.states_eager);
+        obs::record("lazy.subset_states", self.subset_states);
+        obs::record("lazy.worklist_peak", self.worklist_peak);
+        obs::record("lazy.memo_hits", self.memo_hits);
+        obs::record("lazy.assumption_hits", self.assumption_hits);
     }
 }
 

@@ -247,10 +247,8 @@ impl Nta {
                 }
             }
         }
-        if obs::is_active() {
-            obs::add("nta.products", 1);
-            obs::record_max("nta.product.peak_states", out.n_states as u64);
-        }
+        obs::add("nta.products", 1);
+        obs::record_max("nta.product.peak_states", out.n_states as u64);
         out
     }
 
@@ -341,18 +339,14 @@ impl Nta {
             .map(|(i, _)| State(i as u32))
             .collect();
 
-        if obs::is_active() {
-            obs::add("nta.determinizations", 1);
-            obs::record_max("nta.determinize.peak_subsets", subsets.len() as u64);
-        }
+        obs::add("nta.determinizations", 1);
+        obs::record_max("nta.determinize.peak_subsets", subsets.len() as u64);
         Dbta::from_parts(&self.alphabet, subsets.len() as u32, leaf, node, finals)
     }
 
     /// The complement automaton `inst(Ā) = T_Σ ∖ inst(A)` (deterministic).
     pub fn complement(&self) -> Dbta {
-        if obs::is_active() {
-            obs::add("nta.complements", 1);
-        }
+        obs::add("nta.complements", 1);
         self.determinize().complement()
     }
 
@@ -427,11 +421,9 @@ impl Nta {
                 out.add_final(nq);
             }
         }
-        if obs::is_active() {
-            obs::add("nta.trims", 1);
-            obs::add("nta.trim.states_in", self.n_states as u64);
-            obs::add("nta.trim.states_out", next as u64);
-        }
+        obs::add("nta.trims", 1);
+        obs::add("nta.trim.states_in", self.n_states as u64);
+        obs::add("nta.trim.states_out", next as u64);
         out
     }
 

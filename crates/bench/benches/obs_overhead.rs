@@ -1,15 +1,17 @@
 //! Overhead budget of the observability layer: what does instrumentation
-//! cost when nobody is looking, and when the journal records?
+//! cost when nobody is looking, inside a capture, and in a trace session?
 //!
-//! The contract (see DESIGN.md) is that a *disabled* journal adds only a
-//! relaxed atomic load per call site, so the uninstrumented pipeline pays
-//! near-zero for carrying spans and counters. This bench measures the
-//! span/record/counter paths in three regimes — fully off, collector-only
-//! (`with_report`), and journal-on — and prints the per-call costs side
-//! by side. The journal-on rows are expected to be markedly slower (they
-//! build the timeline); the off rows must stay in the nanoseconds.
+//! The contract (see DESIGN.md) is that with no capture and no session a
+//! call costs one relaxed atomic load plus one thread-local read, so the
+//! uninstrumented pipeline pays near-zero for carrying spans and
+//! counters. This bench measures the span/record/add paths in three
+//! regimes — fully off, inside a capture (`with_report`) and with a
+//! journal session on — and prints the per-call costs side by side. Both
+//! recording rows timestamp and buffer every event, and the capture row
+//! also folds its events into a report; the off row must stay in the
+//! nanoseconds.
 //!
-//! The journal-on regime periodically drains the global sink (`take` +
+//! The session regime periodically drains the global sink (`take` +
 //! re-`enable`) so repeated calibration batches cannot grow the event
 //! buffers without bound.
 
@@ -33,20 +35,19 @@ fn main() {
     // number that must stay near zero.
     group.bench("span_off", instrumented_unit);
 
-    // Regime 2: the thread-local collector aggregates totals (the
-    // `--stats`/`--json` path). The report is rebuilt per batch; costs
-    // include the span-record bookkeeping.
-    group.bench("span_collector", || {
+    // Regime 2: a capture per unit (the `--stats`/`--json` path and one
+    // `serve` request): the unit's events are buffered, folded into a
+    // report and truncated again.
+    group.bench("span_capture", || {
         let (v, _report) = obs::with_report(instrumented_unit);
         v
     });
 
-    // Regime 3: the journal records the timeline (the `--trace-out`
-    // path): every call appends timestamped events to a thread-local
-    // buffer.
+    // Regime 3: a journal session (the `--trace-out` path): every call
+    // appends a timestamped event to the thread's buffer, which is kept.
     obs::journal::enable();
     let mut calls = 0u64;
-    group.bench("span_journal", || {
+    group.bench("span_session", || {
         calls += 1;
         if calls.is_multiple_of(1 << 16) {
             // Drain so buffers stay bounded across calibration batches.

@@ -12,9 +12,7 @@ use xmltc_trees::{Alphabet, BinaryTree, FxHashMap, NodeId, Symbol};
 /// up to date even when a budgeted determinization aborts, so reports show
 /// how far the construction got.
 fn note_frontier(n_subsets: usize) {
-    if obs::is_active() {
-        obs::record_max("mso.peak_subset_frontier", n_subsets as u64);
-    }
+    obs::record_max("mso.peak_subset_frontier", n_subsets as u64);
 }
 
 /// A nondeterministic bottom-up tree automaton whose alphabet is the base

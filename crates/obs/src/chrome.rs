@@ -3,14 +3,16 @@
 //! Serializes a journal into the Chrome trace-event JSON format (the
 //! "JSON Object Format": `{"traceEvents": [...]}`), loadable in
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev). Span
-//! begin/end events become `B`/`E` duration events, instants become `i`,
-//! and counter samples become `C` counter tracks.
+//! enter/exit and timeline begin/end events become `B`/`E` duration
+//! events, instants become `i`, and metric and counter samples become `C`
+//! counter tracks; an `add` is drawn as its thread's running total.
 //!
 //! Display tracks follow thread *names*, not raw thread ids: successive
 //! short-lived threads that reuse a name merge into one stable track,
 //! which is what a human wants to look at. Unnamed threads keep a track
 //! per journal tid.
 
+use crate::event::EventKind;
 use crate::journal::Journal;
 use crate::json::Json;
 use std::collections::BTreeMap;
@@ -48,9 +50,12 @@ pub fn chrome_trace(journal: &Journal) -> Json {
     }
 
     // Merge buffers sharing a track, keeping timestamp order: buffers are
-    // internally ordered, so collect (ts, buffer-order) sortable rows.
-    let mut rows: Vec<(u64, usize, &'static str, crate::event::EventKind, u64)> = Vec::new();
-    for (bi, t) in journal.threads.iter().enumerate() {
+    // internally ordered, so a stable sort by timestamp keeps buffer order
+    // among ties. A thread's `add` deltas become samples of its running
+    // total.
+    let mut totals: BTreeMap<(u64, &'static str), u64> = BTreeMap::new();
+    let mut rows: Vec<(u64, &'static str, &'static str, Option<u64>, u64)> = Vec::new();
+    for t in &journal.threads {
         let key = if t.name.is_empty() {
             format!("thread-{}", t.tid)
         } else {
@@ -58,38 +63,38 @@ pub fn chrome_trace(journal: &Journal) -> Json {
         };
         let tid = track_of[&key];
         for e in &t.events {
-            rows.push((e.ts_ns, bi, e.name, e.kind, tid));
+            let (ph, value) = match e.kind {
+                EventKind::Begin | EventKind::Enter => ("B", None),
+                EventKind::End | EventKind::Exit => ("E", None),
+                EventKind::Instant => ("i", None),
+                EventKind::Counter(v) | EventKind::Set(v) | EventKind::Max(v) => ("C", Some(v)),
+                EventKind::Add(d) => {
+                    let total = totals.entry((t.tid, e.name)).or_default();
+                    *total = total.saturating_add(d);
+                    ("C", Some(*total))
+                }
+            };
+            rows.push((e.ts_ns, e.name, ph, value, tid));
         }
     }
-    rows.sort_by_key(|&(ts, bi, ..)| (ts, bi));
+    rows.sort_by_key(|&(ts, ..)| ts);
 
-    use crate::event::EventKind;
-    for (ts_ns, _, name, kind, tid) in rows {
-        let ts = Json::F64(ts_ns as f64 / 1e3); // microseconds
-        let base = |ph: &str| {
-            vec![
-                ("name", Json::Str(name.to_string())),
-                ("cat", Json::Str("xmltc".into())),
-                ("ph", Json::Str(ph.into())),
-                ("pid", Json::U64(PID)),
-                ("tid", Json::U64(tid)),
-                ("ts", ts.clone()),
-            ]
-        };
-        events.push(match kind {
-            EventKind::Begin => Json::obj(base("B")),
-            EventKind::End => Json::obj(base("E")),
-            EventKind::Instant => {
-                let mut f = base("i");
-                f.push(("s", Json::Str("t".into())));
-                Json::obj(f)
-            }
-            EventKind::Counter(v) => {
-                let mut f = base("C");
-                f.push(("args", Json::obj(vec![("value", Json::U64(v))])));
-                Json::obj(f)
-            }
-        });
+    for (ts_ns, name, ph, value, tid) in rows {
+        let mut fields = vec![
+            ("name", Json::Str(name.to_string())),
+            ("cat", Json::Str("xmltc".into())),
+            ("ph", Json::Str(ph.into())),
+            ("pid", Json::U64(PID)),
+            ("tid", Json::U64(tid)),
+            ("ts", Json::F64(ts_ns as f64 / 1e3)), // microseconds
+        ];
+        if ph == "i" {
+            fields.push(("s", Json::Str("t".into())));
+        }
+        if let Some(v) = value {
+            fields.push(("args", Json::obj(vec![("value", Json::U64(v))])));
+        }
+        events.push(Json::obj(fields));
     }
 
     Json::obj(vec![
@@ -162,6 +167,40 @@ mod tests {
         assert!(s.contains(r#""ph":"i""#));
         // Timestamps are microseconds: 1_000 ns -> 1 µs.
         assert!(s.contains(r#""ts":1,"#) || s.contains(r#""ts":1}"#));
+    }
+
+    #[test]
+    fn adds_become_per_thread_running_totals() {
+        let journal = Journal {
+            threads: vec![
+                ThreadEvents {
+                    tid: 0,
+                    name: "main".into(),
+                    events: vec![
+                        ev("nta.trims", 1_000, EventKind::Add(2)),
+                        ev("nta.trims", 2_000, EventKind::Add(3)),
+                    ],
+                },
+                ThreadEvents {
+                    tid: 1,
+                    name: "xmltc-serve-1".into(),
+                    events: vec![ev("nta.trims", 1_500, EventKind::Add(4))],
+                },
+            ],
+        };
+        let trace = chrome_trace(&journal);
+        let Some(Json::Array(events)) = trace.at("traceEvents") else {
+            panic!("traceEvents array")
+        };
+        let samples: Vec<(u64, u64)> = events
+            .iter()
+            .filter(|e| e.at("name").and_then(Json::as_str) == Some("nta.trims"))
+            .map(|e| {
+                let tid = e.at("tid").and_then(Json::as_u64).unwrap();
+                (tid, e.at("args.value").and_then(Json::as_u64).unwrap())
+            })
+            .collect();
+        assert_eq!(samples, [(0, 2), (1, 4), (0, 5)]);
     }
 
     #[test]

@@ -8,34 +8,38 @@
 //! the final emptiness check. This crate makes those state-space costs
 //! visible without making any core crate heavier:
 //!
-//! * **Phase-scoped spans** ([`span`]) — RAII guards recording per-phase
-//!   wall time into a thread-local collector, nested like a call tree.
-//!   When `XMLTC_LOG` is set in the environment, span enter/exit lines are
-//!   also printed to stderr.
+//! Everything is recorded once, by the event [`journal`]: each call
+//! appends one timestamped [`Event`] to the calling thread's buffer, and
+//! reports, traces and logs are all read from those events.
+//!
+//! * **Phase-scoped spans** ([`span`]) — RAII guards marking a phase's
+//!   enter and exit, nested like a call tree. When `XMLTC_LOG` is set in
+//!   the environment, span enter/exit lines are also printed to stderr.
 //! * **Counters and gauges** ([`add`], [`record`], [`record_max`]) — state
 //!   counts, transition counts, peak subset-construction frontiers, trim
 //!   ratios — attached to the innermost open span.
-//! * **[`PipelineReport`]** — the serializable per-run report assembled by
-//!   [`with_report`], rendered as a human table ([`PipelineReport::render_table`])
-//!   or as JSON ([`PipelineReport::to_json_string`]) with a stable schema
+//! * **[`PipelineReport`]** — the serializable per-run report that
+//!   [`with_report`] folds from the events its closure emitted, rendered
+//!   as a human table ([`PipelineReport::render_table`]) or as JSON
+//!   ([`PipelineReport::to_json_string`]) with a stable schema
 //!   (`xmltc.pipeline-report/1`).
+//! * **Timelines** — a journal session keeps every event, including the
+//!   hot loops' own timeline events, and exports them in the Chrome
+//!   trace-event format ([`chrome`]) for `chrome://tracing` / Perfetto
+//!   (`xmltc ... --trace-out`).
 //! * **A minimal JSON encoder and parser** ([`json`]) — the workspace is
 //!   built offline and dependency-free, so serialization is hand-rolled
 //!   here and shared by the CLI (`xmltc typecheck --json`) and the
 //!   benchmark harness (`BENCH_typecheck.json`); the parser reads the
 //!   dumps back for [`diff`].
-//! * **An event [`journal`]** — a low-overhead, per-thread profiling
-//!   timeline (span begin/end, instants, counter samples with monotonic
-//!   timestamps) that the `span`/`record` API feeds transparently while
-//!   enabled, exportable to the Chrome trace-event format ([`chrome`])
-//!   for `chrome://tracing` / Perfetto (`xmltc ... --trace-out`).
 //! * **A benchmark regression differ** ([`diff`]) — compares two
 //!   `BENCH_typecheck.json` dumps against a threshold watch list
 //!   (`xmltc bench-diff`).
 //!
-//! Instrumentation is free when nothing collects: every entry point
-//! fast-paths on one thread-local flag plus one cached environment check,
-//! so the pipeline's default behaviour (and its performance) is unchanged.
+//! Instrumentation is nearly free when nothing records: outside a capture
+//! and a session every call is one relaxed atomic load plus one
+//! thread-local read (and, for a span, one cached environment check), so
+//! the pipeline's default behaviour and performance are unchanged.
 //!
 //! ```
 //! let (answer, report) = xmltc_obs::with_report(|| {
@@ -52,7 +56,6 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
-pub mod collect;
 pub mod diff;
 pub mod event;
 pub mod explain;
@@ -60,12 +63,11 @@ pub mod journal;
 pub mod json;
 pub mod report;
 
-pub use collect::{add, is_active, record, record_max, span, with_report, Span};
 pub use event::{Event, EventKind};
 pub use explain::{
     DocumentRecord, ExplainReport, ReplayRecord, SpecAutomatonRecord, TraceStepRecord,
     TransformRecord, ViolationRecord,
 };
-pub use journal::{Journal, ThreadEvents};
+pub use journal::{add, record, record_max, span, with_report, Journal, Span, ThreadEvents};
 pub use json::{Json, JsonParseError, ToJson};
 pub use report::{PipelineReport, SpanRecord};

@@ -1,5 +1,6 @@
 //! The serializable per-run pipeline report.
 
+use crate::event::{Event, EventKind};
 use crate::json::Json;
 use std::fmt::Write as _;
 
@@ -46,6 +47,56 @@ pub struct PipelineReport {
 }
 
 impl PipelineReport {
+    /// Folds a capture's events into a report. Each enter/exit pair
+    /// becomes a span: its depth is the nesting at enter, its wall time
+    /// the distance between the two timestamps. Set, max and add events
+    /// update the metrics of the innermost open span, or the run metrics
+    /// outside any span. Timeline events are skipped.
+    pub(crate) fn fold(events: &[Event]) -> PipelineReport {
+        let mut spans: Vec<SpanRecord> = Vec::new();
+        let mut root: Vec<(&'static str, u64)> = Vec::new();
+        // Open spans, innermost last: (index into `spans`, enter time).
+        let mut open: Vec<(usize, u64)> = Vec::new();
+        for e in events {
+            let (value, merge): (u64, fn(u64, u64) -> u64) = match e.kind {
+                EventKind::Enter => {
+                    open.push((spans.len(), e.ts_ns));
+                    spans.push(SpanRecord {
+                        name: e.name.to_string(),
+                        depth: (open.len() - 1) as u16,
+                        wall_ns: 0,
+                        metrics: Vec::new(),
+                    });
+                    continue;
+                }
+                EventKind::Exit => {
+                    if let Some((i, start)) = open.pop() {
+                        spans[i].wall_ns = e.ts_ns.saturating_sub(start);
+                    }
+                    continue;
+                }
+                EventKind::Set(v) => (v, |_, new| new),
+                EventKind::Max(v) => (v, u64::max),
+                EventKind::Add(v) => (v, u64::saturating_add),
+                EventKind::Begin | EventKind::End | EventKind::Instant | EventKind::Counter(_) => {
+                    continue
+                }
+            };
+            let metrics = match open.last() {
+                Some(&(i, _)) => &mut spans[i].metrics,
+                None => &mut root,
+            };
+            match metrics.iter_mut().find(|(k, _)| *k == e.name) {
+                Some(slot) => slot.1 = merge(slot.1, value),
+                None => metrics.push((e.name, value)),
+            }
+        }
+        PipelineReport {
+            spans,
+            metrics: root.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+        }
+    }
+
     /// The first span with the given name, if any.
     pub fn span(&self, name: &str) -> Option<&SpanRecord> {
         self.spans.iter().find(|s| s.name == name)

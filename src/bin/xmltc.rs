@@ -172,9 +172,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let [dtd_path, xml_path] = two(&pos)?;
             let dtd_text = read(dtd_path)?;
             let xml_text = read(xml_path)?;
-            if flags.trace_out.is_some() {
-                obs::journal::enable();
-            }
             let run = || -> Result<Result<(), String>, String> {
                 let dtd = {
                     let _s = obs::span("dtd.parse");
@@ -205,14 +202,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     ExitCode::FAILURE
                 }
             };
-            if !flags.stats && !flags.json {
-                let verdict = run();
-                write_trace(&flags.trace_out)?;
-                return Ok(print(&verdict?, false));
-            }
-            let (result, report) = obs::with_report(run);
-            write_trace(&flags.trace_out)?;
-            report_and_exit(result, &report, &flags, print)
+            run_reported(&flags, run, print)
         }
         "transform" => {
             let (pos, flags) = parse_flags(&args[1..], FlagLevel::Report)?;
@@ -220,9 +210,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let dtd_text = read(dtd_path)?;
             let xsl_text = read(xsl_path)?;
             let xml_text = read(xml_path)?;
-            if flags.trace_out.is_some() {
-                obs::journal::enable();
-            }
             let run = || -> Result<String, String> {
                 let dtd = {
                     let _s = obs::span("dtd.parse");
@@ -246,14 +233,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 }
                 ExitCode::SUCCESS
             };
-            if !flags.stats && !flags.json {
-                let out = run();
-                write_trace(&flags.trace_out)?;
-                return Ok(print(&out?, false));
-            }
-            let (result, report) = obs::with_report(run);
-            write_trace(&flags.trace_out)?;
-            report_and_exit(result, &report, &flags, print)
+            run_reported(&flags, run, print)
         }
         "typecheck" => {
             let (pos, flags) = parse_flags(&args[1..], FlagLevel::Typecheck)?;
@@ -261,9 +241,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let dtd = Dtd::parse_text(&read(dtd_path)?).map_err(|e| e.to_string())?;
             let sheet = Stylesheet::parse_text(&read(xsl_path)?).map_err(|e| e.to_string())?;
             let out_dtd_text = read(out_dtd_path)?;
-            if flags.trace_out.is_some() {
-                obs::journal::enable();
-            }
             let run = || -> Result<DocumentVerdict, String> {
                 let pipeline = DocumentPipeline::new(sheet, dtd).map_err(|e| e.to_string())?;
                 let verdict = match &flags.explain_out {
@@ -292,17 +269,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     print_verdict(v)
                 }
             };
-            if !flags.stats && !flags.json {
-                // The uninstrumented fast path: identical output to older
-                // versions, near-zero observability overhead (the journal,
-                // when tracing, still records the timeline).
-                let verdict = run();
-                write_trace(&flags.trace_out)?;
-                return Ok(print(&verdict?, false));
-            }
-            let (result, report) = obs::with_report(run);
-            write_trace(&flags.trace_out)?;
-            report_and_exit(result, &report, &flags, print)
+            run_reported(&flags, run, print)
         }
         "explain" => {
             let (pos, flags) = parse_flags(&args[1..], FlagLevel::Typecheck)?;
@@ -386,22 +353,28 @@ fn write_explain(path: &str, report: &obs::ExplainReport) -> Result<(), String> 
     Ok(())
 }
 
-/// Shared tail of the instrumented subcommands: prints the report (JSON
-/// replaces the normal output, `--stats` appends the table) and derives
-/// the exit code from the verdict via `print`. Pipeline errors still emit
-/// the partial report (how far the run got) before the usage-error exit.
-fn report_and_exit<T>(
-    result: Result<T, String>,
-    report: &obs::PipelineReport,
+/// Runs a reporting subcommand's pipeline in a capture and prints what
+/// the flags ask for: `--json` replaces the normal output with the
+/// report, `--stats` appends the table, `--trace-out` writes the trace.
+/// The exit code comes from the verdict via `print`. Pipeline errors
+/// still emit the asked-for report (how far the run got) before the
+/// usage-error exit.
+fn run_reported<T>(
     flags: &TypecheckFlags,
+    run: impl FnOnce() -> Result<T, String>,
     print: impl Fn(&T, bool) -> ExitCode,
 ) -> Result<ExitCode, String> {
+    if flags.trace_out.is_some() {
+        obs::journal::enable();
+    }
+    let (result, report) = obs::with_report(run);
+    write_trace(&flags.trace_out)?;
     let value = match result {
         Ok(v) => v,
         Err(msg) => {
             if flags.json {
                 println!("{}", report.to_json_string());
-            } else {
+            } else if flags.stats {
                 print!("{}", report.render_table());
             }
             return Err(msg);
@@ -412,8 +385,10 @@ fn report_and_exit<T>(
         return Ok(print(&value, true));
     }
     let code = print(&value, false);
-    println!();
-    print!("{}", report.render_table());
+    if flags.stats {
+        println!();
+        print!("{}", report.render_table());
+    }
     Ok(code)
 }
 

@@ -672,6 +672,9 @@ fn xmltc_log_traces_to_stderr() {
     assert!(err.contains("[xmltc +"), "{err}");
     assert!(err.contains("info] -> typecheck"), "{err}");
     assert!(err.contains("<- typecheck"), "{err}");
+    // Nesting indents the lines without `--stats` too: the log keeps its
+    // own depth, whether or not a report is captured.
+    assert!(err.contains("info]   -> stylesheet.compile"), "{err}");
     // Every log line carries the level and a monotonic timestamp.
     let mut last_ts = 0.0f64;
     for line in err.lines().filter(|l| l.starts_with("[xmltc +")) {
@@ -729,6 +732,12 @@ fn xmltc_log_format_json_emits_json_lines() {
         lines.iter().any(|l| l.contains("\"span\":\"typecheck\"")),
         "{err}"
     );
+    let nested = lines
+        .iter()
+        .map(|l| Json::parse(l).unwrap())
+        .find(|v| v.at("span").and_then(Json::as_str) == Some("stylesheet.compile"))
+        .unwrap_or_else(|| panic!("no stylesheet.compile line in:\n{err}"));
+    assert_eq!(nested.at("depth").and_then(Json::as_u64), Some(1), "{err}");
     assert_eq!(
         stdout(&out),
         "typechecks: every valid input maps into the output DTD\n"
@@ -891,6 +900,78 @@ fn typecheck_trace_out_writes_chrome_trace() {
     assert_eq!(span_count("B"), span_count("E"));
     // Every frontier round dropped an instant marker.
     assert!(with_ph("i").any(|e| e.at("name").and_then(Json::as_str) == Some("walk.round")));
+}
+
+/// The (`name`, `ph`) multiset of a Chrome trace file.
+fn trace_shape(path: &std::path::Path) -> std::collections::BTreeMap<(String, String), usize> {
+    use xmltc::obs::Json;
+    let doc = Json::parse(&std::fs::read_to_string(path).expect("trace written")).unwrap();
+    let Some(Json::Array(events)) = doc.at("traceEvents") else {
+        panic!("traceEvents array");
+    };
+    let mut shape = std::collections::BTreeMap::new();
+    for e in events {
+        let field = |k: &str| e.at(k).and_then(Json::as_str).unwrap().to_string();
+        *shape.entry((field("name"), field("ph"))).or_default() += 1;
+    }
+    shape
+}
+
+/// A report must not depend on `--trace-out`, and a trace must not
+/// depend on `--stats`: both come from the same recorded events.
+#[test]
+fn trace_and_report_do_not_depend_on_each_other() {
+    let dir = std::env::temp_dir().join("xmltc-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let q2 = [
+        "typecheck",
+        &fixture("q2.dtd"),
+        &fixture("q2.xsl"),
+        &fixture("q2_mod3_out.dtd"),
+        "--route",
+        "walk",
+    ]
+    .map(String::from);
+    let run_with = |extra: &[&str]| {
+        let args: Vec<&str> = q2
+            .iter()
+            .map(String::as_str)
+            .chain(extra.iter().copied())
+            .collect();
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        out
+    };
+
+    let plain = dir.join("q2_shape_plain.json");
+    let stats = dir.join("q2_shape_stats.json");
+    run_with(&["--trace-out", plain.to_str().unwrap()]);
+    run_with(&["--trace-out", stats.to_str().unwrap(), "--stats"]);
+    let shape = trace_shape(&plain);
+    assert_eq!(shape, trace_shape(&stats));
+    for counter in ["nta.trims", "lazy.states_eager", "lazy.worklist_peak"] {
+        assert!(
+            shape.contains_key(&(counter.to_string(), "C".to_string())),
+            "missing `{counter}` track without --stats"
+        );
+    }
+
+    let without_wall = |out: Output| -> String {
+        let s = stdout(&out);
+        s.lines()
+            .filter(|l| !l.contains("\"wall_ms\""))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let traced = dir.join("q2_shape_json.json");
+    assert_eq!(
+        without_wall(run_with(&["--json"])),
+        without_wall(run_with(&[
+            "--json",
+            "--trace-out",
+            traced.to_str().unwrap()
+        ]))
+    );
 }
 
 #[test]
@@ -1225,6 +1306,96 @@ fn serve_client_round_trip_hits_artifact_cache() {
     for needle in ["serve.requests", "cache.hits", "cache.misses"] {
         assert!(table.contains(needle), "missing `{needle}` in:\n{table}");
     }
+}
+
+/// Starts `serve --oneshot` (with `--trace-out` when given), waits for
+/// its banner, sends one `client typecheck` of the Q2 triple and returns
+/// the response once the server has exited.
+fn oneshot_q2_typecheck(trace_out: Option<&str>) -> xmltc::obs::Json {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    let mut args = vec!["serve", "--addr", "127.0.0.1:0", "--oneshot"];
+    if let Some(path) = trace_out {
+        args.extend(["--trace-out", path]);
+    }
+    let mut server = bin()
+        .args(&args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("serve spawns");
+    let mut reader = BufReader::new(server.stdout.take().unwrap());
+    let mut banner = String::new();
+    reader.read_line(&mut banner).expect("banner line");
+    let addr = banner
+        .trim()
+        .strip_prefix("xmltc serve: listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
+        .to_string();
+    let out = run(&[
+        "client",
+        &addr,
+        "typecheck",
+        &fixture("q2.dtd"),
+        &fixture("q2.xsl"),
+        &fixture("q2_mod3_out.dtd"),
+        "--json",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    // Drain the final report, so the server never blocks on a full pipe.
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).unwrap();
+    assert!(server.wait().expect("server exits").success());
+    xmltc::obs::Json::parse(stdout(&out).trim()).expect("response is one JSON line")
+}
+
+/// `serve --trace-out` records each request on its connection thread's
+/// track, and tracing leaves the per-request metrics as they are.
+#[test]
+fn serve_trace_out_records_requests_on_connection_tracks() {
+    use xmltc::obs::Json;
+    let dir = std::env::temp_dir().join("xmltc-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("serve_trace.json");
+    let traced = oneshot_q2_typecheck(Some(trace.to_str().unwrap()));
+    let plain = oneshot_q2_typecheck(None);
+    assert_eq!(
+        traced.at("result.verdict").and_then(Json::as_str),
+        Some("typechecks")
+    );
+    assert_eq!(
+        traced.get("metrics").unwrap().encode(),
+        plain.get("metrics").unwrap().encode()
+    );
+
+    let doc = Json::parse(&std::fs::read_to_string(&trace).expect("trace written")).unwrap();
+    let Some(Json::Array(events)) = doc.at("traceEvents") else {
+        panic!("traceEvents array");
+    };
+    let field = |e: &Json, k: &str| e.at(k).and_then(Json::as_str).map(str::to_string);
+    let serve_tids: Vec<u64> = events
+        .iter()
+        .filter(|e| field(e, "ph").as_deref() == Some("M"))
+        .filter(|e| field(e, "args.name").is_some_and(|n| n.starts_with("xmltc-serve-")))
+        .filter_map(|e| e.at("tid").and_then(Json::as_u64))
+        .collect();
+    assert_eq!(serve_tids.len(), 1, "one connection track");
+    let on_track = |name: &str, ph: &str| {
+        events
+            .iter()
+            .filter(|e| field(e, "name").as_deref() == Some(name))
+            .filter(|e| field(e, "ph").as_deref() == Some(ph))
+            .map(|e| e.at("tid").and_then(Json::as_u64))
+            .collect::<Vec<_>>()
+    };
+    let tid = Some(serve_tids[0]);
+    assert_eq!(on_track("serve.request", "B"), [tid]);
+    assert_eq!(on_track("serve.request", "E"), [tid]);
+    let hits = on_track("cache.hits", "C");
+    assert!(
+        !hits.is_empty() && hits.iter().all(|&t| t == tid),
+        "{hits:?}"
+    );
 }
 
 /// An un-runnable state budget turns the verdict into an explicit
