@@ -1,5 +1,6 @@
 //! A small, dependency-free timing harness for the `harness = false`
-//! benches (the workspace builds offline, so Criterion is not available).
+//! `obs_overhead` bench (the workspace builds offline, so Criterion is not
+//! available).
 //!
 //! Usage mirrors a Criterion group:
 //!
@@ -10,8 +11,9 @@
 //! g.finish();
 //! ```
 //!
-//! Each benchmark is auto-calibrated: the closure is batched until one
-//! sample takes ≳1 ms, then timed over several samples; the report prints
+//! Each benchmark is auto-calibrated: after one warm-up call, the batch
+//! doubles until one batch takes ≳1 ms (see `batch_size`), then the
+//! closure is timed over several samples of that batch; the report prints
 //! min / median / mean per iteration.
 
 use std::hint::black_box;
@@ -58,21 +60,19 @@ impl Group {
 
     /// Times `f`, auto-calibrating the batch size.
     pub fn bench<R>(&mut self, label: impl Into<String>, mut f: impl FnMut() -> R) {
-        // Warm up and estimate a single-call cost.
-        let t0 = Instant::now();
-        black_box(f());
-        let once_ns = t0.elapsed().as_nanos().max(1) as u64;
-
-        let iters = (SAMPLE_TARGET_NS / once_ns).clamp(1, 1_000_000) as u32;
-        let mut samples_ns = Vec::with_capacity(MAX_SAMPLES);
-        let budget = Instant::now();
-        for _ in 0..MAX_SAMPLES {
+        let mut time_batch = |iters: u32| {
             let t0 = Instant::now();
             for _ in 0..iters {
                 black_box(f());
             }
-            let total = t0.elapsed().as_nanos() as u64;
-            samples_ns.push(total / iters as u64);
+            t0.elapsed().as_nanos() as u64
+        };
+        let first_ns = time_batch(1);
+        let iters = batch_size(first_ns, &mut time_batch);
+        let mut samples_ns = Vec::with_capacity(MAX_SAMPLES);
+        let budget = Instant::now();
+        for _ in 0..MAX_SAMPLES {
+            samples_ns.push(time_batch(iters) / iters as u64);
             if budget.elapsed().as_nanos() as u64 > BENCH_BUDGET_NS {
                 break;
             }
@@ -123,6 +123,23 @@ impl Group {
     }
 }
 
+/// The calls per timed sample. The warm-up call's `first_ns` gives the
+/// first guess; a cold first call overstates the cost, so the batch,
+/// timed by `time_batch(iters)`, then doubles until one batch takes
+/// [`SAMPLE_TARGET_NS`] or calibrating has used half the bench's budget.
+fn batch_size(first_ns: u64, mut time_batch: impl FnMut(u32) -> u64) -> u32 {
+    let mut iters = (SAMPLE_TARGET_NS / first_ns.max(1)).clamp(1, u32::MAX as u64) as u32;
+    let mut spent_ns = 0;
+    loop {
+        let ns = time_batch(iters);
+        spent_ns += ns;
+        if ns >= SAMPLE_TARGET_NS || spent_ns >= BENCH_BUDGET_NS / 2 || iters == u32::MAX {
+            return iters;
+        }
+        iters = iters.saturating_mul(2);
+    }
+}
+
 /// Renders a duration in the unit that keeps 3–4 significant digits.
 pub fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
@@ -149,6 +166,16 @@ mod tests {
         assert!(m.samples >= 1);
         assert!(m.min_ns <= m.median_ns);
         assert!(m.median_ns <= m.mean_ns * 2);
+    }
+
+    #[test]
+    fn batch_doubles_past_a_cold_first_call() {
+        // A 10 ns closure whose first call took 10 µs: the first guess is
+        // 100 calls, far below the 1 ms target.
+        let iters = batch_size(10_000, |n| 10 * n as u64);
+        assert!(iters >= 100_000, "{iters}");
+        // A call slower than the target is timed once per sample.
+        assert_eq!(batch_size(5_000_000, |n| 5_000_000 * n as u64), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Shared fixtures for the experiment harness: the workloads, machines and
-//! types used by both the timing benches (see [`harness`]) and
-//! `run_experiments`.
+//! types `run_experiments` and the root integration tests use, and the
+//! [`harness`] that times the `obs_overhead` bench.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,17 +5,19 @@
 //! claims that on some valid input the transducer *can* produce a bad
 //! output. [`guided_trace`] substantiates that claim by actually running
 //! the machine: a backtracking search over the one-step semantics
-//! ([`MachineCore::successors`], Definition 3.1) that only follows
-//! branches consistent with the target tree. Success yields the full run
-//! — per-step state, pebble positions and the rule fired — which is
-//! simultaneously the *replay proof* that `target ∈ T(input)` (sound even
-//! for nondeterministic transducers, where [`crate::eval::eval`] refuses
-//! to run) and the *annotated trace* shown by `xmltc explain`.
+//! ([`MachineCore::successors`](crate::machine::MachineCore::successors),
+//! Definition 3.1) that only follows branches consistent with the target
+//! tree. Success yields the full run — per-step state, pebble positions
+//! and the rule fired — which is simultaneously the *replay proof* that
+//! `target ∈ T(input)` (sound even for nondeterministic transducers, where
+//! [`crate::eval::eval`] refuses to run) and the *annotated trace* shown
+//! by `xmltc explain`.
 //!
-//! The search mirrors [`crate::eval`]'s branch structure: between two
-//! output actions the machine moves silently, so failed configurations
-//! are memoized per silent segment (the remaining obligation — the
-//! current output node — is constant there, making the memo sound).
+//! The search mirrors [`crate::eval`](mod@crate::eval)'s branch
+//! structure: between two output actions the machine moves silently, so
+//! failed configurations are memoized per silent segment (the remaining
+//! obligation — the current output node — is constant there, making the
+//! memo sound).
 
 use crate::error::MachineError;
 use crate::machine::{Config, PebbleTransducer, StepResult};

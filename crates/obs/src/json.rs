@@ -1,11 +1,11 @@
 //! A minimal JSON value type, encoder, and parser.
 //!
 //! The workspace builds offline with no external crates, so the pipeline
-//! report, the CLI `--json` output and the benchmark dumps share this
-//! hand-rolled encoder instead of `serde_json`. A small recursive-descent
-//! parser ([`Json::parse`]) reads the same dialect back — `xmltc
-//! bench-diff` uses it to compare benchmark dumps, and `xmltc serve` parses
-//! every request line with it.
+//! report, the CLI `--json` output and `xmltc serve`'s responses share
+//! this hand-rolled encoder instead of `serde_json`. A small
+//! recursive-descent parser ([`Json::parse`]) reads the same dialect back
+//! — `xmltc bench-diff` uses it to read the benchmark's result files, and
+//! `xmltc serve` parses every request line with it.
 
 use std::fmt::Write as _;
 

@@ -29,12 +29,12 @@
 //!   (`xmltc ... --trace-out`).
 //! * **A minimal JSON encoder and parser** ([`json`]) — the workspace is
 //!   built offline and dependency-free, so serialization is hand-rolled
-//!   here and shared by the CLI (`xmltc typecheck --json`) and the
-//!   benchmark harness (`BENCH_typecheck.json`); the parser reads the
-//!   dumps back for [`diff`].
-//! * **A benchmark regression differ** ([`diff`]) — compares two
-//!   `BENCH_typecheck.json` dumps against a threshold watch list
-//!   (`xmltc bench-diff`).
+//!   here and shared by the CLI (`xmltc typecheck --json`) and `xmltc
+//!   serve`; the parser also reads the benchmark's result files for
+//!   [`diff`].
+//! * **A benchmark regression differ** ([`diff`]) — compares two sets of
+//!   `benchmark/run.py` result files against the bounds `BENCHMARK.json`
+//!   sets (`xmltc bench-diff`).
 //!
 //! Instrumentation is nearly free when nothing records: outside a capture
 //! and a session every call is one relaxed atomic load plus one

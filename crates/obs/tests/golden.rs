@@ -1,9 +1,8 @@
 //! Golden-file tests: byte-for-byte pins on the two machine-readable
 //! encodings downstream tools consume.
 //!
-//! * The [`PipelineReport`] JSON (`xmltc typecheck --json`, the `engines`
-//!   section of `BENCH_typecheck.json`) — key order and schema string are
-//!   part of the contract; `bench-diff` and external scripts address
+//! * The [`PipelineReport`] JSON (`xmltc typecheck --json`) — key order
+//!   and schema string are part of the contract; external scripts address
 //!   fields by dotted path.
 //! * The Chrome trace-event export (`--trace-out`) — `chrome://tracing`
 //!   and Perfetto are the consumers; phase letters, metadata records, and

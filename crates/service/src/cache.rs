@@ -1,7 +1,7 @@
 //! The content-addressed artifact cache.
 //!
 //! Stores the expensive intermediates of the typecheck pipeline behind
-//! [`Arc`]s, keyed by [`ArtifactKey`](crate::key::ArtifactKey) content
+//! [`Arc`]s, keyed by [`ArtifactKey`] content
 //! digests:
 //!
 //! * parsed input DTDs (`validate`),

@@ -3,7 +3,7 @@
 //! A std-only accept loop: nonblocking listener polled every few
 //! milliseconds, one thread per connection, line-delimited JSON requests
 //! ([`crate::proto`]) answered from the shared
-//! [`ArtifactCache`](crate::cache::ArtifactCache).
+//! [`ArtifactCache`].
 //!
 //! Every non-trivial request runs under [`obs::with_report`], so the
 //! response carries the same per-phase metrics a local `xmltc typecheck

@@ -24,9 +24,9 @@
 //! left-position behaviour at the `DownLeft` targets, the right child's
 //! right-position behaviour at the `DownRight` targets.
 //!
-//! A DBTA state is therefore a **signature** ([`Signature`]): the
+//! A DBTA state is therefore a **signature** (`Signature`): the
 //! acceptance bit plus, for every binary symbol, those two child
-//! projections ([`Projection`]). Subtrees with equal signatures compose
+//! projections (`Projection`). Subtrees with equal signatures compose
 //! identically under every parent and agree on acceptance, so signatures
 //! form a congruence and merging the behaviour triples that share one is
 //! exact. The resulting deterministic bottom-up automaton, built over
@@ -36,7 +36,7 @@
 //! # Performance architecture
 //!
 //! * **Bisimulation quotient** — the walk compiles one state per class of
-//!   the input's coarsest forward bisimulation ([`bisimulation_quotient`]):
+//!   the input's coarsest forward bisimulation (`bisimulation_quotient`):
 //!   states whose rule sets, symbol by symbol, coincide once targets are
 //!   mapped to classes. Bisimilar states accept the same configurations on
 //!   every tree, and an exit set naming two of them resolves exactly like
@@ -51,31 +51,31 @@
 //!   *exit state*, a distinct up-move target: a branch leaves a subtree
 //!   only by an up-move, so no other state can be in an exit set. Rows
 //!   are `words` = ⌈exit states / 64⌉ wide (at least one) and live in one
-//!   contiguous per-composition arena ([`Workspace::arena`]); rows are
+//!   contiguous per-composition arena (`Workspace::arena`); rows are
 //!   immutable once written and referred to by dense ids, so
 //!   `or`/`subset` are word-parallel loops over
 //!   contiguous slices and a behaviour copy is a `memcpy`. Antichains are
-//!   kept sorted by popcount ([`RowRef`]), so minimal-insertion
-//!   ([`ac_insert_min`]) subset-checks only against rows that can possibly
+//!   kept sorted by popcount (`RowRef`), so minimal-insertion
+//!   (`ac_insert_min`) subset-checks only against rows that can possibly
 //!   be subsets and drops only rows that can possibly be supersets.
 //! * **Compiled tables** — the classes' rules are compiled per symbol into
 //!   a flat action list with owner states and a CSR reverse-dependency
-//!   array ([`SymTable`]), lifting all hash lookups out of the fixpoint
+//!   array (`SymTable`), lifting all hash lookups out of the fixpoint
 //!   inner loop. The fixpoint is chaotic iteration over *actions*: the
 //!   worklist holds action indices, a pop computes that one action's
-//!   candidates into its owner's antichain, and growth [`wake`]s only the
+//!   candidates into its owner's antichain, and growth `wake`s only the
 //!   actions reading the owner — a `Fork` only once its other operand is
 //!   non-empty, since until then it has no candidates and that operand's
 //!   first growth wakes it. The children-independent part of each
 //!   symbol's system is solved **once per symbol**, seeded with its
 //!   `Accept` actions alone (nothing else fires on all-empty lists), into
-//!   a popcount-sorted [`DenseBase`]; each composition seeds its arena
+//!   a popcount-sorted `DenseBase`; each composition seeds its arena
 //!   from it with one slice copy and re-runs only the `Down` actions, and
 //!   the root solution in turn seeds the left/right positional runs with
 //!   just the up-move rows (sound because chaotic iteration from any point
 //!   below the least fixpoint converges to it). Evaluation order changes
 //!   only the order in which rows are found: each minimal antichain of the
-//!   least fixpoint is unique as a set and [`project`] sorts rows, so
+//!   least fixpoint is unique as a set and `project` sorts rows, so
 //!   projections and everything interned from them do not depend on it. A
 //!   composition returns only its acceptance bit and the projections of
 //!   its positional behaviours, never whole behaviours.

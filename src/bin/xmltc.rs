@@ -10,8 +10,7 @@
 //! xmltc explain     <input.dtd> <sheet.xsl> <output.dtd> [--json]
 //!                   [--explain-out F] [--route ..] [--engine ..] [...]
 //! xmltc forward     <input.dtd> <sheet.xsl> <output.dtd>
-//! xmltc bench-diff  <baseline.json> <candidate.json> [--threshold p=pct]
-//!                   [--advisory] [--json]
+//! xmltc bench-diff  <baseline-dir> <candidate-dir> [--advisory] [--json]
 //! xmltc corpus      <family> <index> [--seed S] [--minimize] [--state-limit N]
 //! xmltc corpus      --list
 //! xmltc serve       [--addr H:P] [--cache-bytes N] [--oneshot]
@@ -36,8 +35,9 @@
 //! counter tracks for the hot-loop gauges. Setting the `XMLTC_LOG`
 //! environment variable logs phase enter/exit to stderr for any command
 //! (`XMLTC_LOG_FORMAT=json` switches those lines to JSON objects).
-//! `bench-diff` compares two `BENCH_typecheck.json` dumps and exits
-//! nonzero when a watched metric regressed beyond its threshold.
+//! `bench-diff` compares two directories of `benchmark/run.py` result
+//! files and exits nonzero when an end-to-end metric regressed beyond its
+//! `BENCHMARK.json` bound.
 //! `explain` renders the verdict-provenance report (counterexample input,
 //! replayed transducer run, offending output, DTD violation), and
 //! `typecheck --explain-out FILE` writes the same report as JSON (schema
@@ -392,61 +392,41 @@ fn run_reported<T>(
     Ok(code)
 }
 
-/// `xmltc bench-diff <baseline.json> <candidate.json>`: compares two
-/// benchmark dumps against the watch list, exiting 1 on regression (0 in
+/// `xmltc bench-diff <baseline-dir> <candidate-dir>`: compares two sets
+/// of `benchmark/run.py` result files against the end-to-end bounds of
+/// `BENCHMARK.json`, which is compiled in. Exits 1 on regression (0 in
 /// `--advisory` mode), 2 on unreadable input.
 fn bench_diff(rest: &[String]) -> Result<ExitCode, String> {
-    let mut paths: Vec<&str> = Vec::new();
-    let mut advisory = false;
-    let mut json = false;
-    let mut watches = obs::diff::default_watches();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
+    let mut dirs: Vec<&str> = Vec::new();
+    let (mut advisory, mut json) = (false, false);
+    for arg in rest {
         match arg.as_str() {
             "--advisory" => advisory = true,
             "--json" => json = true,
-            "--threshold" => {
-                let v = it
-                    .next()
-                    .ok_or("--threshold requires `metric.path=percent`")?;
-                let (path, pct) = v
-                    .split_once('=')
-                    .ok_or(format!("invalid threshold `{v}` (want path=percent)"))?;
-                let pct: f64 = pct
-                    .parse()
-                    .ok()
-                    .filter(|p: &f64| p.is_finite() && *p >= 0.0)
-                    .ok_or(format!("invalid threshold percent `{pct}`"))?;
-                match watches.iter_mut().find(|w| w.path == path) {
-                    Some(w) => w.threshold = pct / 100.0,
-                    None => watches.push(obs::diff::Watch::lower(path, pct / 100.0)),
-                }
-            }
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag `{other}` for bench-diff"));
             }
-            _ => paths.push(arg.as_str()),
+            _ => dirs.push(arg),
         }
     }
-    let [base_path, cand_path] = two(&paths)?;
-    let parse = |path: &str| -> Result<obs::Json, String> {
-        obs::Json::parse(&read(path)?).map_err(|e| format!("cannot parse `{path}`: {e}"))
-    };
-    let base = parse(base_path)?;
-    let cand = parse(cand_path)?;
-    let report = obs::diff::diff(&base, &cand, &watches);
+    let [base_dir, cand_dir] = two(&dirs)?;
+    let bench = obs::Json::parse(include_str!("../../BENCHMARK.json"))
+        .ok()
+        .and_then(|doc| obs::diff::Benchmark::from_json(&doc))
+        .ok_or("the compiled-in BENCHMARK.json is malformed")?;
+    let report = obs::diff::diff(&results(base_dir)?, &results(cand_dir)?, &bench);
     if json {
         println!("{}", report.to_json().encode());
     } else {
         print!("{}", report.render_table());
     }
-    if !report.regressed() {
+    let regressed: Vec<&str> = report.regressions().map(|d| d.row.as_str()).collect();
+    if regressed.is_empty() {
         return Ok(ExitCode::SUCCESS);
     }
-    let n = report.regressions().count();
     eprintln!(
-        "{n} watched metric{} regressed beyond threshold{}",
-        if n == 1 { "" } else { "s" },
+        "regressed beyond tolerance: {}{}",
+        regressed.join(", "),
         if advisory {
             " (advisory mode: not failing)"
         } else {
@@ -458,6 +438,26 @@ fn bench_diff(rest: &[String]) -> Result<ExitCode, String> {
     } else {
         ExitCode::FAILURE
     })
+}
+
+/// The `--trace 0` runs among the `*.result.json` files in `dir`.
+fn results(dir: &str) -> Result<Vec<obs::diff::Run>, String> {
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("cannot read `{dir}`: {e}"))?;
+    let paths = entries
+        .filter_map(|e| Some(e.ok()?.path().to_str()?.to_string()))
+        .filter(|p| p.ends_with(".result.json"));
+    let mut runs = Vec::new();
+    for path in paths {
+        let doc =
+            obs::Json::parse(&read(&path)?).map_err(|e| format!("cannot parse `{path}`: {e}"))?;
+        let run = obs::diff::Run::from_result(&doc)
+            .map_err(|e| format!("`{path}` is not a benchmark result: {e}"))?;
+        runs.extend(run);
+    }
+    if runs.is_empty() {
+        return Err(format!("no `--trace 0` result files in `{dir}`"));
+    }
+    Ok(runs)
 }
 
 /// `xmltc corpus <family> <index>`: regenerates one adversarial corpus
@@ -876,7 +876,7 @@ commands:
   typecheck <input.dtd> <sheet.xsl> <output.dtd> EXACT static typecheck
   explain   <input.dtd> <sheet.xsl> <output.dtd> typecheck + provenance report
   forward   <input.dtd> <sheet.xsl> <output.dtd> forward-inference baseline
-  bench-diff <baseline.json> <candidate.json>    compare benchmark dumps
+  bench-diff <baseline-dir> <candidate-dir>      compare benchmark results
   corpus    <family> <index>                     regenerate one adversarial
                                                  corpus case and run both
                                                  engines on it (--list for
@@ -935,12 +935,13 @@ plus --explain for the provenance report and --id N to tag the request;
   xmltc client ADDR stats
   xmltc client ADDR shutdown
 
-bench-diff options:
-  --threshold P=PCT  override the watch threshold of metric path P to PCT
-                     percent (repeatable; unknown paths become new
-                     lower-is-better watches)
+bench-diff (each directory holds benchmark/run.py *.result.json files;
+the --trace 0 runs are grouped by workload, and each end-to-end metric's
+medians are compared against its BENCHMARK.json bound, widened to the
+baseline's IQR/median where that is wider; a larger failed share of
+operations also regresses):
   --advisory         report regressions but exit 0 anyway (for noisy CI)
-  --json             emit the diff as JSON (schema xmltc.bench-diff/1)
+  --json             emit the diff as JSON (schema xmltc.bench-diff/2)
 
 environment:
   XMLTC_LOG=1        log phase enter/exit to stderr (level + timestamp)

@@ -1006,38 +1006,75 @@ fn validate_trace_out_records_phase_spans() {
     }
 }
 
+const WORKLOADS: [&str; 3] = ["typecheck-mix", "transform-docs", "serve-mix"];
+
+/// Writes a fresh directory of hand-made `benchmark/run.py` result files:
+/// five `--trace 0` seeds per workload, whose `ops_per_s` is
+/// `ops(workload, seed)`, and one traced file that bench-diff must skip.
+fn result_dir(name: &str, ops: impl Fn(&str, u64) -> f64) -> String {
+    let dir = std::env::temp_dir().join("xmltc-cli-test").join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for workload in WORKLOADS {
+        for seed in 1..=5 {
+            let text = format!(
+                r#"{{"run": {{"workload": "{workload}", "seed": {seed}, "trace": 0}},
+                    "ledger": {{"attempted": 1000, "failed": 2, "decided": 998}},
+                    "end_to_end": {{"setup_s": 0.01, "latency_ms_p50": 0.05,
+                      "latency_ms_p99": 2.5e-1, "ops_per_s": {}, "decided_share": 0.998,
+                      "peak_rss_mb": 10.5}}}}"#,
+                ops(workload, seed)
+            );
+            let file = format!("{workload}-seed{seed}-trace0.result.json");
+            std::fs::write(dir.join(file), text).unwrap();
+        }
+    }
+    let traced = r#"{"run": {"workload": "serve-mix", "trace": 1}, "per_layer": {}}"#;
+    std::fs::write(dir.join("serve-mix-seed1-trace1.result.json"), traced).unwrap();
+    dir.to_str().unwrap().to_string()
+}
+
 #[test]
 fn bench_diff_exit_codes() {
-    let dir = std::env::temp_dir().join("xmltc-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let write = |name: &str, text: &str| {
-        let p = dir.join(name);
-        std::fs::write(&p, text).unwrap();
-        p.to_str().unwrap().to_string()
-    };
-    let base = write(
-        "bd_base.json",
-        r#"{"route_walk":{"pairs":100,"memo_hit_rate":0.5}}"#,
-    );
-    let same = write(
-        "bd_same.json",
-        r#"{"route_walk":{"pairs":100,"memo_hit_rate":0.5}}"#,
-    );
-    let worse = write(
-        "bd_worse.json",
-        r#"{"route_walk":{"pairs":101,"memo_hit_rate":0.5}}"#,
-    );
+    let base = result_dir("bd_base", |_, _| 5000.0);
+    let same = result_dir("bd_same", |_, _| 5000.0);
 
-    // Identical dumps: no regression.
+    // Equal results: one row per workload × end-to-end metric, plus each
+    // workload's failed share, and no regression.
     let out = run(&["bench-diff", &base, &same]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    assert!(stdout(&out).contains("route_walk.pairs"));
+    let table = stdout(&out);
+    for workload in WORKLOADS {
+        for metric in [
+            "setup_s",
+            "latency_ms_p50",
+            "latency_ms_p99",
+            "ops_per_s",
+            "decided_share",
+            "peak_rss_mb",
+            "failed_share",
+        ] {
+            let row = format!("{workload}/{metric} ");
+            assert!(table.lines().any(|l| l.starts_with(&row)), "{row}\n{table}");
+        }
+    }
+    assert_eq!(table.lines().filter(|l| l.ends_with("  ok")).count(), 21);
 
-    // A counter crept up past its zero-tolerance threshold: exit 1.
+    // serve-mix's ops_per_s fell 20%, past its 15% bound: exit 1.
+    let worse = result_dir(
+        "bd_worse",
+        |w, _| if w == "serve-mix" { 4000.0 } else { 5000.0 },
+    );
     let out = run(&["bench-diff", &base, &worse]);
-    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let regressed: Vec<String> = stdout(&out)
+        .lines()
+        .filter(|l| l.ends_with("REGRESSED"))
+        .map(|l| l.split(' ').next().unwrap().to_string())
+        .collect();
+    assert_eq!(regressed, ["serve-mix/ops_per_s"]);
     assert!(
-        stderr(&out).contains("1 watched metric regressed beyond threshold"),
+        stderr(&out).contains("serve-mix/ops_per_s"),
         "{}",
         stderr(&out)
     );
@@ -1047,51 +1084,55 @@ fn bench_diff_exit_codes() {
     assert_eq!(out.status.code(), Some(0));
     assert!(stderr(&out).contains("advisory mode"), "{}", stderr(&out));
 
-    // A loosened threshold absorbs the +1% drift.
-    let out = run(&[
-        "bench-diff",
-        &base,
-        &worse,
-        "--threshold",
-        "route_walk.pairs=5",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    // The same drop against a baseline whose quartiles (4 250 and 5 750)
+    // spread 30% around its median stays inside that spread.
+    let wide = result_dir("bd_wide", |_, seed| 2750.0 + 750.0 * seed as f64);
+    let out = run(&["bench-diff", &wide, &worse]);
+    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+    assert!(stdout(&out).contains("30.0%"), "{}", stdout(&out));
 
     // --json emits the machine-readable diff.
     let out = run(&["bench-diff", &base, &worse, "--json", "--advisory"]);
     assert_eq!(out.status.code(), Some(0));
-    assert!(stdout(&out).contains("xmltc.bench-diff/1"));
+    assert!(stdout(&out).contains("xmltc.bench-diff/2"));
     assert!(xmltc::obs::Json::parse(&stdout(&out)).is_ok());
 
-    // Unreadable input, bad flags, and wrong arity are usage errors.
-    let garbage = write("bd_garbage.json", "not json");
-    let out = run(&["bench-diff", &base, &garbage]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("cannot parse"), "{}", stderr(&out));
-    let out = run(&["bench-diff", &base, &same, "--frobnicate"]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = run(&["bench-diff", &base]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = run(&["bench-diff", &base, &same, "--threshold", "pairs"]);
+    // An empty directory, a garbage result file, unknown flags (the old
+    // `--threshold` among them) and wrong arity are usage errors.
+    let empty = result_dir("bd_empty", |_, _| 0.0);
+    for entry in std::fs::read_dir(&empty).unwrap() {
+        std::fs::remove_file(entry.unwrap().path()).unwrap();
+    }
+    let out = run(&["bench-diff", &base, &empty]);
     assert_eq!(out.status.code(), Some(2));
     assert!(
-        stderr(&out).contains("invalid threshold"),
+        stderr(&out).contains("no `--trace 0` result files"),
         "{}",
         stderr(&out)
     );
+    let garbage = result_dir("bd_garbage", |_, _| 5000.0);
+    std::fs::write(format!("{garbage}/x.result.json"), "not json").unwrap();
+    let out = run(&["bench-diff", &base, &garbage]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("cannot parse"), "{}", stderr(&out));
+    for flag in ["--frobnicate", "--threshold"] {
+        let out = run(&["bench-diff", &base, &same, flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+    }
+    let out = run(&["bench-diff", &base]);
+    assert_eq!(out.status.code(), Some(2));
 }
 
-/// The committed baseline must self-diff clean: `bench-diff` against the
-/// very same file is the CI job's degenerate case and must stay green.
+/// The committed ledger must self-diff clean, with every row present: the
+/// degenerate case of CI's diff of a fresh run against it.
 #[test]
 fn bench_diff_committed_baseline_self_diffs_clean() {
-    let baseline = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("BENCH_typecheck.json");
-    let baseline = baseline.to_str().unwrap();
-    let out = run(&["bench-diff", baseline, baseline]);
+    let ledger = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("BENCH_workloads");
+    let ledger = ledger.to_str().unwrap();
+    let out = run(&["bench-diff", ledger, ledger]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let s = stdout(&out);
-    // Every default watch resolves against the committed schema.
-    assert!(!s.contains("(missing)"), "stale watch paths:\n{s}");
+    assert_eq!(s.lines().filter(|l| l.ends_with("  ok")).count(), 21, "{s}");
 }
 
 /// `xmltc corpus --list` prints the adversarial family names.
@@ -1251,7 +1292,14 @@ fn serve_client_round_trip_hits_artifact_cache() {
         Some("miss")
     );
     assert_eq!(warm.at("cache.verdict").and_then(Json::as_str), Some("hit"));
-    assert!(warm.at("cache.hits").and_then(Json::as_u64).unwrap() >= 1);
+    // The cold request misses on each of the four layers it builds
+    // (pipeline, τ₂, violations, verdict); the warm one touches only the
+    // verdict layer, and hits.
+    let cache_count = |resp: &Json, k: &str| resp.at(&format!("cache.{k}")).and_then(Json::as_u64);
+    assert_eq!(cache_count(&cold, "misses"), Some(4));
+    assert_eq!(cache_count(&cold, "hits"), Some(0));
+    assert_eq!(cache_count(&warm, "hits"), Some(1));
+    assert_eq!(cache_count(&warm, "misses"), Some(0));
     // The deterministic verdict payload is byte-identical across runs.
     assert_eq!(
         cold.get("result").unwrap().encode(),

@@ -4,11 +4,14 @@
 //! triples differ only outside those projections share one state, so the
 //! DBTA, its transition table and everything downstream shrink while the
 //! fixpoint work (one run per distinct projection pair) stays the same.
+//! The last test pins what the final emptiness check materializes on the
+//! same instance, per engine.
 
 use xmltc::core::machine::PebbleAutomaton;
 use xmltc::dtd::Dtd;
-use xmltc::typecheck::violation_automaton;
+use xmltc::obs;
 use xmltc::typecheck::walk::{walking_to_dbta_with, WalkOptions, WalkStats};
+use xmltc::typecheck::{typecheck, violation_automaton, Engine, TypecheckOptions};
 use xmltc::xmlql::Stylesheet;
 
 fn walk(v: &PebbleAutomaton) -> WalkStats {
@@ -68,6 +71,7 @@ fn q2_mod3_walk_has_nine_signature_states() {
     assert_eq!(s.worklist_peak, 32);
     assert_eq!(s.words, 1);
     assert_eq!(s.kernel_rows, 3411);
+    assert_eq!(s.projections_interned, 21);
     // The leaf plus one request per table entry; all but the 67 runs
     // above share a composition.
     assert_eq!(s.compositions, 244);
@@ -81,4 +85,30 @@ fn q2_m8_walk_collapses_to_fourteen_signatures() {
     assert_eq!(s.dbta_states, 14);
     // The 822-state product has 375 bisimulation classes.
     assert_eq!(s.classes, 375);
+}
+
+#[test]
+fn q2_mod3_emptiness_materializes_54_eager_and_24_lazy_states() {
+    let fx = xmltc::bench::q2_fixture();
+    let emptiness_metric = |engine, metric| {
+        let opts = TypecheckOptions {
+            engine,
+            ..Default::default()
+        };
+        let (outcome, report) =
+            obs::with_report(|| typecheck(&fx.transducer, &fx.tau1, &fx.tau2_mod3, &opts).unwrap());
+        assert!(outcome.is_ok());
+        report
+            .span_metric("typecheck.emptiness", metric)
+            .unwrap_or_else(|| panic!("{engine:?} run reports {metric}"))
+    };
+    // The eager engine builds the whole trimmed τ₁ × violations product;
+    // the lazy one touches 24 of its configurations and reports the same
+    // product size as its bound.
+    assert_eq!(emptiness_metric(Engine::Eager, "intersection.states"), 54);
+    assert_eq!(
+        emptiness_metric(Engine::Lazy, "lazy.states_materialized"),
+        24
+    );
+    assert_eq!(emptiness_metric(Engine::Lazy, "lazy.states_eager"), 54);
 }
