@@ -60,57 +60,6 @@ pub fn trees_up_to(a: &Nta, max_depth: usize, limit: usize) -> Vec<BinaryTree> {
     accepted
 }
 
-/// Counts accepted trees of each depth `1..=max_depth` (saturating at
-/// `u128::MAX`). Useful for comparing language sizes without
-/// materializing trees — e.g. the number of DTD-valid documents per size.
-///
-/// **Counts accepting runs**: exact for *deterministic* automata (pass
-/// through [`crate::Nta::determinize`] first when in doubt); a
-/// nondeterministic automaton may count a tree once per accepting run.
-pub fn count_trees(a: &Nta, max_depth: usize) -> Vec<u128> {
-    let n = a.n_states() as usize;
-    // exact[d][q] = number of trees of depth exactly d reaching q.
-    let mut exact: Vec<Vec<u128>> = Vec::with_capacity(max_depth + 1);
-    exact.push(vec![0; n]); // depth 0: none
-                            // upto[q] = trees of depth ≤ current.
-    let mut result = Vec::with_capacity(max_depth);
-    for depth in 1..=max_depth {
-        let mut row = vec![0u128; n];
-        if depth == 1 {
-            for (_, q) in a.leaf_transitions() {
-                row[q.index()] = row[q.index()].saturating_add(1);
-            }
-        } else {
-            // A tree of depth exactly d combines children with
-            // max(d1, d2) = d - 1.
-            let upto_prev: Vec<u128> = (0..n)
-                .map(|q| exact.iter().map(|r| r[q]).fold(0u128, u128::saturating_add))
-                .collect();
-            let exact_prev = &exact[depth - 1];
-            for (_, q1, q2, q) in a.node_transitions() {
-                let a1 = exact_prev[q1.index()];
-                let a2 = exact_prev[q2.index()];
-                let u1 = upto_prev[q1.index()];
-                let u2 = upto_prev[q2.index()];
-                // exact·upto + upto·exact − exact·exact (inclusion-exclusion)
-                let combos = a1
-                    .saturating_mul(u2)
-                    .saturating_add(u1.saturating_mul(a2))
-                    .saturating_sub(a1.saturating_mul(a2));
-                row[q.index()] = row[q.index()].saturating_add(combos);
-            }
-        }
-        exact.push(row);
-        let total: u128 = a
-            .finals()
-            .iter()
-            .map(|q| exact[depth][q.index()])
-            .fold(0u128, u128::saturating_add);
-        result.push(total);
-    }
-    result
-}
-
 fn add(
     pool: &mut [Vec<BinaryTree>],
     seen: &mut [FxHashSet<BinaryTree>],
@@ -170,17 +119,21 @@ mod tests {
     fn enumerates_all_small_trees() {
         let al = alpha();
         let a = all_x(&al);
-        let ts = trees_up_to(&a, 3, 100);
-        // depth ≤ 3 over {x, f}: x, f(x,x), f(x,f(x,x)), f(f(x,x),x),
-        // f(f(x,x),f(x,x)) = 5 trees.
-        assert_eq!(ts.len(), 5);
-        for t in &ts {
-            assert!(a.accepts(t).unwrap());
-            assert!(t.depth() <= 3);
+        // Trees over {x, f} of depth ≤ 1, 2, 3, 4: 1 (x), 2 (+ f(x,x)),
+        // 5 (+ f(x,f(x,x)), f(f(x,x),x), f(f(x,x),f(x,x))) and 26 (+ the
+        // 21 of depth exactly 4: 3·5 + 5·3 − 3·3 pairs of children with
+        // at least one of depth exactly 3).
+        for (depth, expected) in [(1, 1), (2, 2), (3, 5), (4, 26)] {
+            let ts = trees_up_to(&a, depth, 1_000_000);
+            assert_eq!(ts.len(), expected, "depth {depth}");
+            for t in &ts {
+                assert!(a.accepts(t).unwrap());
+                assert!(t.depth() <= depth);
+            }
+            // Distinctness.
+            let set: FxHashSet<_> = ts.iter().cloned().collect();
+            assert_eq!(set.len(), ts.len());
         }
-        // Distinctness.
-        let set: FxHashSet<_> = ts.iter().cloned().collect();
-        assert_eq!(set.len(), ts.len());
     }
 
     #[test]
@@ -197,37 +150,6 @@ mod tests {
         let mut a = Nta::new(&al, 1);
         a.add_final(State(0)); // no transitions: nothing reaches state 0
         assert!(trees_up_to(&a, 4, 10).is_empty());
-    }
-
-    #[test]
-    fn counting_matches_enumeration() {
-        let al = alpha();
-        let a = all_x(&al).determinize().to_nta();
-        let counts = count_trees(&a, 4);
-        // Trees over {x, f}: depth 1: 1 (x); depth 2: 1 (f(x,x));
-        // depth 3: 4 - wait, depth exactly 3: f with at least one child of
-        // depth 2: combos = 1·2 + 2·1 − 1·1 = 3; depth 4: children up to
-        // depth 3 (5 each) with at least one exactly-3: 3·5+5·3−3·3 = 21.
-        assert_eq!(counts, vec![1, 1, 3, 21]);
-        // Cross-check against explicit enumeration (cumulative).
-        for d in 1..=4usize {
-            let enumerated = trees_up_to(&a, d, 1_000_000);
-            let total: u128 = counts[..d].iter().sum();
-            assert_eq!(enumerated.len() as u128, total, "depth {d}");
-        }
-    }
-
-    #[test]
-    fn counting_saturates_not_panics() {
-        // The full binary language explodes doubly exponentially; counting
-        // to depth 12 must not overflow.
-        let al = alpha();
-        let a = all_x(&al).determinize().to_nta();
-        let counts = count_trees(&a, 12);
-        assert_eq!(counts.len(), 12);
-        assert!(counts[6] > counts[5]);
-        // Far depths saturate rather than overflowing.
-        assert!(counts[11] >= counts[10]);
     }
 
     #[test]

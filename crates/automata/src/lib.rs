@@ -6,8 +6,10 @@
 //! Two automaton flavours are provided, mirroring the paper:
 //!
 //! * [`TdTa`] — nondeterministic *top-down* (root-to-frontier) tree automata
-//!   (Definition 2.1), optionally with **silent transitions**
-//!   (`(a,q) → q'`), plus the paper's silent-elimination construction.
+//!   (Definition 2.1), optionally with **silent transitions**, plus the
+//!   paper's silent-elimination construction. Silent moves are
+//!   symbol-independent (`q → q'`), the only form the Proposition 3.8
+//!   output automaton produces.
 //!   Top-down automata are the natural output of the Proposition 3.8 and
 //!   Proposition 4.6 constructions, which consume the tree in the order the
 //!   transducer produces it.

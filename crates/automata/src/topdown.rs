@@ -1,6 +1,14 @@
 //! Nondeterministic top-down (root-to-frontier) tree automata with silent
 //! transitions — Definition 2.1 and the silent-elimination construction of
 //! Section 2.3.
+//!
+//! The paper's silent transitions `(a, q) → q'` may depend on the current
+//! symbol. The only silent moves this crate is ever given are
+//! symbol-independent: the Proposition 3.8 output automaton
+//! (`xmltc_core::eval::output_automaton`) turns each transducer *move*
+//! into a step `q → q'` that reads no output symbol. So [`TdTa`] stores
+//! silent moves only in that form ([`TdTa::add_silent_any`]), and
+//! elimination is one productive-set propagation.
 
 use crate::nta::Nta;
 use crate::state::{State, StateSet};
@@ -12,9 +20,10 @@ use xmltc_trees::{Alphabet, BinaryTree, FxHashMap, FxHashSet, Rank, Symbol, Tree
 ///
 /// * regular transitions `(a, q) → (q₁, q₂)` with `a ∈ Σ₂`;
 /// * final symbol-state pairs `Q_F ⊆ Σ₀ × Q`;
-/// * silent transitions `(a, q) → q'` that change state without moving the
-///   head (used by the Proposition 3.8 construction, where transducer moves
-///   become silent steps of the output automaton).
+/// * silent transitions `q → q'`, applicable under every symbol, that
+///   change state without moving the head (used by the Proposition 3.8
+///   construction, where transducer moves become silent steps of the
+///   output automaton).
 #[derive(Clone, Debug)]
 pub struct TdTa {
     alphabet: Arc<Alphabet>,
@@ -22,12 +31,9 @@ pub struct TdTa {
     initial: State,
     final_pairs: FxHashSet<(Symbol, State)>,
     trans: FxHashMap<(Symbol, State), Vec<(State, State)>>,
-    silent: FxHashMap<(Symbol, State), Vec<State>>,
-    /// Silent transitions that apply regardless of the current symbol —
-    /// the shape produced by the Proposition 3.8 construction, where a
-    /// transducer *move* step changes configuration without emitting
-    /// output. Kept separate to avoid multiplying them by `|Σ|`.
-    silent_any: FxHashMap<State, Vec<State>>,
+    /// Silent transitions, one list per source state. Being
+    /// symbol-independent, they are not multiplied by `|Σ|`.
+    silent: FxHashMap<State, Vec<State>>,
 }
 
 impl TdTa {
@@ -42,7 +48,6 @@ impl TdTa {
             final_pairs: FxHashSet::default(),
             trans: FxHashMap::default(),
             silent: FxHashMap::default(),
-            silent_any: FxHashMap::default(),
         }
     }
 
@@ -59,14 +64,9 @@ impl TdTa {
         self.trans.entry((a, q)).or_default().push((q1, q2));
     }
 
-    /// Adds a silent transition `(a, q) → q'`.
-    pub fn add_silent(&mut self, a: Symbol, q: State, q_next: State) {
-        self.silent.entry((a, q)).or_default().push(q_next);
-    }
-
     /// Adds a silent transition `q → q'` applicable under every symbol.
     pub fn add_silent_any(&mut self, q: State, q_next: State) {
-        self.silent_any.entry(q).or_default().push(q_next);
+        self.silent.entry(q).or_default().push(q_next);
     }
 
     /// Adds a final pair `(a, q)`: a branch in state `q` on a leaf labeled
@@ -93,7 +93,7 @@ impl TdTa {
 
     /// True when the automaton has silent transitions.
     pub fn has_silent(&self) -> bool {
-        !self.silent.is_empty() || !self.silent_any.is_empty()
+        !self.silent.is_empty()
     }
 
     /// Number of transitions of all kinds.
@@ -101,7 +101,6 @@ impl TdTa {
         self.final_pairs.len()
             + self.trans.values().map(Vec::len).sum::<usize>()
             + self.silent.values().map(Vec::len).sum::<usize>()
-            + self.silent_any.values().map(Vec::len).sum::<usize>()
     }
 
     /// The regular transitions available from `(a, q)` (ignoring silent
@@ -128,51 +127,21 @@ impl TdTa {
     }
 
     /// The paper's silent-transition elimination (end of Section 2.3):
-    /// with `q ⇒ₐ q'` the reflexive-transitive closure of silent moves on
-    /// symbol `a`, the new transitions are
-    /// `P' = {(a,q) → (q₁,q₂) | q ⇒ₐ q', (a,q') → (q₁,q₂) ∈ P}` and
-    /// `Q_F' = {(a,q) | q ⇒ₐ q', (a,q') ∈ Q_F}`.
+    /// with `q ⇒ q'` the reflexive-transitive closure of silent moves, the
+    /// new transitions are
+    /// `P' = {(a,q) → (q₁,q₂) | q ⇒ q', (a,q') → (q₁,q₂) ∈ P}` and
+    /// `Q_F' = {(a,q) | q ⇒ q', (a,q') ∈ Q_F}`.
+    ///
+    /// Rather than materializing full closures — quadratic on the long
+    /// deterministic move-chains pebble transducers produce — this
+    /// propagates backward, for each state, only the *productive*
+    /// silent-reachable states (those carrying a regular transition or
+    /// final pair). On deterministic chains each set has one element and
+    /// the pass is linear.
     pub fn eliminate_silent(&self) -> TdTa {
         if !self.has_silent() {
             return self.clone();
         }
-        if self.silent.is_empty() {
-            return self.eliminate_silent_any_only();
-        }
-        let mut out = TdTa::new(&self.alphabet, self.n_states, self.initial);
-
-        // General case (per-symbol silent transitions): the silent-closure
-        // is computed per (symbol, state) by BFS over silent edges.
-        let mut symbols: Vec<Symbol> = self.alphabet.symbols().collect();
-        symbols.retain(|&a| self.alphabet.rank(a) != Rank::Unranked);
-
-        for &a in &symbols {
-            for q in 0..self.n_states {
-                let q = State(q);
-                let closure = self.silent_closure(a, q);
-                for q2 in closure.iter() {
-                    if let Some(targets) = self.trans.get(&(a, q2)) {
-                        for &(l, r) in targets {
-                            out.add_transition(a, q, l, r);
-                        }
-                    }
-                    if self.final_pairs.contains(&(a, q2)) {
-                        out.add_final_pair(a, q);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Fast path for automata whose only silent transitions are
-    /// symbol-independent (the Proposition 3.8 shape). Rather than
-    /// materializing full closures — quadratic on the long deterministic
-    /// move-chains pebble transducers produce — propagate backward, for
-    /// each state, only the *productive* silent-reachable states (those
-    /// carrying a regular transition or final pair). On deterministic
-    /// chains each set has one element and the pass is linear.
-    fn eliminate_silent_any_only(&self) -> TdTa {
         let n = self.n_states as usize;
         let mut productive = vec![false; n];
         for &(_, q) in self.trans.keys() {
@@ -185,7 +154,7 @@ impl TdTa {
         // P(q) = {q | productive} ∪ ⋃_{q →silent q'} P(q'); worklist
         // fixpoint propagating growth to silent-predecessors.
         let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (&q, targets) in &self.silent_any {
+        for (&q, targets) in &self.silent {
             for t in targets {
                 preds[t.index()].push(q.0);
             }
@@ -206,7 +175,7 @@ impl TdTa {
             // Recompute P(q) from its successors; if it grew, requeue
             // predecessors.
             let mut grew = false;
-            if let Some(targets) = self.silent_any.get(&State(qi)) {
+            if let Some(targets) = self.silent.get(&State(qi)) {
                 let merged: Vec<State> = targets
                     .iter()
                     .flat_map(|t| p[t.index()].iter().collect::<Vec<_>>())
@@ -250,23 +219,6 @@ impl TdTa {
             }
         }
         out
-    }
-
-    /// Reflexive-transitive closure of silent moves from `q` on symbol `a`.
-    fn silent_closure(&self, a: Symbol, q: State) -> StateSet {
-        let mut seen = StateSet::new();
-        seen.insert(q);
-        let mut stack = vec![q];
-        while let Some(cur) = stack.pop() {
-            let per_symbol = self.silent.get(&(a, cur)).map(Vec::as_slice).unwrap_or(&[]);
-            let any = self.silent_any.get(&cur).map(Vec::as_slice).unwrap_or(&[]);
-            for &n in per_symbol.iter().chain(any) {
-                if seen.insert(n) {
-                    stack.push(n);
-                }
-            }
-        }
-        seen
     }
 
     /// Converts to an equivalent bottom-up automaton (silent transitions are
@@ -343,11 +295,11 @@ mod tests {
         let y = al.get("y").unwrap();
         let f = al.get("f").unwrap();
         // Same language as left_spine but routed through silent hops:
-        // 0 -silent(f)-> 2, (f,2) -> (0,1); 0 -silent(x)-> 3, (x,3) final.
+        // 0 -silent-> 2, (f,2) -> (0,1); 0 -silent-> 3, (x,3) final.
         let mut a = TdTa::new(&al, 4, State(0));
-        a.add_silent(f, State(0), State(2));
+        a.add_silent_any(State(0), State(2));
         a.add_transition(f, State(2), State(0), State(1));
-        a.add_silent(x, State(0), State(3));
+        a.add_silent_any(State(0), State(3));
         a.add_final_pair(x, State(3));
         a.add_final_pair(y, State(1));
         assert!(a.has_silent());
@@ -382,11 +334,11 @@ mod tests {
     fn silent_chains_and_cycles() {
         let al = alpha();
         let x = al.get("x").unwrap();
-        // 0 -> 1 -> 2 -> 0 silent cycle on x, and (x,2) final.
+        // 0 -> 1 -> 2 -> 0 silent cycle, and (x,2) final.
         let mut a = TdTa::new(&al, 3, State(0));
-        a.add_silent(x, State(0), State(1));
-        a.add_silent(x, State(1), State(2));
-        a.add_silent(x, State(2), State(0));
+        a.add_silent_any(State(0), State(1));
+        a.add_silent_any(State(1), State(2));
+        a.add_silent_any(State(2), State(0));
         a.add_final_pair(x, State(2));
         assert!(a.accepts(&t(&al, "x")).unwrap());
         assert!(!a.accepts(&t(&al, "y")).unwrap());

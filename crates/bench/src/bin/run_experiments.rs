@@ -247,7 +247,7 @@ fn e6_precision(report: &mut Report) {
         let exact = typecheck(&fx.transducer, &fx.tau1, tau2, &opts)
             .unwrap()
             .is_ok();
-        let fwd = fx.forward_image.subset_of(tau2);
+        let fwd = fx.inferred_image.subset_of(tau2);
         println!("| {name} | holds | {} | {} |", verdict(exact), verdict(fwd));
         record(report, "E6", (name, truth, exact, fwd));
         assert!(exact, "exact typechecker must prove a true spec");

@@ -48,7 +48,7 @@ pub struct Q2Fixture {
     pub tau2_coarse: Nta,
     /// The forward-inference baseline's over-approximate image (decoupled
     /// specialized DTD, compiled).
-    pub forward_image: Nta,
+    pub inferred_image: Nta,
 }
 
 /// Builds the Q2 fixture.
@@ -57,7 +57,7 @@ pub fn q2_fixture() -> Q2Fixture {
     let input_dtd = Dtd::parse_text("root := a*\na := @eps").unwrap();
     let (transducer, enc_in, enc_out) = q2.compile(input_dtd.alphabet()).unwrap();
     let tau1 = input_dtd.compile(&enc_in).unwrap();
-    let forward_image = q2
+    let inferred_image = q2
         .infer_image(&input_dtd, enc_out.source())
         .unwrap()
         .compile(&enc_out)
@@ -83,7 +83,7 @@ pub fn q2_fixture() -> Q2Fixture {
         tau1,
         tau2_mod3,
         tau2_coarse,
-        forward_image,
+        inferred_image,
     }
 }
 

@@ -22,7 +22,9 @@
 //!
 //! A request line holds at most [`MAX_REQUEST_BYTES`] (16 MiB) before its
 //! newline. A longer line is answered with `ok: false` and an error naming
-//! the cap, and the server then closes that connection.
+//! the cap, and the server then closes that connection. A line that is not
+//! UTF-8 is answered with `ok: false`, like malformed JSON, and the
+//! connection stays open.
 //!
 //! Responses: `{ "id"?: uint, "ok": bool, "cmd": CMD, ... }`. Successful
 //! typechecks carry a deterministic `"result"` object (byte-identical for
@@ -52,33 +54,10 @@ pub struct TypecheckParams {
     pub stylesheet: String,
     /// Output DTD text.
     pub output_dtd: String,
-    /// Theorem 4.7 route: `auto` | `walk` | `mso`.
-    pub route: String,
-    /// Emptiness engine: `auto` | `lazy` | `eager`.
-    pub engine: String,
-    /// State budget for intermediate automata.
-    pub state_limit: u32,
+    /// Theorem 4.7 route, emptiness engine and state budget.
+    pub opts: TypecheckOptions,
     /// Whether to assemble the provenance report.
     pub explain: bool,
-}
-
-impl TypecheckParams {
-    /// The equivalent local [`TypecheckOptions`].
-    pub fn to_options(&self) -> TypecheckOptions {
-        TypecheckOptions {
-            route: match self.route.as_str() {
-                "walk" => Route::ForceWalk,
-                "mso" => Route::ForceMso,
-                _ => Route::Auto,
-            },
-            engine: match self.engine.as_str() {
-                "lazy" => Engine::Lazy,
-                "eager" => Engine::Eager,
-                _ => Engine::Auto,
-            },
-            state_limit: self.state_limit,
-        }
-    }
 }
 
 /// A parsed request.
@@ -140,21 +119,22 @@ fn text_field(obj: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing or non-string field `{key}`"))
 }
 
-fn enum_field(obj: &Json, key: &str, allowed: &[&str]) -> Result<String, String> {
+/// An optional enum-valued field: `default` when absent, else the value
+/// `parse` accepts; `names` lists the accepted values for the error.
+fn enum_field<T>(
+    obj: &Json,
+    key: &str,
+    default: T,
+    parse: fn(&str) -> Option<T>,
+    names: &str,
+) -> Result<T, String> {
     match obj.get(key) {
-        None => Ok(allowed[0].to_string()),
+        None => Ok(default),
         Some(v) => {
             let s = v
                 .as_str()
                 .ok_or_else(|| format!("field `{key}` must be a string"))?;
-            if allowed.contains(&s) {
-                Ok(s.to_string())
-            } else {
-                Err(format!(
-                    "unknown {key} `{s}` (one of: {})",
-                    allowed.join("|")
-                ))
-            }
+            parse(s).ok_or_else(|| format!("unknown {key} `{s}` (one of: {names})"))
         }
     }
 }
@@ -201,9 +181,23 @@ fn parse_value(value: &Json, allow_batch: bool) -> Result<Envelope, String> {
                 input_dtd: text_field(value, "input_dtd")?,
                 stylesheet: text_field(value, "stylesheet")?,
                 output_dtd: text_field(value, "output_dtd")?,
-                route: enum_field(value, "route", &["auto", "walk", "mso"])?,
-                engine: enum_field(value, "engine", &["auto", "lazy", "eager"])?,
-                state_limit,
+                opts: TypecheckOptions {
+                    route: enum_field(
+                        value,
+                        "route",
+                        defaults.route,
+                        Route::parse,
+                        "auto|walk|mso",
+                    )?,
+                    engine: enum_field(
+                        value,
+                        "engine",
+                        defaults.engine,
+                        Engine::parse,
+                        "auto|lazy|eager",
+                    )?,
+                    state_limit,
+                },
                 explain,
             }))
         }
@@ -243,9 +237,9 @@ mod tests {
         let Request::Typecheck(p) = env.request else {
             panic!("wrong variant");
         };
-        assert_eq!(p.route, "auto");
-        assert_eq!(p.engine, "auto");
-        assert_eq!(p.state_limit, TypecheckOptions::default().state_limit);
+        assert_eq!(p.opts.route, Route::Auto);
+        assert_eq!(p.opts.engine, Engine::Auto);
+        assert_eq!(p.opts.state_limit, TypecheckOptions::default().state_limit);
         assert!(!p.explain);
     }
 

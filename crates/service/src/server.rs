@@ -224,10 +224,11 @@ impl Server {
 /// One connection: read request lines, answer each, until EOF, error,
 /// a closing command, or server shutdown. Read timeouts bound how long a
 /// idle connection can delay shutdown; a partially-read line survives the
-/// timeout because `read_until` appends to the buffer. A line longer than
-/// [`proto::MAX_REQUEST_BYTES`] is answered with an error, and then the
-/// connection is closed; reads stop at the cap, so it is never buffered
-/// whole.
+/// timeout because `read_until` appends to the buffer. A line that is not
+/// UTF-8 is answered with an error like any other malformed line, and the
+/// next line is read. A line longer than [`proto::MAX_REQUEST_BYTES`] is
+/// answered with an error, and then the connection is closed; reads stop
+/// at the cap, so it is never buffered whole.
 fn handle_connection(state: &Arc<ServiceState>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(150)));
     let Ok(read_half) = stream.try_clone() else {
@@ -250,13 +251,13 @@ fn handle_connection(state: &Arc<ServiceState>, stream: TcpStream) {
                 break;
             }
             Ok(_) => {
-                let Ok(text) = std::str::from_utf8(&line) else {
-                    break;
-                };
-                let text = text.trim();
+                let text = std::str::from_utf8(&line).map(str::trim);
                 let mut close = false;
-                if !text.is_empty() {
-                    let (response, c) = match proto::parse_line(text) {
+                if !matches!(text, Ok("")) {
+                    let parsed = text
+                        .map_err(|_| "request line is not valid UTF-8".to_string())
+                        .and_then(proto::parse_line);
+                    let (response, c) = match parsed {
                         Ok(env) => answer(state, &env),
                         Err(msg) => {
                             state.count_error();
@@ -469,14 +470,14 @@ fn exec_transform(
 /// new output DTD against a known stylesheet only pays τ₂ + violations,
 /// and a new engine against a known triple only pays the emptiness check.
 fn exec_typecheck(state: &ServiceState, p: &TypecheckParams) -> Result<Served, String> {
-    let opts = p.to_options();
+    let opts = &p.opts;
     let vkey = key::verdict_key(
         &p.input_dtd,
         &p.stylesheet,
         &p.output_dtd,
-        &p.route,
-        &p.engine,
-        p.state_limit,
+        opts.route.name(),
+        opts.engine.name(),
+        opts.state_limit,
         p.explain,
     );
     // Layer outcomes escape the single-flight closure through cells: when
@@ -495,7 +496,7 @@ fn exec_typecheck(state: &ServiceState, p: &TypecheckParams) -> Result<Served, S
             // replays the counterexample against the live automata), but
             // the finished report is itself cached under the verdict key.
             let (verdict, report) = pipeline
-                .explain_against_with(&p.output_dtd, &opts)
+                .explain_against_with(&p.output_dtd, opts)
                 .map_err(|e| e.to_string())?;
             return Ok(Artifact::Verdict(Arc::new(VerdictArtifact {
                 verdict,
@@ -518,11 +519,11 @@ fn exec_typecheck(state: &ServiceState, p: &TypecheckParams) -> Result<Served, S
                 &p.input_dtd,
                 &p.stylesheet,
                 &p.output_dtd,
-                &p.route,
-                p.state_limit,
+                opts.route.name(),
+                opts.state_limit,
             ),
             || {
-                violation_nta(pipeline.transducer(), &tau2, &opts)
+                violation_nta(pipeline.transducer(), &tau2, opts)
                     .map(|n| Artifact::Nta(Arc::new(n)))
                     .map_err(|e| e.to_string())
             },
@@ -530,7 +531,7 @@ fn exec_typecheck(state: &ServiceState, p: &TypecheckParams) -> Result<Served, S
         viol_out.set(Some(rout));
         let violations = as_nta(rres?)?;
         let verdict = pipeline
-            .typecheck_with_violations_nta(&tau2, &violations, &opts)
+            .typecheck_with_violations_nta(&tau2, &violations, opts)
             .map_err(|e| e.to_string())?;
         Ok(Artifact::Verdict(Arc::new(VerdictArtifact {
             verdict,

@@ -289,7 +289,29 @@ fn protocol_errors_are_reported_not_fatal() {
         field(&stats, "protocol").as_str(),
         Some(xmltc_service::PROTOCOL)
     );
-    assert!(field(&stats, "errors").as_u64().unwrap() >= 2);
+    assert_eq!(field(&stats, "errors").as_u64(), Some(2));
+    // A line that is not UTF-8 is answered and counted like any other bad
+    // line, and the request after it on the same connection is answered.
+    {
+        use std::io::{BufRead, BufReader, Write};
+        let mut raw = std::net::TcpStream::connect(&addr).expect("connect");
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        raw.write_all(b"\xff\xfe{\"cmd\":\"stats\"}\n{\"cmd\":\"stats\"}\n")
+            .unwrap();
+        let mut reader = BufReader::new(raw);
+        let mut read_json = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            Json::parse(line.trim()).unwrap()
+        };
+        let bad = read_json();
+        assert_eq!(field(&bad, "ok"), &Json::Bool(false));
+        assert!(field(&bad, "error").as_str().unwrap().contains("UTF-8"));
+        let stats = read_json();
+        assert_eq!(field(&stats, "ok"), &Json::Bool(true));
+        assert_eq!(field(&stats, "errors").as_u64(), Some(3));
+    }
     client
         .roundtrip(&Json::obj(vec![("cmd", Json::Str("shutdown".into()))]))
         .unwrap();

@@ -3,7 +3,7 @@
 
 use crate::error::TypecheckError;
 use crate::inverse::violation_nta_sized;
-use xmltc_automata::{lazy, LazyError, Nta};
+use xmltc_automata::{lazy, Nta};
 use xmltc_core::{eval, PebbleTransducer};
 use xmltc_obs as obs;
 use xmltc_trees::{Alphabet, BinaryTree};
@@ -18,6 +18,25 @@ pub enum Route {
     ForceWalk,
     /// Force the paper's MSO route (any `k`, non-elementary).
     ForceMso,
+}
+
+impl Route {
+    /// The value that selects this route in `--route` and in `serve`'s
+    /// `route` field: `auto`, `walk` or `mso`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Route::Auto => "auto",
+            Route::ForceWalk => "walk",
+            Route::ForceMso => "mso",
+        }
+    }
+
+    /// The route whose [`Route::name`] is `s`.
+    pub fn parse(s: &str) -> Option<Route> {
+        [Route::Auto, Route::ForceWalk, Route::ForceMso]
+            .into_iter()
+            .find(|r| r.name() == s)
+    }
 }
 
 /// Resolved route (post-`Auto`).
@@ -41,6 +60,25 @@ pub enum Engine {
     /// On-the-fly search over the implicit product
     /// ([`xmltc_automata::lazy`]).
     Lazy,
+}
+
+impl Engine {
+    /// The value that selects this engine in `--engine` and in `serve`'s
+    /// `engine` field: `auto`, `lazy` or `eager`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Engine::Auto => "auto",
+            Engine::Lazy => "lazy",
+            Engine::Eager => "eager",
+        }
+    }
+
+    /// The engine whose [`Engine::name`] is `s`.
+    pub fn parse(s: &str) -> Option<Engine> {
+        [Engine::Auto, Engine::Lazy, Engine::Eager]
+            .into_iter()
+            .find(|e| e.name() == s)
+    }
 }
 
 /// Options for [`typecheck`].
@@ -94,16 +132,6 @@ impl TypecheckOptions {
     }
 }
 
-/// Maps lazy-engine failures onto the typechecker's error vocabulary.
-fn lift_lazy_error(e: LazyError) -> TypecheckError {
-    match e {
-        LazyError::AlphabetMismatch => {
-            TypecheckError::Tree(xmltc_trees::TreeError::AlphabetMismatch)
-        }
-        LazyError::ConfigLimit { n } => TypecheckError::TooManyStates { n },
-    }
-}
-
 /// The verdict of the typechecker.
 #[derive(Clone, Debug)]
 pub enum TypecheckOutcome {
@@ -145,17 +173,7 @@ pub fn typecheck(
     opts: &TypecheckOptions,
 ) -> Result<TypecheckOutcome, TypecheckError> {
     let _span = obs::span("typecheck");
-    let route = opts.route_for(t.k());
-    let engine = opts.engine_for(route);
-    obs::record("transducer.k", t.k() as u64);
-    obs::record("transducer.states", t.core().n_states() as u64);
-    obs::record("route.is_mso", matches!(route, ResolvedRoute::Mso) as u64);
-    obs::record("engine.lazy", matches!(engine, Engine::Lazy) as u64);
-    if !Alphabet::same(t.input_alphabet(), input_type.alphabet()) {
-        return Err(TypecheckError::Tree(
-            xmltc_trees::TreeError::AlphabetMismatch,
-        ));
-    }
+    let engine = begin(t, input_type, opts)?;
     let (violations, dbta_transitions) = violation_nta_sized(t, output_type, opts)?;
     let outcome = decide_with_violations(t, input_type, output_type, &violations, engine, opts);
     drop(violations);
@@ -214,21 +232,33 @@ pub fn typecheck_with_violations(
     opts: &TypecheckOptions,
 ) -> Result<TypecheckOutcome, TypecheckError> {
     let _span = obs::span("typecheck");
+    let engine = begin(t, input_type, opts)?;
+    obs::record("violation.cached", 1);
+    obs::record("violation.states", violations.n_states() as u64);
+    obs::record("violation.transitions", violations.n_transitions() as u64);
+    decide_with_violations(t, input_type, output_type, violations, engine, opts)
+}
+
+/// Shared head of [`typecheck`]/[`typecheck_with_violations`]: resolves
+/// the route and engine, records them with the machine's size, and checks
+/// that `τ₁` is over the machine's input alphabet.
+fn begin(
+    t: &PebbleTransducer,
+    input_type: &Nta,
+    opts: &TypecheckOptions,
+) -> Result<Engine, TypecheckError> {
     let route = opts.route_for(t.k());
     let engine = opts.engine_for(route);
     obs::record("transducer.k", t.k() as u64);
     obs::record("transducer.states", t.core().n_states() as u64);
     obs::record("route.is_mso", matches!(route, ResolvedRoute::Mso) as u64);
     obs::record("engine.lazy", matches!(engine, Engine::Lazy) as u64);
-    obs::record("violation.cached", 1);
-    obs::record("violation.states", violations.n_states() as u64);
-    obs::record("violation.transitions", violations.n_transitions() as u64);
     if !Alphabet::same(t.input_alphabet(), input_type.alphabet()) {
         return Err(TypecheckError::Tree(
             xmltc_trees::TreeError::AlphabetMismatch,
         ));
     }
-    decide_with_violations(t, input_type, output_type, violations, engine, opts)
+    Ok(engine)
 }
 
 /// Shared tail of [`typecheck`]/[`typecheck_with_violations`]: emptiness
@@ -246,8 +276,7 @@ fn decide_with_violations(
         match engine {
             Engine::Lazy => {
                 // On-the-fly: never materializes `τ₁ × violations`.
-                lazy::intersection_witness(input_type, violations, opts.state_limit)
-                    .map_err(lift_lazy_error)?
+                lazy::intersection_witness(input_type, violations, opts.state_limit)?
                     .0
                     .into_witness()
             }
@@ -275,24 +304,10 @@ fn decide_with_violations(
     }
 }
 
-/// A member of `T(input) ∖ τ₂` via Proposition 3.8 (eager engine).
-pub fn extract_bad_output(
-    t: &PebbleTransducer,
-    input: &BinaryTree,
-    output_type: &Nta,
-) -> Result<Option<BinaryTree>, TypecheckError> {
-    extract_bad_output_with(
-        t,
-        input,
-        output_type,
-        Engine::Eager,
-        &TypecheckOptions::default(),
-    )
-}
-
-/// Engine-aware bad-output extraction: the lazy engine searches
-/// `T(input) ∖ τ₂` directly, determinizing the complement of `τ₂` on
-/// demand instead of materializing it.
+/// A member of `T(input) ∖ τ₂` via Proposition 3.8. The eager engine
+/// intersects the output automaton with the complement of `τ₂`; the lazy
+/// engine searches `T(input) ∖ τ₂` directly, determinizing the
+/// complement of `τ₂` on demand instead of materializing it.
 pub fn extract_bad_output_with(
     t: &PebbleTransducer,
     input: &BinaryTree,
@@ -303,8 +318,7 @@ pub fn extract_bad_output_with(
     let _span = obs::span("typecheck.bad_output");
     let out_lang = eval::output_automaton(t, input)?.to_nta();
     if matches!(engine, Engine::Lazy) {
-        let (outcome, _stats) = lazy::difference_witness(&out_lang, output_type, opts.state_limit)
-            .map_err(lift_lazy_error)?;
+        let (outcome, _stats) = lazy::difference_witness(&out_lang, output_type, opts.state_limit)?;
         return Ok(outcome.into_witness());
     }
     let bad = out_lang.intersect(&output_type.complement().to_nta());
@@ -317,6 +331,7 @@ mod tests {
     use std::sync::Arc;
     use xmltc_automata::State;
     use xmltc_core::library;
+    use xmltc_core::topdown_transducer::{Fragment, TopDownTransducer};
     use xmltc_trees::Symbol;
 
     fn alpha() -> Arc<Alphabet> {
@@ -492,6 +507,43 @@ mod tests {
         match typecheck(&t, &tau1, &tau2, &opts) {
             Err(TypecheckError::TooManyStates { .. }) => {}
             other => panic!("expected budget abort, got {other:?}"),
+        }
+    }
+
+    /// Embedded Definition 3.2 transducers are downward 1-pebble
+    /// machines, so the exact route decides them directly.
+    #[test]
+    fn embedded_topdown_transducer_typechecks() {
+        let al = Alphabet::ranked(&["x", "y"], &["f", "g"]);
+        let [f, g, x, y] = ["f", "g", "x", "y"].map(|s| al.get(s).unwrap());
+        let q = State(0);
+        // Relabel everything: f,g ↦ g; x,y ↦ y.
+        let mut td = TopDownTransducer::new(&al, &al, 1, q);
+        for s in [f, g] {
+            let body = Fragment::node(g, Fragment::recurse(1, q), Fragment::recurse(2, q));
+            td.add_rule(s, q, body).unwrap();
+        }
+        for s in [x, y] {
+            td.add_rule(s, q, Fragment::Leaf(y)).unwrap();
+        }
+        let t = td.to_pebble().unwrap();
+        let tau1 = top(&al);
+        // τ₂ = trees over {g, y} only: every output conforms.
+        let mut tau2 = Nta::new(&al, 1);
+        tau2.add_leaf(y, q);
+        tau2.add_node(g, q, q, q);
+        tau2.add_final(q);
+        let opts = TypecheckOptions::default();
+        assert!(typecheck(&t, &tau1, &tau2, &opts).unwrap().is_ok());
+        // τ₃ = the leaf y alone: the output of any binary input violates it.
+        let mut tau3 = Nta::new(&al, 1);
+        tau3.add_leaf(y, q);
+        tau3.add_final(q);
+        match typecheck(&t, &tau1, &tau3, &opts).unwrap() {
+            TypecheckOutcome::CounterExample { bad_output, .. } => {
+                assert!(!tau3.accepts(&bad_output.unwrap()).unwrap());
+            }
+            TypecheckOutcome::Ok => panic!("outputs with a g violate τ₃"),
         }
     }
 

@@ -12,9 +12,8 @@
 use crate::check::ResolvedRoute;
 use crate::error::TypecheckError;
 use crate::inverse::violation_nta;
-use crate::replay::{replay_counterexample, ReplayEvidence};
 use crate::TypecheckOptions;
-use xmltc_automata::{lazy, LazyError, LazyStats, Nta};
+use xmltc_automata::{lazy, LazyStats, Nta};
 use xmltc_core::PebbleTransducer;
 use xmltc_trees::BinaryTree;
 
@@ -47,15 +46,6 @@ impl DifferentialVerdict {
     }
 }
 
-fn lift_lazy_error(e: LazyError) -> TypecheckError {
-    match e {
-        LazyError::AlphabetMismatch => {
-            TypecheckError::Tree(xmltc_trees::TreeError::AlphabetMismatch)
-        }
-        LazyError::ConfigLimit { n } => TypecheckError::TooManyStates { n },
-    }
-}
-
 /// Runs the eager and the lazy emptiness engine on the same instance and
 /// returns both verdicts. The violation automaton is built once (by
 /// whichever Theorem 4.7 route `opts` selects) and shared.
@@ -66,21 +56,8 @@ pub fn differential_emptiness(
     opts: &TypecheckOptions,
 ) -> Result<DifferentialVerdict, TypecheckError> {
     let violations = violation_nta(t, tau2, opts)?;
-    differential_emptiness_with(t, tau1, &violations, opts)
-}
-
-/// Like [`differential_emptiness`], but with a precomputed violation
-/// automaton — for callers amortizing it across many `τ₁` (it depends
-/// only on `(T, τ₂)`).
-pub fn differential_emptiness_with(
-    t: &PebbleTransducer,
-    tau1: &Nta,
-    violations: &Nta,
-    opts: &TypecheckOptions,
-) -> Result<DifferentialVerdict, TypecheckError> {
-    let eager_witness = tau1.intersect(violations).witness();
-    let (lazy_out, lazy_stats) =
-        lazy::intersection_witness(tau1, violations, opts.state_limit).map_err(lift_lazy_error)?;
+    let eager_witness = tau1.intersect(&violations).witness();
+    let (lazy_out, lazy_stats) = lazy::intersection_witness(tau1, &violations, opts.state_limit)?;
     Ok(DifferentialVerdict {
         eager_witness,
         lazy_witness: lazy_out.into_witness(),
@@ -88,18 +65,4 @@ pub fn differential_emptiness_with(
         violation_states: violations.n_states(),
         route_is_walk: matches!(opts.route_for(t.k()), ResolvedRoute::Walk),
     })
-}
-
-/// Replays a differential counterexample `(input, bad_output)` through
-/// the real transducer and both types — thin convenience over
-/// [`replay_counterexample`] so differential callers need only this
-/// module.
-pub fn replay_verdict(
-    t: &PebbleTransducer,
-    tau1: &Nta,
-    tau2: &Nta,
-    input: &BinaryTree,
-    bad_output: &BinaryTree,
-) -> Result<ReplayEvidence, TypecheckError> {
-    replay_counterexample(t, tau1, tau2, input, bad_output)
 }

@@ -1,6 +1,7 @@
 //! Errors for the typechecking pipeline.
 
 use std::fmt;
+use xmltc_automata::LazyError;
 use xmltc_core::MachineError;
 use xmltc_mso::CompileError;
 use xmltc_trees::TreeError;
@@ -21,9 +22,6 @@ pub enum TypecheckError {
     /// MSO compilation exceeded its resource budget (the Theorem 4.8
     /// non-elementary blow-up).
     Mso(CompileError),
-    /// The forward (type-inference) baseline only supports downward
-    /// 1-pebble transducers; the machine uses an unsupported feature.
-    UnsupportedForForward(String),
     /// Machine-level error (alphabet mismatch, ill-typed machine, …).
     Machine(MachineError),
     /// Tree-level error.
@@ -40,9 +38,6 @@ impl fmt::Display for TypecheckError {
                 write!(f, "state/class budget exceeded: {n} states")
             }
             TypecheckError::Mso(e) => write!(f, "MSO route failed: {e}"),
-            TypecheckError::UnsupportedForForward(what) => {
-                write!(f, "forward inference baseline does not support {what}")
-            }
             TypecheckError::Machine(e) => write!(f, "{e}"),
             TypecheckError::Tree(e) => write!(f, "{e}"),
         }
@@ -66,5 +61,15 @@ impl From<MachineError> for TypecheckError {
 impl From<TreeError> for TypecheckError {
     fn from(e: TreeError) -> Self {
         TypecheckError::Tree(e)
+    }
+}
+
+/// Maps lazy-engine failures onto the typechecker's error vocabulary.
+impl From<LazyError> for TypecheckError {
+    fn from(e: LazyError) -> Self {
+        match e {
+            LazyError::AlphabetMismatch => TypecheckError::Tree(TreeError::AlphabetMismatch),
+            LazyError::ConfigLimit { n } => TypecheckError::TooManyStates { n },
+        }
     }
 }

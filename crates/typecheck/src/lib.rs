@@ -25,11 +25,11 @@
 //!    input**, and Proposition 3.8 then exhibits a concrete bad output.
 //!
 //! Also provided: [`inverse::inverse_type`] (the type `τ₂⁻¹ = {t | T(t) ⊆
-//! τ₂}` itself), a **forward type-inference baseline**
-//! ([`forward`]) in the style the paper's Related Work attributes to
-//! XDuce/XQuery — sound but incomplete, for precision comparisons — and a
-//! bounded exhaustive checker ([`bounded`]) used to cross-validate the
-//! exact pipeline.
+//! τ₂}` itself) and a bounded exhaustive checker ([`bounded`]) used to
+//! cross-validate the exact pipeline. The forward type-inference baseline
+//! that the paper's Related Work attributes to XDuce/XQuery — sound but
+//! incomplete, for precision comparisons — works on stylesheets and DTDs,
+//! so it lives in `xmltc-xmlql` (`Stylesheet::infer_image`).
 
 // `deny`, not the workspace's usual `forbid`: [`check::typecheck`] hands
 // freed heap back to the OS after a large walk through one locally-allowed
@@ -41,7 +41,6 @@ pub mod bounded;
 pub mod check;
 pub mod differential;
 pub mod error;
-pub mod forward;
 pub mod inverse;
 pub mod mso_route;
 pub mod product;

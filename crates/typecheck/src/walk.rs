@@ -1663,17 +1663,12 @@ pub fn walking_to_dbta_with(
 }
 
 /// Converts a 1-pebble (branching tree-walking) automaton into an
-/// equivalent deterministic bottom-up tree automaton.
+/// equivalent deterministic bottom-up tree automaton, without a state
+/// budget: [`walking_to_dbta_with`] under the default [`WalkOptions`].
 ///
-/// Errors when `k ≠ 1`. The `limit` bounds the number of DBTA states
-/// (child-projection signatures) explored.
-pub fn walking_to_dbta_limited(a: &PebbleAutomaton, limit: u32) -> Result<Dbta, TypecheckError> {
-    walking_to_dbta_with(a, &WalkOptions { limit }).map(|(d, _)| d)
-}
-
-/// [`walking_to_dbta_limited`] without a state budget.
+/// Errors when `k ≠ 1`.
 pub fn walking_to_dbta(a: &PebbleAutomaton) -> Result<Dbta, TypecheckError> {
-    walking_to_dbta_limited(a, u32::MAX)
+    walking_to_dbta_with(a, &WalkOptions::default()).map(|(d, _)| d)
 }
 
 #[cfg(test)]
@@ -2085,13 +2080,14 @@ mod tests {
         let a = b.build().unwrap();
         let full = walking_to_dbta(&a).unwrap();
         assert!(full.n_states() >= 2);
+        let limited = |limit| walking_to_dbta_with(&a, &WalkOptions { limit }).map(|(d, _)| d);
         for limit in 0..full.n_states() {
-            match walking_to_dbta_limited(&a, limit) {
+            match limited(limit) {
                 Err(TypecheckError::TooManyStates { n }) => assert_eq!(n, limit + 1),
                 other => panic!("limit {limit}: expected budget abort, got {other:?}"),
             }
         }
-        assert_eq!(walking_to_dbta_limited(&a, full.n_states()).unwrap(), full);
+        assert_eq!(limited(full.n_states()).unwrap(), full);
     }
 
     // ---- bisimulation quotient ------------------------------------------

@@ -31,7 +31,7 @@ use xmltc_obs::explain::{
 use xmltc_trees::{decode, UnrankedTree};
 use xmltc_typecheck::check::ResolvedRoute;
 use xmltc_typecheck::{
-    replay_counterexample, typecheck, Engine, TypecheckOptions, TypecheckOutcome,
+    replay_counterexample, typecheck, Route, TypecheckOptions, TypecheckOutcome,
 };
 use xmltc_xml::raw_to_xml;
 
@@ -40,17 +40,8 @@ use xmltc_xml::raw_to_xml;
 pub const MAX_REPORT_STEPS: usize = 200;
 
 impl DocumentPipeline {
-    /// Typechecks against an output DTD and assembles the provenance
-    /// report alongside the verdict.
-    pub fn explain_against(
-        &self,
-        output_dtd_text: &str,
-    ) -> Result<(DocumentVerdict, ExplainReport), PipelineError> {
-        self.explain_against_with(output_dtd_text, &TypecheckOptions::default())
-    }
-
-    /// [`DocumentPipeline::explain_against`] with explicit
-    /// [`TypecheckOptions`].
+    /// Typechecks against an output DTD under `opts` and assembles the
+    /// provenance report alongside the verdict.
     pub fn explain_against_with(
         &self,
         output_dtd_text: &str,
@@ -60,15 +51,12 @@ impl DocumentPipeline {
         let tau2 = out_dtd.compile(self.enc_out())?;
 
         let route = opts.route_for(self.transducer().k());
-        let engine = opts.engine_for(route);
+        let engine_name = opts.engine_for(route).name();
         let route_name = match route {
-            ResolvedRoute::Walk => "walk",
-            ResolvedRoute::Mso => "mso",
-        };
-        let engine_name = match engine {
-            Engine::Lazy => "lazy",
-            _ => "eager",
-        };
+            ResolvedRoute::Walk => Route::ForceWalk,
+            ResolvedRoute::Mso => Route::ForceMso,
+        }
+        .name();
 
         let outcome = typecheck(self.transducer(), self.tau1(), &tau2, opts)?;
         let (input, bad_output) = match outcome {
@@ -195,7 +183,9 @@ mod tests {
     #[test]
     fn passing_spec_yields_minimal_report() {
         let p = pipeline();
-        let (verdict, report) = p.explain_against("out := b+\nb := @eps").unwrap();
+        let (verdict, report) = p
+            .explain_against_with("out := b+\nb := @eps", &TypecheckOptions::default())
+            .unwrap();
         assert!(verdict.is_ok());
         assert!(report.is_ok());
         assert!(report.input.is_none() && report.replay.is_none());
@@ -206,7 +196,9 @@ mod tests {
         let p = pipeline();
         // `out := b.b+` requires ≥ 2 children; the empty input produces
         // out(b), which has exactly one.
-        let (verdict, report) = p.explain_against("out := b.b+\nb := @eps").unwrap();
+        let (verdict, report) = p
+            .explain_against_with("out := b.b+\nb := @eps", &TypecheckOptions::default())
+            .unwrap();
         assert!(!verdict.is_ok());
         assert_eq!(report.verdict, "counterexample");
         let input = report.input.as_ref().unwrap();

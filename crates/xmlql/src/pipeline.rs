@@ -196,7 +196,8 @@ impl DocumentPipeline {
         opts: &TypecheckOptions,
     ) -> Result<DocumentVerdict, PipelineError> {
         let tau2 = self.compile_output_dtd(output_dtd_text)?;
-        self.typecheck_nta_with(&tau2, opts)
+        let outcome = typecheck(&self.transducer, &self.tau1, &tau2, opts)?;
+        self.decode_outcome(outcome)
     }
 
     /// Parses and compiles an output DTD (text syntax over the
@@ -211,23 +212,6 @@ impl DocumentPipeline {
         obs::record("tau2.states", tau2.n_states() as u64);
         obs::record("tau2.transitions", tau2.n_transitions() as u64);
         Ok(tau2)
-    }
-
-    /// Statically typechecks against a pre-built output automaton over the
-    /// encoded output alphabet.
-    pub fn typecheck_nta(&self, tau2: &Nta) -> Result<DocumentVerdict, PipelineError> {
-        self.typecheck_nta_with(tau2, &TypecheckOptions::default())
-    }
-
-    /// [`DocumentPipeline::typecheck_nta`] with explicit
-    /// [`TypecheckOptions`].
-    pub fn typecheck_nta_with(
-        &self,
-        tau2: &Nta,
-        opts: &TypecheckOptions,
-    ) -> Result<DocumentVerdict, PipelineError> {
-        let outcome = typecheck(&self.transducer, &self.tau1, tau2, opts)?;
-        self.decode_outcome(outcome)
     }
 
     /// Typechecks against a pre-built `τ₂` *and* a precomputed violation

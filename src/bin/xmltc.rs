@@ -128,23 +128,15 @@ fn parse_flags(rest: &[String], allowed: FlagLevel) -> Result<(Vec<&str>, Typech
             }
             "--route" => {
                 let v = it.next().ok_or("--route requires a value: auto|walk|mso")?;
-                flags.opts.route = match v.as_str() {
-                    "auto" => Route::Auto,
-                    "walk" => Route::ForceWalk,
-                    "mso" => Route::ForceMso,
-                    other => return Err(format!("unknown route `{other}` (auto|walk|mso)")),
-                };
+                flags.opts.route = Route::parse(v)
+                    .ok_or_else(|| format!("unknown route `{v}` (auto|walk|mso)"))?;
             }
             "--engine" => {
                 let v = it
                     .next()
                     .ok_or("--engine requires a value: auto|lazy|eager")?;
-                flags.opts.engine = match v.as_str() {
-                    "auto" => Engine::Auto,
-                    "lazy" => Engine::Lazy,
-                    "eager" => Engine::Eager,
-                    other => return Err(format!("unknown engine `{other}` (auto|lazy|eager)")),
-                };
+                flags.opts.engine = Engine::parse(v)
+                    .ok_or_else(|| format!("unknown engine `{v}` (auto|lazy|eager)"))?;
             }
             "--state-limit" => {
                 let v = it.next().ok_or("--state-limit requires a number")?;

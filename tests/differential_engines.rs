@@ -25,7 +25,7 @@ use xmltc::dtd::Dtd;
 use xmltc::obs::{DocumentRecord, ExplainReport, ReplayRecord, TraceStepRecord, TransformRecord};
 use xmltc::trees::{BinaryTree, SmallRng};
 use xmltc::typecheck::bounded::{bounded_typecheck, BoundedOutcome};
-use xmltc::typecheck::check::{extract_bad_output, extract_bad_output_with};
+use xmltc::typecheck::check::extract_bad_output_with;
 use xmltc::typecheck::differential::differential_emptiness;
 use xmltc::typecheck::inverse::violation_nta;
 use xmltc::typecheck::{
@@ -123,11 +123,9 @@ fn verify_cex(ctx: &str, c: &Compiled, tau1: &Nta, input: &BinaryTree, engine: E
     let out_lang = xmltc::core::output_automaton(&c.t, input).unwrap().to_nta();
     let bad = out_lang.intersect(&c.tau2.complement().to_nta());
     assert!(!bad.is_empty(), "{ctx}: cex must actually violate the spec");
-    let bad_output = match engine {
-        Engine::Eager => extract_bad_output(&c.t, input, &c.tau2).unwrap(),
-        _ => extract_bad_output_with(&c.t, input, &c.tau2, engine, &TypecheckOptions::default())
-            .unwrap(),
-    };
+    let bad_output =
+        extract_bad_output_with(&c.t, input, &c.tau2, engine, &TypecheckOptions::default())
+            .unwrap();
     let b = bad_output.expect("bad output extracted for every counterexample");
     assert!(
         out_lang.accepts(&b).unwrap(),
@@ -373,7 +371,9 @@ fn verify_corpus_cex(
         "{ectx}: cex input must be valid\n{}",
         scenario.render()
     );
-    let bad = extract_bad_output(&c.transducer, input, &c.tau2).unwrap();
+    let defaults = TypecheckOptions::default();
+    let bad =
+        extract_bad_output_with(&c.transducer, input, &c.tau2, Engine::Eager, &defaults).unwrap();
     let Some(b) = bad else {
         fail_minimized(
             &ectx,
@@ -389,7 +389,10 @@ fn verify_corpus_cex(
                 let Some(w) = cc.tau1.intersect(&vv).witness() else {
                     return false;
                 };
-                matches!(extract_bad_output(&cc.transducer, &w, &cc.tau2), Ok(None))
+                matches!(
+                    extract_bad_output_with(&cc.transducer, &w, &cc.tau2, Engine::Eager, &defaults),
+                    Ok(None)
+                )
             },
         );
     };

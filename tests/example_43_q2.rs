@@ -18,6 +18,7 @@ use xmltc_dtd::Dtd;
 use xmltc_trees::{decode, encode, EncodedAlphabet};
 use xmltc_typecheck::{typecheck, TypecheckOptions, TypecheckOutcome};
 use xmltc_xmlql::xslt::example_q2;
+use xmltc_xmlql::Stylesheet;
 
 fn setup() -> (
     xmltc_core::PebbleTransducer,
@@ -34,7 +35,7 @@ fn setup() -> (
 
 /// The forward-inference baseline's over-approximate image of Q2, as a
 /// tree automaton over the encoded output alphabet.
-fn q2_forward_image(enc_out: &EncodedAlphabet) -> xmltc_automata::Nta {
+fn q2_inferred_image(enc_out: &EncodedAlphabet) -> xmltc_automata::Nta {
     let q2 = example_q2();
     let input_dtd = Dtd::parse_text("root := a*\na := @eps").unwrap();
     let image = q2
@@ -74,7 +75,7 @@ fn forward_baseline_rejects_mod3_spec() {
     .unwrap()
     .compile(&enc_out)
     .unwrap();
-    let image = q2_forward_image(&enc_out);
+    let image = q2_inferred_image(&enc_out);
     let _ = t;
     let _ = tau1;
     // Forward method: prove image ⊆ τ₂. The decoupled image contains
@@ -88,6 +89,35 @@ fn forward_baseline_rejects_mod3_spec() {
     assert_ne!(kids % 3, 0, "witness must violate the mod-3 spec");
     // And it is spurious: real outputs all satisfy the spec (proved by the
     // exact route in `exact_typechecker_accepts_mod3_spec`).
+}
+
+/// The forward baseline is sound: the compiled image of `sheet` over
+/// `root := a*` accepts every real output of `root(aⁿ)`, n ≤ 8.
+fn assert_image_holds_every_output(sheet: &Stylesheet) {
+    let input_dtd = Dtd::parse_text("root := a*\na := @eps").unwrap();
+    let (t, enc_in, enc_out) = sheet.compile(input_dtd.alphabet()).unwrap();
+    let image = sheet
+        .infer_image(&input_dtd, enc_out.source())
+        .expect("inference succeeds")
+        .compile(&enc_out)
+        .expect("image compiles");
+    let al = enc_in.source().clone();
+    for n in 0..=8usize {
+        let doc =
+            xmltc_trees::generate::flat(al.get("root").unwrap(), al.get("a").unwrap(), n, &al)
+                .unwrap();
+        let out = xmltc_core::eval(&t, &encode(&doc, &enc_in).unwrap()).unwrap();
+        assert!(image.accepts(&out).unwrap(), "output of root(a^{n})");
+    }
+}
+
+#[test]
+fn inferred_image_holds_every_output() {
+    assert_image_holds_every_output(&example_q2());
+    let relabel =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/relabel.xsl"))
+            .unwrap();
+    assert_image_holds_every_output(&Stylesheet::parse_text(&relabel).unwrap());
 }
 
 #[test]
@@ -106,7 +136,7 @@ fn both_accept_coarse_spec() {
         .unwrap()
         .is_ok());
     // The coarse spec is provable even from the decoupled image.
-    let image = q2_forward_image(&enc_out);
+    let image = q2_inferred_image(&enc_out);
     assert!(image.subset_of(&tau2));
 }
 

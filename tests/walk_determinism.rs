@@ -3,7 +3,7 @@
 //! pool: the class budget must abort at the first state past it.
 
 use xmltc::dtd::Dtd;
-use xmltc::typecheck::walk::walking_to_dbta_limited;
+use xmltc::typecheck::walk::{walking_to_dbta_with, WalkOptions};
 use xmltc::typecheck::{violation_automaton, TypecheckError};
 use xmltc::xmlql::{Stylesheet, Template};
 
@@ -45,15 +45,17 @@ fn violation(root_body: &str, a_body: &str, spec: &str) -> xmltc::core::machine:
 fn too_many_states_aborts_at_the_first_state_over_budget() {
     // A combo whose construction needs a handful of classes.
     let v = violation("out(b, @apply)", "b(@apply, b)", "b.(a|b)*");
-    let full = walking_to_dbta_limited(&v, u32::MAX).unwrap().n_states();
+    let states =
+        |limit| walking_to_dbta_with(&v, &WalkOptions { limit }).map(|(d, _)| d.n_states());
+    let full = states(u32::MAX).unwrap();
     assert!(full > 2, "fixture must need several behaviour classes");
     for limit in 1..full {
-        match walking_to_dbta_limited(&v, limit) {
+        match states(limit) {
             Err(TypecheckError::TooManyStates { n }) => {
                 assert_eq!(n, limit + 1, "abort reports the first class over budget")
             }
             other => panic!("limit {limit}: expected budget abort, got {other:?}"),
         }
     }
-    assert_eq!(walking_to_dbta_limited(&v, full).unwrap().n_states(), full);
+    assert_eq!(states(full).unwrap(), full);
 }
