@@ -1,51 +1,39 @@
-//! Lazy on-the-fly emptiness for implicit automaton products.
+//! On-the-fly emptiness for implicit automaton products.
 //!
 //! The Theorem 4.4 pipeline ends in an emptiness check over a product
-//! automaton — `τ₁ ∩ violations` for the verdict, `A_t ∩ complement(τ₂)`
-//! for bad-output extraction. The eager procedure materializes every
-//! product state (and, for complements, the full subset construction)
-//! before asking reachability; the verdict, however, only depends on
-//! configurations the search actually *reaches*. Following the on-the-fly
-//! approach of Frisch & Hosoya ("Towards Practical Typechecking for Macro
-//! Tree Transducers"), this module performs a goal-directed, top-down
-//! search over the *implicit* product:
+//! automaton — `τ₁ ∩ violations` for the verdict, `A_t ∖ τ₂` for
+//! bad-output extraction. The eager procedure materializes every product
+//! state (and, for a difference, the full subset construction of `τ₂`'s
+//! complement) before asking for a witness. This module runs the same
+//! least-witness derivation as [`Nta::witness`] over the *implicit*
+//! product, in the spirit of Frisch & Hosoya's on-the-fly checks
+//! ("Towards Practical Typechecking for Macro Tree Transducers"): a
+//! product item is made only when the bottom-up search first derives a
+//! tree for it, and the search stops at the first accepting item.
 //!
-//! * Product configurations pair a top-down state of the left automaton
-//!   with an obligation on the right automaton — either *membership* in a
-//!   single state ([`intersection_witness`]) or *rejection from a set of
-//!   states* ([`difference_witness`]). The rejection sets are exactly the
-//!   states of the determinized complement, created **only when the search
-//!   touches them** — the complement `Dbta` is never materialized.
-//! * The search descends root-to-frontier. A configuration already on the
-//!   current search path is cut via an **assumption set** (assumed
-//!   uninhabited, greatest-fixpoint style): a smallest witness never
-//!   repeats a configuration along a branch, so the cut is exact.
-//! * Memoization is lowlink-guarded: *inhabited* verdicts (which carry a
-//!   witness recipe) are always cached; *empty* verdicts are cached only
-//!   when they did not lean on an assumption about a configuration still
-//!   under exploration further up the path — otherwise a later refutation
-//!   of that assumption could invalidate the cache entry.
-//! * The first reachable accepting configuration stops the search, and its
-//!   recipe chain rebuilds a concrete witness tree.
+//! * [`intersection_witness`] pairs a state of the left automaton with a
+//!   state of the right one.
+//! * [`difference_witness`] pairs a state of the left automaton with the
+//!   set of every right state on the same tree — one state of the right
+//!   automaton's subset construction, made only when reached. The
+//!   complement `Dbta` is never built.
 //!
-//! On negative ("typechecks") instances the search still terminates after
-//! exploring every *reachable* configuration — typically a small fraction
-//! of the eager product's state space ([`LazyStats`] reports the ratio).
+//! Both return the least tree of the product language in
+//! [`Nta::witness`]'s order, the same tree [`Nta::witness`] finds on the
+//! materialized product; [`LazyStats`] reports how much of that product
+//! the search made.
 
+use crate::least::{self, Member, Reject};
 use crate::nta::Nta;
-use crate::state::{State, StateSet};
-use crate::topdown::TdTa;
 use xmltc_obs as obs;
-use xmltc_trees::tree::BinaryTreeBuilder;
-use xmltc_trees::{Alphabet, BinaryTree, FxHashMap, FxHashSet, NodeId, Symbol};
+use xmltc_trees::{Alphabet, BinaryTree};
 
 /// Outcome of a lazy emptiness search.
 #[derive(Clone, Debug)]
 pub enum LazyOutcome {
     /// The implicit product language is empty.
     Empty,
-    /// A tree in the product language (first accepting configuration
-    /// reached).
+    /// The least tree in the product language.
     Witness(BinaryTree),
 }
 
@@ -67,20 +55,14 @@ impl LazyOutcome {
 /// Search-effort counters for one lazy run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LazyStats {
-    /// Product configurations materialized (interned) by the search.
+    /// Product items (pairs) the search made.
     pub states_materialized: u64,
     /// Size of the eager product state space this search avoided
     /// (`|A| · |B|` for intersections, `|A| · 2^|B|` saturating for
-    /// complements).
+    /// differences).
     pub states_eager: u64,
-    /// Distinct on-demand subset states of the complement side.
+    /// Distinct on-demand subset states of the right automaton.
     pub subset_states: u64,
-    /// Deepest point of the search stack (the DFS worklist).
-    pub worklist_peak: u64,
-    /// Searches answered from the memo table.
-    pub memo_hits: u64,
-    /// Cycles cut by the assumption set.
-    pub assumption_hits: u64,
 }
 
 impl LazyStats {
@@ -88,9 +70,6 @@ impl LazyStats {
         obs::record("lazy.states_materialized", self.states_materialized);
         obs::record("lazy.states_eager", self.states_eager);
         obs::record("lazy.subset_states", self.subset_states);
-        obs::record("lazy.worklist_peak", self.worklist_peak);
-        obs::record("lazy.memo_hits", self.memo_hits);
-        obs::record("lazy.assumption_hits", self.assumption_hits);
     }
 }
 
@@ -99,7 +78,7 @@ impl LazyStats {
 pub enum LazyError {
     /// The two automata speak different alphabets.
     AlphabetMismatch,
-    /// The search materialized more configurations than its budget allows.
+    /// The search made more product items than its budget allows.
     ConfigLimit {
         /// The exceeded budget.
         n: u32,
@@ -119,10 +98,9 @@ impl std::fmt::Display for LazyError {
 
 impl std::error::Error for LazyError {}
 
-/// Decides emptiness of `inst(a) ∩ inst(b)` on the fly, without
-/// materializing the product automaton. Returns a witness tree when the
-/// intersection is inhabited. `limit` bounds the number of product
-/// configurations the search may intern.
+/// The least tree of `inst(a) ∩ inst(b)`, found without materializing the
+/// product automaton. `limit` bounds the number of product items the
+/// search may make.
 pub fn intersection_witness(
     a: &Nta,
     b: &Nta,
@@ -131,22 +109,20 @@ pub fn intersection_witness(
     if !Alphabet::same(a.alphabet(), b.alphabet()) {
         return Err(LazyError::AlphabetMismatch);
     }
-    let atd = a.to_tdta();
-    let btd = b.to_tdta();
-    let eager = (a.n_states() as u64).saturating_mul(b.n_states() as u64);
-    let mut search = Search::new(&atd, &btd, limit, eager);
-    let root = Config {
-        p: atd.initial(),
-        pos: Some(btd.initial()),
-        neg: EMPTY_SUBSET,
+    let (witness, made) = least::search(a, &mut Member(b), limit)?;
+    let stats = LazyStats {
+        states_materialized: made,
+        states_eager: (a.n_states() as u64).saturating_mul(b.n_states() as u64),
+        subset_states: 0,
     };
-    search.run(root)
+    stats.publish();
+    let outcome = witness.map_or(LazyOutcome::Empty, LazyOutcome::Witness);
+    Ok((outcome, stats))
 }
 
-/// Decides emptiness of `inst(a) ∖ inst(b)` (equivalently, the inclusion
-/// `inst(a) ⊆ inst(b)`) on the fly: the complement of `b` is determinized
-/// **on demand**, one subset state at a time, as the search touches it.
-/// Returns a tree in `inst(a) ∖ inst(b)` when the difference is inhabited.
+/// The least tree of `inst(a) ∖ inst(b)` (a counterexample to the
+/// inclusion `inst(a) ⊆ inst(b)`): `b` is determinized **on demand**, one
+/// subset state at a time, as the search reaches it.
 pub fn difference_witness(
     a: &Nta,
     b: &Nta,
@@ -155,432 +131,26 @@ pub fn difference_witness(
     if !Alphabet::same(a.alphabet(), b.alphabet()) {
         return Err(LazyError::AlphabetMismatch);
     }
-    let atd = a.to_tdta();
-    let btd = b.to_tdta();
+    let mut side = Reject::new(b);
+    let (witness, made) = least::search(a, &mut side, limit)?;
     let subsets = 2u64
         .checked_pow(b.n_states().min(63))
         .unwrap_or(u64::MAX)
         .max(1);
-    let eager = (a.n_states() as u64).saturating_mul(subsets);
-    let mut search = Search::new(&atd, &btd, limit, eager);
-    let neg = search.intern_subset(StateSet::from_iter_canon([btd.initial()]));
-    let root = Config {
-        p: atd.initial(),
-        pos: None,
-        neg,
+    let stats = LazyStats {
+        states_materialized: made,
+        states_eager: (a.n_states() as u64).saturating_mul(subsets),
+        subset_states: side.subsets(),
     };
-    search.run(root)
-}
-
-/// Index of the pre-interned empty rejection set.
-const EMPTY_SUBSET: u32 = 0;
-
-/// No dependency on any path assumption.
-const NO_DEP: u32 = u32::MAX;
-
-/// A product configuration: a top-down state of the left automaton, an
-/// optional membership obligation on the right automaton, and a (possibly
-/// empty) interned set of right states the tree must be *rejected* from —
-/// one on-demand subset state of the complement.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct Config {
-    p: State,
-    pos: Option<State>,
-    neg: u32,
-}
-
-/// Lifecycle of a configuration in the search.
-#[derive(Clone, Copy)]
-enum Mark {
-    /// Interned but never entered (or a provisional empty verdict was
-    /// invalidated by a refuted assumption).
-    Unvisited,
-    /// Open: on the current search path, or popped with a provisional
-    /// empty verdict that still leans on an open ancestor. Carries the
-    /// visit index (monotone, never reused). Open configurations form the
-    /// assumption set: hitting one returns "empty, assuming the entry at
-    /// this index is empty".
-    Open(u32),
-    /// Proven uninhabited, independently of any assumption.
-    Empty,
-    /// Proven inhabited, with a witness recipe.
-    Inhabited(u32),
-}
-
-/// How a configuration was first inhabited.
-#[derive(Clone, Copy)]
-enum Recipe {
-    Leaf(Symbol),
-    Node(Symbol, u32, u32),
-}
-
-/// Result of one recursive search step: a witness recipe, or emptiness
-/// together with the smallest visit index whose assumption it leaned on
-/// ([`NO_DEP`] when self-contained).
-#[derive(Clone, Copy)]
-enum Step {
-    Inhabited(u32),
-    Empty { min_dep: u32 },
-}
-
-struct Search<'a> {
-    atd: &'a TdTa,
-    btd: &'a TdTa,
-    leaves: Vec<Symbol>,
-    binaries: Vec<Symbol>,
-    subsets: Vec<StateSet>,
-    subset_ix: FxHashMap<StateSet, u32>,
-    config_ix: FxHashMap<Config, u32>,
-    configs: Vec<Config>,
-    marks: Vec<Mark>,
-    /// Open configurations in visit order (Tarjan-style): the current
-    /// search path interleaved with popped-but-provisional empties.
-    open: Vec<u32>,
-    next_index: u32,
-    depth: u32,
-    recipes: Vec<Recipe>,
-    limit: u32,
-    stats: LazyStats,
-}
-
-impl<'a> Search<'a> {
-    fn new(atd: &'a TdTa, btd: &'a TdTa, limit: u32, eager: u64) -> Search<'a> {
-        let mut s = Search {
-            atd,
-            btd,
-            leaves: atd.alphabet().leaves(),
-            binaries: atd.alphabet().binaries(),
-            subsets: Vec::new(),
-            subset_ix: FxHashMap::default(),
-            config_ix: FxHashMap::default(),
-            configs: Vec::new(),
-            marks: Vec::new(),
-            open: Vec::new(),
-            next_index: 0,
-            depth: 0,
-            recipes: Vec::new(),
-            limit,
-            stats: LazyStats {
-                states_eager: eager,
-                ..LazyStats::default()
-            },
-        };
-        let ix = s.intern_subset(StateSet::new());
-        debug_assert_eq!(ix, EMPTY_SUBSET);
-        s
-    }
-
-    fn intern_subset(&mut self, set: StateSet) -> u32 {
-        if let Some(&ix) = self.subset_ix.get(&set) {
-            return ix;
-        }
-        let ix = self.subsets.len() as u32;
-        self.subset_ix.insert(set.clone(), ix);
-        self.subsets.push(set);
-        if obs::journal::enabled() {
-            // Matches `LazyStats::subset_states`: the pre-interned empty
-            // set (index 0) is bookkeeping, not search work.
-            obs::journal::counter("lazy.subset_states", ix as u64);
-        }
-        ix
-    }
-
-    fn intern_config(&mut self, c: Config) -> Result<u32, LazyError> {
-        if let Some(&ix) = self.config_ix.get(&c) {
-            return Ok(ix);
-        }
-        let ix = self.configs.len() as u32;
-        if ix >= self.limit {
-            return Err(LazyError::ConfigLimit { n: self.limit });
-        }
-        self.config_ix.insert(c, ix);
-        self.configs.push(c);
-        self.marks.push(Mark::Unvisited);
-        if obs::journal::enabled() {
-            obs::journal::instant("lazy.materialize");
-            obs::journal::counter("lazy.states_materialized", self.configs.len() as u64);
-        }
-        Ok(ix)
-    }
-
-    fn run(&mut self, root: Config) -> Result<(LazyOutcome, LazyStats), LazyError> {
-        let root_ix = self.intern_config(root)?;
-        let step = self.search(root_ix)?;
-        self.stats.states_materialized = self.configs.len() as u64;
-        // `subsets` always holds the pre-interned empty set; only count the
-        // rejection sets the search actually created beyond it.
-        self.stats.subset_states = (self.subsets.len() - 1) as u64;
-        self.stats.publish();
-        let outcome = match step {
-            Step::Inhabited(recipe) => LazyOutcome::Witness(self.build_witness(recipe)),
-            Step::Empty { .. } => LazyOutcome::Empty,
-        };
-        Ok((outcome, self.stats))
-    }
-
-    /// The goal-directed search: is configuration `ix` inhabited by some
-    /// tree? Recursion depth is bounded by the number of distinct
-    /// configurations (the path never repeats one).
-    ///
-    /// Cycle and memo discipline (Tarjan-style over the assumption set):
-    /// every visited configuration is *open* — kept on the `open` stack —
-    /// until its verdict stops leaning on an ancestor still under
-    /// exploration. Hitting an open configuration returns "empty, assuming
-    /// the entry at that visit index is empty": exact for the least
-    /// fixpoint, because a smallest witness never repeats a configuration
-    /// along a branch. When a configuration closes empty with every
-    /// assumption inside its own subsearch (`min_dep >= its index`), the
-    /// fixpoint closed: it and everything still open above it are
-    /// permanently empty. When a configuration turns out inhabited, open
-    /// entries above it may have assumed its emptiness — that assumption
-    /// is refuted, so they are invalidated back to unvisited (anything
-    /// that observed an open entry was pushed after it, hence sits above
-    /// it on the stack; soundness follows).
-    fn search(&mut self, ix: u32) -> Result<Step, LazyError> {
-        match self.marks[ix as usize] {
-            Mark::Empty => {
-                self.stats.memo_hits += 1;
-                if obs::journal::enabled() {
-                    obs::journal::counter("lazy.memo_hits", self.stats.memo_hits);
-                }
-                return Ok(Step::Empty { min_dep: NO_DEP });
-            }
-            Mark::Inhabited(r) => {
-                self.stats.memo_hits += 1;
-                if obs::journal::enabled() {
-                    obs::journal::counter("lazy.memo_hits", self.stats.memo_hits);
-                }
-                return Ok(Step::Inhabited(r));
-            }
-            Mark::Open(index) => {
-                self.stats.assumption_hits += 1;
-                if obs::journal::enabled() {
-                    obs::journal::instant("lazy.assumption_hit");
-                    obs::journal::counter("lazy.assumption_hits", self.stats.assumption_hits);
-                }
-                return Ok(Step::Empty { min_dep: index });
-            }
-            Mark::Unvisited => {}
-        }
-        let my_index = self.next_index;
-        self.next_index += 1;
-        let my_pos = self.open.len();
-        self.open.push(ix);
-        self.marks[ix as usize] = Mark::Open(my_index);
-        self.depth += 1;
-        self.stats.worklist_peak = self.stats.worklist_peak.max(self.depth as u64);
-
-        let result = self.expand(ix);
-
-        self.depth -= 1;
-        match result {
-            Ok(Step::Inhabited(recipe)) => {
-                // Open entries above this one may have assumed it empty;
-                // that assumption is now refuted, so they must be
-                // re-derived if ever needed again.
-                for &c in &self.open[my_pos + 1..] {
-                    self.marks[c as usize] = Mark::Unvisited;
-                }
-                self.open.truncate(my_pos);
-                self.marks[ix as usize] = Mark::Inhabited(recipe);
-                Ok(Step::Inhabited(recipe))
-            }
-            Ok(Step::Empty { min_dep }) => {
-                if min_dep >= my_index {
-                    // Every assumption lies within this configuration's own
-                    // subsearch — the fixpoint closed, so it and all open
-                    // entries above it (whose dependencies were folded into
-                    // `min_dep`) are globally empty.
-                    for &c in &self.open[my_pos..] {
-                        self.marks[c as usize] = Mark::Empty;
-                    }
-                    self.open.truncate(my_pos);
-                    Ok(Step::Empty { min_dep: NO_DEP })
-                } else {
-                    // Still leaning on an ancestor under exploration: stay
-                    // open (provisionally empty) and hand the dependency up.
-                    Ok(Step::Empty { min_dep })
-                }
-            }
-            Err(e) => {
-                for &c in &self.open[my_pos..] {
-                    self.marks[c as usize] = Mark::Unvisited;
-                }
-                self.open.truncate(my_pos);
-                Err(e)
-            }
-        }
-    }
-
-    /// Tries every way to inhabit `ix`: leaf symbols first (smallest
-    /// witnesses), then binary symbols with all child-obligation splits.
-    fn expand(&mut self, ix: u32) -> Result<Step, LazyError> {
-        let c = self.configs[ix as usize];
-        for i in 0..self.leaves.len() {
-            let sym = self.leaves[i];
-            if self.leaf_ok(sym, c) {
-                let r = self.recipes.len() as u32;
-                self.recipes.push(Recipe::Leaf(sym));
-                return Ok(Step::Inhabited(r));
-            }
-        }
-        let mut min_dep = NO_DEP;
-        for i in 0..self.binaries.len() {
-            let sym = self.binaries[i];
-            let a_moves: Vec<(State, State)> = self.atd.transitions_for(sym, c.p).to_vec();
-            if a_moves.is_empty() {
-                continue;
-            }
-            // Membership obligation: one right-automaton transition per
-            // choice. No obligation: a single unconstrained choice.
-            let pos_moves: Vec<(Option<State>, Option<State>)> = match c.pos {
-                None => vec![(None, None)],
-                Some(q) => self
-                    .btd
-                    .transitions_for(sym, q)
-                    .iter()
-                    .map(|&(q1, q2)| (Some(q1), Some(q2)))
-                    .collect(),
-            };
-            if pos_moves.is_empty() {
-                continue;
-            }
-            // Rejection obligation: every transition of every state in the
-            // rejection set must fail in the left or the right subtree.
-            // Each left/right choice yields a pair of child rejection sets
-            // — the on-demand subset construction of the complement.
-            let splits = self.neg_splits(sym, c.neg);
-            for &(p1, p2) in &a_moves {
-                for &(b1, b2) in &pos_moves {
-                    for &(n1, n2) in &splits {
-                        let c1 = Config {
-                            p: p1,
-                            pos: b1,
-                            neg: n1,
-                        };
-                        let i1 = self.intern_config(c1)?;
-                        let r1 = match self.search(i1)? {
-                            Step::Inhabited(r) => r,
-                            Step::Empty { min_dep: d } => {
-                                min_dep = min_dep.min(d);
-                                continue;
-                            }
-                        };
-                        let c2 = Config {
-                            p: p2,
-                            pos: b2,
-                            neg: n2,
-                        };
-                        let i2 = self.intern_config(c2)?;
-                        match self.search(i2)? {
-                            Step::Inhabited(r2) => {
-                                let r = self.recipes.len() as u32;
-                                self.recipes.push(Recipe::Node(sym, r1, r2));
-                                return Ok(Step::Inhabited(r));
-                            }
-                            Step::Empty { min_dep: d } => min_dep = min_dep.min(d),
-                        }
-                    }
-                }
-            }
-        }
-        Ok(Step::Empty { min_dep })
-    }
-
-    /// Can configuration `c` be inhabited by the single leaf `sym`?
-    fn leaf_ok(&self, sym: Symbol, c: Config) -> bool {
-        if !self.atd.is_final_pair(sym, c.p) {
-            return false;
-        }
-        if let Some(q) = c.pos {
-            if !self.btd.is_final_pair(sym, q) {
-                return false;
-            }
-        }
-        self.subsets[c.neg as usize]
-            .iter()
-            .all(|q| !self.btd.is_final_pair(sym, q))
-    }
-
-    /// All minimal ways to split the rejection obligations of subset `neg`
-    /// under a `sym`-node between the two children. A state with no
-    /// `sym`-transitions rejects for free; an obligation whose left (right)
-    /// component is already in the left (right) child set is absorbed.
-    fn neg_splits(&mut self, sym: Symbol, neg: u32) -> Vec<(u32, u32)> {
-        if self.subsets[neg as usize].is_empty() {
-            return vec![(EMPTY_SUBSET, EMPTY_SUBSET)];
-        }
-        let mut obligations: Vec<(State, State)> = Vec::new();
-        for q in self.subsets[neg as usize].iter() {
-            obligations.extend_from_slice(self.btd.transitions_for(sym, q));
-        }
-        obligations.sort_unstable();
-        obligations.dedup();
-        let mut out: Vec<(u32, u32)> = Vec::new();
-        let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
-        self.split_rec(
-            &obligations,
-            0,
-            StateSet::new(),
-            StateSet::new(),
-            &mut out,
-            &mut seen,
-        );
-        out
-    }
-
-    fn split_rec(
-        &mut self,
-        obligations: &[(State, State)],
-        i: usize,
-        s1: StateSet,
-        s2: StateSet,
-        out: &mut Vec<(u32, u32)>,
-        seen: &mut FxHashSet<(u32, u32)>,
-    ) {
-        if i == obligations.len() {
-            let pair = (self.intern_subset(s1), self.intern_subset(s2));
-            if seen.insert(pair) {
-                out.push(pair);
-            }
-            return;
-        }
-        let (l, r) = obligations[i];
-        // Absorbed obligations cost nothing; larger rejection sets only
-        // shrink the language, so skipping the strict supersets is exact.
-        if s1.contains(l) || s2.contains(r) {
-            self.split_rec(obligations, i + 1, s1, s2, out, seen);
-            return;
-        }
-        let mut left = s1.clone();
-        left.insert(l);
-        self.split_rec(obligations, i + 1, left, s2.clone(), out, seen);
-        let mut right = s2;
-        right.insert(r);
-        self.split_rec(obligations, i + 1, s1, right, out, seen);
-    }
-
-    fn build_witness(&self, recipe: u32) -> BinaryTree {
-        let mut b = BinaryTreeBuilder::new(self.atd.alphabet());
-        let root = self.build_node(recipe, &mut b);
-        b.finish(root)
-    }
-
-    fn build_node(&self, recipe: u32, b: &mut BinaryTreeBuilder) -> NodeId {
-        match self.recipes[recipe as usize] {
-            Recipe::Leaf(sym) => b.leaf(sym).expect("leaf rank"),
-            Recipe::Node(sym, r1, r2) => {
-                let l = self.build_node(r1, b);
-                let r = self.build_node(r2, b);
-                b.node(sym, l, r).expect("binary rank")
-            }
-        }
-    }
+    stats.publish();
+    let outcome = witness.map_or(LazyOutcome::Empty, LazyOutcome::Witness);
+    Ok((outcome, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::State;
     use std::sync::Arc;
 
     fn alpha() -> Arc<Alphabet> {
@@ -654,7 +224,7 @@ mod tests {
         for (a, b) in &cases {
             let eager = a.intersect(b);
             let lazy = lazy_intersect(a, b);
-            assert_eq!(eager.is_empty(), lazy.is_empty());
+            assert_eq!(eager.witness(), lazy.clone().into_witness());
             if let LazyOutcome::Witness(w) = lazy {
                 assert!(a.accepts(&w).unwrap(), "witness in left language");
                 assert!(b.accepts(&w).unwrap(), "witness in right language");
@@ -676,7 +246,7 @@ mod tests {
         for (a, b) in &cases {
             let eager = a.inclusion_counterexample(b);
             let lazy = lazy_diff(a, b);
-            assert_eq!(eager.is_some(), !lazy.is_empty());
+            assert_eq!(eager, lazy.clone().into_witness());
             if let LazyOutcome::Witness(w) = lazy {
                 assert!(a.accepts(&w).unwrap(), "witness accepted by left");
                 assert!(!b.accepts(&w).unwrap(), "witness rejected by right");
@@ -708,11 +278,20 @@ mod tests {
     }
 
     #[test]
-    fn witness_is_small_leaf_when_possible() {
+    fn witnesses_are_least() {
         let al = alpha();
-        // top ∖ all_x: smallest witness is the leaf y, found leaf-first.
+        // top ∖ all_x: the least witness is the leaf y.
         let w = lazy_diff(&top(&al), &all_x(&al)).into_witness().unwrap();
         assert_eq!(w.to_string(), "y");
+        // some_y ∖ {y}: one node more than y is too few; among the trees of
+        // three nodes, f before g, then x before y on the left.
+        let mut just_y = Nta::new(&al, 1);
+        just_y.add_leaf(al.get("y").unwrap(), State(0));
+        just_y.add_final(State(0));
+        let w = lazy_diff(&some_y(&al), &just_y).into_witness().unwrap();
+        assert_eq!(w.to_string(), "f(x, y)");
+        let w = lazy_intersect(&some_y(&al), &top(&al)).into_witness();
+        assert_eq!(w.unwrap().to_string(), "y");
     }
 
     #[test]
@@ -729,7 +308,10 @@ mod tests {
     #[test]
     fn config_limit_is_honored() {
         let al = alpha();
-        let err = intersection_witness(&all_x(&al), &some_y(&al), 1).unwrap_err();
+        // The leaves x and y make two pairs before any tree is accepted.
+        let (_, stats) = intersection_witness(&all_x(&al), &some_y(&al), 1).unwrap();
+        assert_eq!(stats.states_materialized, 1);
+        let err = intersection_witness(&top(&al), &some_y(&al), 1).unwrap_err();
         assert_eq!(err, LazyError::ConfigLimit { n: 1 });
         assert_eq!(
             err.to_string(),
@@ -763,10 +345,10 @@ mod tests {
             };
             let eager_int = a.intersect(&b);
             let (lazy_int, _) = intersection_witness(&a, &b, u32::MAX).unwrap();
-            assert_eq!(eager_int.is_empty(), lazy_int.is_empty(), "case {case}");
+            assert_eq!(eager_int.witness(), lazy_int.into_witness(), "case {case}");
             let eager_diff = a.inclusion_counterexample(&b);
             let (lazy_diff, _) = difference_witness(&a, &b, u32::MAX).unwrap();
-            assert_eq!(eager_diff.is_some(), !lazy_diff.is_empty(), "case {case}");
+            assert_eq!(eager_diff, lazy_diff.clone().into_witness(), "case {case}");
             if let LazyOutcome::Witness(w) = lazy_diff {
                 assert!(a.accepts(&w).unwrap(), "case {case}");
                 assert!(!b.accepts(&w).unwrap(), "case {case}");

@@ -30,6 +30,7 @@
 pub mod dbta;
 pub mod enumerate;
 pub mod lazy;
+mod least;
 pub mod nta;
 pub mod state;
 pub mod topdown;

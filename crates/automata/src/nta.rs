@@ -1,20 +1,12 @@
 //! Nondeterministic bottom-up tree automata and their decision procedures.
 
 use crate::dbta::Dbta;
+use crate::least::{self, Any};
 use crate::state::{State, StateSet};
 use crate::topdown::TdTa;
 use std::sync::Arc;
 use xmltc_obs as obs;
-use xmltc_trees::tree::BinaryTreeBuilder;
 use xmltc_trees::{Alphabet, BinaryTree, FxHashMap, Rank, Symbol, TreeError};
-
-/// How a state was first produced — the recipe used to rebuild a smallest
-/// witness tree for it.
-#[derive(Clone, Copy, Debug)]
-enum Recipe {
-    Leaf(Symbol),
-    Node(Symbol, State, State),
-}
 
 /// A nondeterministic bottom-up (frontier-to-root) tree automaton over a
 /// ranked alphabet.
@@ -157,58 +149,55 @@ impl Nta {
         Ok(sets[t.root().index()].intersects(&self.finals))
     }
 
-    /// Computes reachable states together with a smallest witness recipe for
-    /// each.
-    fn reachability(&self) -> Vec<Option<Recipe>> {
-        let mut recipe: Vec<Option<Recipe>> = vec![None; self.n_states as usize];
-        for (&a, qs) in &self.leaf {
+    /// Marks the reachable states: those labeling at least one tree.
+    fn reachability(&self) -> Vec<bool> {
+        let mut reached = vec![false; self.n_states as usize];
+        for qs in self.leaf.values() {
             for q in qs.iter() {
-                if recipe[q.index()].is_none() {
-                    recipe[q.index()] = Some(Recipe::Leaf(a));
-                }
+                reached[q.index()] = true;
             }
         }
         // Saturate: a transition fires once both sources are reachable.
         let mut changed = true;
         while changed {
             changed = false;
-            for (&(a, q1, q2), qs) in &self.node {
-                if recipe[q1.index()].is_some() && recipe[q2.index()].is_some() {
+            for (&(_, q1, q2), qs) in &self.node {
+                if reached[q1.index()] && reached[q2.index()] {
                     for q in qs.iter() {
-                        if recipe[q.index()].is_none() {
-                            recipe[q.index()] = Some(Recipe::Node(a, q1, q2));
-                            changed = true;
-                        }
+                        changed |= !std::mem::replace(&mut reached[q.index()], true);
                     }
                 }
             }
         }
-        recipe
+        reached
     }
 
     /// The set of reachable states (those labeling at least one tree).
     pub fn reachable_states(&self) -> StateSet {
-        self.reachability()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.map(|_| State(i as u32)))
+        let reached = self.reachability();
+        (0..self.n_states)
+            .map(State)
+            .filter(|q| reached[q.index()])
             .collect()
     }
 
     /// Emptiness test.
     pub fn is_empty(&self) -> bool {
-        self.witness().is_none()
+        let reached = self.reachability();
+        !self.finals.iter().any(|q| reached[q.index()])
     }
 
-    /// A witness tree accepted by the automaton, or `None` when `inst(A)`
-    /// is empty. The witness is built from smallest-first recipes, so it is
-    /// small though not always minimal.
+    /// The least tree the automaton accepts, or `None` when `inst(A)` is
+    /// empty. Trees are ordered by node count, then height, then root
+    /// symbol (alphabet order), then left subtree, then right subtree, the
+    /// subtrees compared by this same order. Every witness the workspace
+    /// computes — eager or [lazy](crate::lazy), intersection or difference
+    /// — is the least one, so it depends on the language alone, not on
+    /// how its automaton was built.
     pub fn witness(&self) -> Option<BinaryTree> {
-        let recipes = self.reachability();
-        let q = self.finals.iter().find(|q| recipes[q.index()].is_some())?;
-        let mut b = BinaryTreeBuilder::new(&self.alphabet);
-        let root = build_witness(&recipes, q, &mut b);
-        Some(b.finish(root))
+        least::search(self, &mut Any, u32::MAX)
+            .expect("an unlimited search has no budget to exceed")
+            .0
     }
 
     /// Product automaton; a pair is final when `keep` says so. Use
@@ -445,21 +434,6 @@ impl Nta {
             }
         }
         td
-    }
-}
-
-fn build_witness(
-    recipes: &[Option<Recipe>],
-    q: State,
-    b: &mut BinaryTreeBuilder,
-) -> xmltc_trees::NodeId {
-    match recipes[q.index()].expect("witness state must be reachable") {
-        Recipe::Leaf(a) => b.leaf(a).expect("leaf rank"),
-        Recipe::Node(a, q1, q2) => {
-            let l = build_witness(recipes, q1, b);
-            let r = build_witness(recipes, q2, b);
-            b.node(a, l, r).expect("binary rank")
-        }
     }
 }
 

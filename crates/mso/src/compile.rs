@@ -16,8 +16,16 @@ pub enum CompileError {
     Unbound(String),
     /// A variable was used at the wrong order.
     WrongKind(String),
-    /// More than 64 variables in scope at one point.
-    TooManyVariables,
+    /// The formula nests more quantifiers than the compiler has variable
+    /// tracks ([`MAX_VARIABLES`]); checked before any compilation work.
+    TooManyVariables {
+        /// The formula's deepest quantifier nesting.
+        depth: usize,
+        /// The number of variables the compiler can track.
+        cap: usize,
+        /// The formula's size (node count).
+        size: usize,
+    },
     /// The intermediate automaton exceeded the configured state budget —
     /// the non-elementary blow-up in action (Theorem 4.8).
     StateLimit {
@@ -31,7 +39,11 @@ impl fmt::Display for CompileError {
         match self {
             CompileError::Unbound(x) => write!(f, "unbound variable `{x}`"),
             CompileError::WrongKind(x) => write!(f, "variable `{x}` used at the wrong order"),
-            CompileError::TooManyVariables => write!(f, "more than 64 variables in scope"),
+            CompileError::TooManyVariables { depth, cap, size } => write!(
+                f,
+                "the formula (size {size}) nests {depth} quantifiers, \
+                 more than the {cap} variables the compiler can track"
+            ),
             CompileError::StateLimit { limit } => {
                 write!(f, "intermediate automaton exceeded {limit} states")
             }
@@ -40,6 +52,10 @@ impl fmt::Display for CompileError {
 }
 
 impl std::error::Error for CompileError {}
+
+/// The most variables one point of a formula may have in scope: each takes
+/// one bit of a [`Cube`].
+pub const MAX_VARIABLES: usize = 64;
 
 /// Resource accounting for a compilation run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -112,6 +128,14 @@ pub fn compile_sentence_limited(
     state_limit: u32,
 ) -> Result<(Nta, CompileStats), CompileError> {
     let _span = obs::span("mso.compile");
+    let depth = f.quantifier_depth();
+    if depth > MAX_VARIABLES {
+        return Err(CompileError::TooManyVariables {
+            depth,
+            cap: MAX_VARIABLES,
+            size: f.size(),
+        });
+    }
     let mut ctx = Ctx {
         alphabet: Arc::clone(alphabet),
         scope: Vec::new(),
@@ -180,10 +204,9 @@ fn compile(f: &Formula, ctx: &mut Ctx) -> Result<SymTa, CompileError> {
             not_left.union(&right)
         }
         Formula::Exists(kind, name, body) => {
+            // A sentence's scope never outgrows its quantifier depth, which
+            // `compile_sentence_limited` checked against `MAX_VARIABLES`.
             let track = ctx.scope.len();
-            if track >= 64 {
-                return Err(CompileError::TooManyVariables);
-            }
             ctx.scope.push((name.clone(), *kind));
             let inner = compile(body, ctx);
             ctx.scope.pop();
@@ -349,6 +372,25 @@ mod tests {
             let automaton = nta.accepts(&t).unwrap();
             assert_eq!(automaton, direct, "disagreement on {src} for {f}");
         }
+    }
+
+    #[test]
+    fn variable_cap_is_checked_before_compiling() {
+        // A 65th nested quantifier fails with depth, cap and size.
+        let nest = |n: usize| {
+            (0..n).fold(Formula::Root("v0".into()), |body, i| {
+                Formula::exists1(format!("v{i}"), body)
+            })
+        };
+        let al = alpha();
+        assert_eq!(
+            compile_sentence(&nest(65), &al).unwrap_err(),
+            CompileError::TooManyVariables {
+                depth: 65,
+                cap: 64,
+                size: 66
+            }
+        );
     }
 
     const TREES: [&str; 7] = [

@@ -61,9 +61,11 @@ impl Cube {
     /// transformation of existential projection.
     pub fn project(self, t: usize) -> Cube {
         let low = (1u64 << t) - 1;
+        // Track 63 has no higher tracks: `>> 64` would overflow.
+        let high = |x: u64| x.checked_shr(t as u32 + 1).unwrap_or(0) << t;
         Cube {
-            mask: (self.mask & low) | ((self.mask >> (t + 1)) << t),
-            bits: (self.bits & low) | ((self.bits >> (t + 1)) << t),
+            mask: (self.mask & low) | high(self.mask),
+            bits: (self.bits & low) | high(self.bits),
         }
     }
 }
@@ -146,6 +148,11 @@ mod tests {
         let p2 = c.project(2);
         assert_eq!(p2.mask, 0b01);
         assert_eq!(p2.bits, 0b01);
+        // project track 63, the 64th variable: nothing above it shifts.
+        let top = Cube::single(62, true).and_single(63, true);
+        let p63 = top.project(63);
+        assert_eq!(p63.mask, 1 << 62);
+        assert_eq!(p63.bits, 1 << 62);
     }
 
     #[test]

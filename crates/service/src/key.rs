@@ -97,8 +97,8 @@ pub enum ArtifactKind {
     /// on (input DTD, stylesheet, output DTD, route, state limit).
     Violations,
     /// A final verdict (with optional provenance report): additionally
-    /// keyed on the engine and the explain flag, since different engines
-    /// may surface different (equally valid) counterexample witnesses.
+    /// keyed on the engine and the explain flag. Every engine returns the
+    /// same least counterexample, but the report names its engine.
     Verdict,
 }
 

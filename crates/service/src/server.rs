@@ -103,6 +103,12 @@ pub struct ServiceState {
     requests: [AtomicU64; CMD_NAMES.len()],
 }
 
+/// Stack of each connection thread: the 8 MiB a CLI process's main thread
+/// gets, so a document the CLI transforms does not overflow a connection
+/// (Rust's default for spawned threads is 2 MiB). Only the pages a request
+/// touches become resident.
+const CONNECTION_STACK_BYTES: usize = 8 << 20;
+
 /// Command names, in counter order.
 pub const CMD_NAMES: [&str; 6] = [
     "validate",
@@ -193,6 +199,7 @@ impl Server {
                     let st = state.clone();
                     let spawned = std::thread::Builder::new()
                         .name(format!("xmltc-serve-{conn_seq}"))
+                        .stack_size(CONNECTION_STACK_BYTES)
                         .spawn(move || handle_connection(&st, stream));
                     match spawned {
                         Ok(h) => handles.push(h),

@@ -397,7 +397,7 @@ fn oneshot_serves_one_connection_then_exits_with_report() {
 }
 
 /// A flat document of 20 000 children transforms on a connection thread,
-/// whose stack is 2 MiB, and the server goes on answering other clients:
+/// whose stack is 8 MiB, and the server goes on answering other clients:
 /// evaluation and the encoding of siblings keep no stack frame per child.
 #[test]
 fn flat_document_transform_leaves_the_server_up() {
@@ -439,7 +439,7 @@ fn flat_document_transform_leaves_the_server_up() {
 }
 
 /// A `validate` request for a chain 100 000 deep is answered on a
-/// connection thread, whose stack is 2 MiB, and the server goes on
+/// connection thread, whose stack is 8 MiB, and the server goes on
 /// answering other clients: parsing, the tree and validation keep no
 /// stack frame per level.
 #[test]
@@ -468,6 +468,53 @@ fn deep_document_validate_leaves_the_server_up() {
         .roundtrip(&validate("<doc><node/></doc>".into()))
         .unwrap();
     assert_eq!(field(&small, "result.verdict").as_str(), Some("valid"));
+    second
+        .roundtrip(&Json::obj(vec![("cmd", Json::Str("shutdown".into()))]))
+        .unwrap();
+    handle.join().expect("server thread");
+}
+
+/// A `transform` of an identity chain deep enough to overflow a 2 MiB
+/// stack is answered on a connection thread, which gets the 8 MiB a CLI
+/// main thread has, and the server goes on answering other clients. The
+/// output side still recurses once per level, so the depth depends on the
+/// build profile's frame sizes: on x86-64 a 2 MiB connection thread
+/// overflowed at 2 000 levels in a debug build and at 12 000 in a release
+/// build, while 8 MiB answered 4 000 and 20 000.
+#[test]
+fn deep_document_transform_leaves_the_server_up() {
+    const CHAIN_DTD: &str = "doc := node*\nnode := (node|leaf)*\nleaf := @eps";
+    const IDENTITY: &str = "doc -> doc(@apply)\nnode -> node(@apply)\nleaf -> leaf";
+    let depth = if cfg!(debug_assertions) {
+        3_000
+    } else {
+        12_000
+    };
+    let (addr, handle, _state) = start(false);
+    let mut client = Client::connect(&addr).expect("connect");
+    let chain = format!(
+        "<doc>{}<leaf/>{}</doc>",
+        "<node>".repeat(depth),
+        "</node>".repeat(depth)
+    );
+    let transform = client
+        .roundtrip(&Json::obj(vec![
+            ("cmd", Json::Str("transform".into())),
+            ("input_dtd", Json::Str(CHAIN_DTD.into())),
+            ("stylesheet", Json::Str(IDENTITY.into())),
+            ("document", Json::Str(chain.clone())),
+        ]))
+        .unwrap();
+    assert_eq!(
+        field(&transform, "result.output").as_str(),
+        Some(chain.as_str())
+    );
+
+    let mut second = Client::connect(&addr).expect("second connection");
+    let stats = second
+        .roundtrip(&Json::obj(vec![("cmd", Json::Str("stats".into()))]))
+        .unwrap();
+    assert_eq!(field(&stats, "ok"), &Json::Bool(true));
     second
         .roundtrip(&Json::obj(vec![("cmd", Json::Str("shutdown".into()))]))
         .unwrap();

@@ -454,10 +454,11 @@ fn results(dir: &str) -> Result<Vec<obs::diff::Run>, String> {
 
 /// `xmltc corpus <family> <index>`: regenerates one adversarial corpus
 /// case from the seeded generator, runs both emptiness engines on it, and
-/// prints the (transducer, τ₁, τ₂) triple with the differential verdict.
-/// Exit 0 when the engines agree (or the case exceeds the corpus state
-/// budget and is reported as a resource skip, mirroring the harness), 1 on
-/// a disagreement (with the minimized triple), 2 on usage errors.
+/// prints the (transducer, τ₁, τ₂) triple with both engines' witnesses.
+/// Exit 0 when the engines agree — the same least counterexample, or none
+/// (or the case exceeds the corpus state budget and is reported as a
+/// resource skip, mirroring the harness), 1 on a disagreement (with the
+/// minimized triple), 2 on usage errors.
 fn corpus(rest: &[String]) -> Result<ExitCode, String> {
     use xmltc::dsl::{
         case_seed, generate, minimize_scenario, Family, Scenario, CORPUS_STATE_LIMIT, FAMILIES,
@@ -894,7 +895,9 @@ typecheck / explain options:
                      `explain` prints the human form (--json for JSON)
   --route R          Theorem 4.7 route: auto (default) | walk | mso
   --engine E         emptiness engine: auto (default) | lazy | eager
-                     (auto = lazy on the walk route, eager on mso)
+                     (auto = lazy on the walk route, eager on mso); every
+                     engine reports the same least counterexample, eager
+                     builds the product automata first
   --state-limit N    budget for intermediate automata (default 4000000)
 
 corpus options:

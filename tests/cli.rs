@@ -171,34 +171,26 @@ fn typecheck_passes_on_even_dtd() {
 
 #[test]
 fn typecheck_fails_with_counterexample() {
-    // The eager engine extracts the smallest counterexample.
-    let out = run(&[
+    // Every engine reports the least counterexample (fewest nodes first),
+    // byte for byte.
+    let base = [
         "typecheck",
         &fixture("any_a.dtd"),
         &fixture("relabel.xsl"),
         &fixture("even_b.dtd"),
-        "--engine",
-        "eager",
-    ]);
+    ];
+    let expected = "DOES NOT typecheck\n\
+                    counterexample input: <root><a/></root>\n\
+                    offending output:     <result><b/></result>\n";
+    let out = run(&base);
     assert_eq!(out.status.code(), Some(1));
-    let s = stdout(&out);
-    assert!(s.contains("DOES NOT typecheck"));
-    assert!(s.contains("counterexample input: <root><a/></root>"));
-    assert!(s.contains("offending output:     <result><b/></result>"));
-
-    // The default (lazy) engine returns the first accepting configuration
-    // its search reaches — valid, deterministic, not necessarily minimal.
-    let out = run(&[
-        "typecheck",
-        &fixture("any_a.dtd"),
-        &fixture("relabel.xsl"),
-        &fixture("even_b.dtd"),
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-    let s = stdout(&out);
-    assert!(s.contains("DOES NOT typecheck"));
-    assert!(s.contains("counterexample input: <root>"));
-    assert!(s.contains("offending output:     <result>"));
+    assert_eq!(stdout(&out), expected);
+    for engine in ["auto", "lazy", "eager"] {
+        let args: Vec<&str> = base.iter().copied().chain(["--engine", engine]).collect();
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(1), "--engine {engine}");
+        assert_eq!(stdout(&out), expected, "--engine {engine}");
+    }
 }
 
 /// The human-readable provenance report is golden-pinned byte-for-byte:
@@ -211,11 +203,9 @@ fn explain_human_report_matches_golden() {
         &fixture("any_a.dtd"),
         &fixture("relabel.xsl"),
         &fixture("even_b.dtd"),
-        "--engine",
-        "eager",
     ]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
-    let golden = std::fs::read_to_string(fixture("golden/explain_relabel_eager.txt")).unwrap();
+    let golden = std::fs::read_to_string(fixture("golden/explain_relabel.txt")).unwrap();
     assert_eq!(stdout(&out), golden);
 }
 
@@ -229,13 +219,11 @@ fn explain_json_report_matches_golden() {
         &fixture("any_a.dtd"),
         &fixture("relabel.xsl"),
         &fixture("even_b.dtd"),
-        "--engine",
-        "eager",
         "--json",
     ]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     let s = stdout(&out);
-    let golden = std::fs::read_to_string(fixture("golden/explain_relabel_eager.json")).unwrap();
+    let golden = std::fs::read_to_string(fixture("golden/explain_relabel.json")).unwrap();
     assert_eq!(s, golden);
     let v = Json::parse(&s).unwrap();
     assert_eq!(
@@ -305,8 +293,6 @@ fn typecheck_explain_out_writes_report_file() {
         &fixture("any_a.dtd"),
         &fixture("relabel.xsl"),
         &fixture("even_b.dtd"),
-        "--engine",
-        "eager",
         "--explain-out",
         report.to_str().unwrap(),
     ]);
@@ -322,7 +308,7 @@ fn typecheck_explain_out_writes_report_file() {
         stderr(&out)
     );
     let text = std::fs::read_to_string(&report).unwrap();
-    let golden = std::fs::read_to_string(fixture("golden/explain_relabel_eager.json")).unwrap();
+    let golden = std::fs::read_to_string(fixture("golden/explain_relabel.json")).unwrap();
     assert_eq!(text, golden);
     let v = Json::parse(&text).unwrap();
     assert_eq!(v.at("replay.verified"), Some(&Json::Bool(true)));
@@ -436,9 +422,7 @@ fn typecheck_json_emits_full_report() {
     assert_eq!(json_u64(&s, "engine.lazy"), Some(1));
     assert!(json_u64(&s, "lazy.states_materialized").unwrap() > 0);
     assert!(json_u64(&s, "lazy.states_eager").unwrap() > 0);
-    assert!(json_u64(&s, "lazy.worklist_peak").unwrap() > 0);
-    assert!(json_u64(&s, "lazy.memo_hits").is_some());
-    assert!(json_u64(&s, "lazy.assumption_hits").is_some());
+    assert_eq!(json_u64(&s, "lazy.subset_states"), Some(0));
     // Lazy never pays for more states than the eager product holds.
     assert!(
         json_u64(&s, "lazy.states_materialized").unwrap()
@@ -462,22 +446,29 @@ fn typecheck_engine_flag_selects_engine() {
         assert_eq!(out.status.code(), Some(0), "--engine {engine}");
         assert_eq!(stdout(&out), expected, "--engine {engine}");
     }
-    // Failing instance: identical verdict either way (counterexamples may
-    // differ — lazy returns the first one its search reaches).
+    // Failing instance: the same least counterexample either way.
     let fail = [
         "typecheck",
         &fixture("any_a.dtd"),
         &fixture("relabel.xsl"),
         &fixture("even_b.dtd"),
     ];
-    for engine in ["lazy", "eager"] {
-        let args: Vec<&str> = fail.iter().copied().chain(["--engine", engine]).collect();
-        let out = run(&args);
-        assert_eq!(out.status.code(), Some(1), "--engine {engine}");
-        let s = stdout(&out);
-        assert!(s.contains("DOES NOT typecheck"), "--engine {engine}");
-        assert!(s.contains("counterexample input:"), "--engine {engine}");
-    }
+    let outputs: Vec<String> = ["auto", "lazy", "eager"]
+        .iter()
+        .map(|engine| {
+            let args: Vec<&str> = fail.iter().copied().chain(["--engine", engine]).collect();
+            let out = run(&args);
+            assert_eq!(out.status.code(), Some(1), "--engine {engine}");
+            stdout(&out)
+        })
+        .collect();
+    assert!(
+        outputs[0].contains("counterexample input:"),
+        "{}",
+        outputs[0]
+    );
+    assert_eq!(outputs[1], outputs[0]);
+    assert_eq!(outputs[2], outputs[0]);
 }
 
 #[test]
@@ -556,6 +547,27 @@ fn typecheck_mso_budget_abort_reports_partial_progress() {
     let s = stdout(&out);
     assert!(s.contains("route.mso"), "{s}");
     assert!(s.contains("mso.operations="), "{s}");
+}
+
+/// Q2's violation formula nests more quantifiers than the MSO compiler has
+/// variables: the route says so, with the numbers, before compiling.
+#[test]
+fn typecheck_mso_variable_cap_names_depth_cap_and_size() {
+    let out = run(&[
+        "typecheck",
+        &fixture("q2.dtd"),
+        &fixture("q2.xsl"),
+        &fixture("q2_mod3_out.dtd"),
+        "--route",
+        "mso",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        stderr(&out),
+        "error: MSO route failed: the formula (size 27413) nests 229 quantifiers, \
+         more than the 64 variables the compiler can track\n"
+    );
+    assert_eq!(stdout(&out), "");
 }
 
 #[test]
@@ -949,7 +961,7 @@ fn trace_and_report_do_not_depend_on_each_other() {
     run_with(&["--trace-out", stats.to_str().unwrap(), "--stats"]);
     let shape = trace_shape(&plain);
     assert_eq!(shape, trace_shape(&stats));
-    for counter in ["nta.trims", "lazy.states_eager", "lazy.worklist_peak"] {
+    for counter in ["nta.trims", "lazy.states_eager", "lazy.states_materialized"] {
         assert!(
             shape.contains_key(&(counter.to_string(), "C".to_string())),
             "missing `{counter}` track without --stats"

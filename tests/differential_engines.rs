@@ -1,8 +1,9 @@
 //! Differential validation of the emptiness engines: the lazy on-the-fly
-//! search and the eager materializing procedure must return identical
-//! verdicts on every instance, and `typecheck::bounded` (exhaustive up to
-//! its depth bound) must never contradict either. Every counterexample an
-//! engine emits is independently re-verified against `τ₂`.
+//! search and the eager materializing procedure must return the same
+//! least counterexample, byte for byte, on every instance (and the same
+//! bad output for it), and `typecheck::bounded` (exhaustive up to its
+//! depth bound) must never contradict either. Every counterexample is
+//! independently re-verified against `τ₂`.
 //!
 //! Seeded random (input DTD, transducer, output DTD) triples drawn from
 //! the in-tree [`SmallRng`]. The Theorem 4.7 walk construction depends
@@ -111,11 +112,11 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Re-verifies an engine's counterexample independently of the engine
-/// that found it: the input must be in `τ₁`, the input's output language
-/// must leak outside `τ₂`, and the extracted bad output must exhibit the
-/// leak.
-fn verify_cex(ctx: &str, c: &Compiled, tau1: &Nta, input: &BinaryTree, engine: Engine) {
+/// Re-verifies a counterexample independently of the engine that found
+/// it: the input must be in `τ₁`, the input's output language must leak
+/// outside `τ₂`, and the bad output both engines extract (the same tree)
+/// must exhibit the leak.
+fn verify_cex(ctx: &str, c: &Compiled, tau1: &Nta, input: &BinaryTree) {
     assert!(
         tau1.accepts(input).unwrap(),
         "{ctx}: cex input must be valid"
@@ -123,10 +124,16 @@ fn verify_cex(ctx: &str, c: &Compiled, tau1: &Nta, input: &BinaryTree, engine: E
     let out_lang = xmltc::core::output_automaton(&c.t, input).unwrap().to_nta();
     let bad = out_lang.intersect(&c.tau2.complement().to_nta());
     assert!(!bad.is_empty(), "{ctx}: cex must actually violate the spec");
-    let bad_output =
+    let [eager, b] = [Engine::Eager, Engine::Lazy].map(|engine| {
         extract_bad_output_with(&c.t, input, &c.tau2, engine, &TypecheckOptions::default())
-            .unwrap();
-    let b = bad_output.expect("bad output extracted for every counterexample");
+            .unwrap()
+            .expect("bad output extracted for every counterexample")
+    });
+    assert_eq!(
+        eager.to_string(),
+        b.to_string(),
+        "{ctx}: engines extract different bad outputs"
+    );
     assert!(
         out_lang.accepts(&b).unwrap(),
         "{ctx}: bad output must be producible"
@@ -145,7 +152,21 @@ fn verify_cex(ctx: &str, c: &Compiled, tau1: &Nta, input: &BinaryTree, engine: E
         ev.output_produced,
         ev.output_rejected
     );
-    dump_explain(&c.t, engine, input, &b, &ev);
+    dump_explain(&c.t, input, &b, &ev);
+}
+
+/// When `XMLTC_EXPLAIN_DIR` is set, writes both engines' witnesses for an
+/// instance they disagree on into that directory, next to the explain
+/// reports the CI differential job uploads.
+fn dump_witnesses(ctx: &str, eager: &Option<BinaryTree>, lazy: &Option<BinaryTree>) {
+    let Ok(dir) = std::env::var("XMLTC_EXPLAIN_DIR") else {
+        return;
+    };
+    let n = EXPLAIN_DUMPS.fetch_add(1, Ordering::Relaxed);
+    if n < EXPLAIN_DUMP_CAP && std::fs::create_dir_all(&dir).is_ok() {
+        let body = format!("# {ctx}\neager: {eager:?}\nlazy:  {lazy:?}\n");
+        let _ = std::fs::write(format!("{dir}/disagreement_{n:03}.txt"), body);
+    }
 }
 
 /// Reports dumped so far when `XMLTC_EXPLAIN_DIR` is set (capped so a
@@ -158,7 +179,6 @@ const EXPLAIN_DUMP_CAP: usize = 32;
 /// directory — the CI differential job uploads them as artifacts.
 fn dump_explain(
     t: &xmltc::core::PebbleTransducer,
-    engine: Engine,
     input: &BinaryTree,
     bad: &BinaryTree,
     ev: &ReplayEvidence,
@@ -170,11 +190,9 @@ fn dump_explain(
     if n >= EXPLAIN_DUMP_CAP {
         return;
     }
-    let engine_name = match engine {
-        Engine::Eager => "eager",
-        _ => "lazy",
-    };
-    let mut report = ExplainReport::ok("walk", engine_name);
+    // Both engines return this counterexample; the report names the
+    // default one.
+    let mut report = ExplainReport::ok("walk", "lazy");
     report.verdict = "counterexample".into();
     report.input = Some(DocumentRecord {
         term: input.to_string(),
@@ -209,7 +227,7 @@ fn dump_explain(
         steps: ev.trace.len() as u64,
     });
     if std::fs::create_dir_all(&dir).is_ok() {
-        let path = format!("{dir}/cex_{n:03}_{engine_name}.json");
+        let path = format!("{dir}/cex_{n:03}.json");
         let _ = std::fs::write(path, report.to_json_string());
     }
 }
@@ -244,14 +262,18 @@ fn engines_never_disagree() {
             .compile(&c.enc_in)
             .unwrap();
 
-        // The two engines decide the same emptiness instance.
+        // The two engines return the same least witness.
         let eager_witness = tau1.intersect(&c.violations).witness();
         let (lazy_out, stats) =
             lazy::intersection_witness(&tau1, &c.violations, 4_000_000).unwrap();
         let lazy_witness = lazy_out.into_witness();
+        let text = |w: &Option<BinaryTree>| w.as_ref().map(BinaryTree::to_string);
+        if text(&eager_witness) != text(&lazy_witness) {
+            dump_witnesses(&ctx, &eager_witness, &lazy_witness);
+        }
         assert_eq!(
-            eager_witness.is_some(),
-            lazy_witness.is_some(),
+            text(&eager_witness),
+            text(&lazy_witness),
             "{ctx}: engines disagree"
         );
         assert!(
@@ -269,15 +291,13 @@ fn engines_never_disagree() {
             );
         }
 
-        // Every engine-produced counterexample must verify independently.
-        match (&eager_witness, &lazy_witness) {
-            (Some(e), Some(l)) => {
+        // The (shared) counterexample must verify independently.
+        match &eager_witness {
+            Some(w) => {
                 failing += 1;
-                verify_cex(&format!("{ctx} [eager]"), &c, &tau1, e, Engine::Eager);
-                verify_cex(&format!("{ctx} [lazy]"), &c, &tau1, l, Engine::Lazy);
+                verify_cex(&ctx, &c, &tau1, w);
             }
-            (None, None) => ok += 1,
-            _ => unreachable!(),
+            None => ok += 1,
         }
     }
     // The pools must actually exercise both verdicts, or the comparison
@@ -344,8 +364,8 @@ fn corpus_opts() -> TypecheckOptions {
     }
 }
 
-/// True when the candidate still lowers and the engines still disagree on
-/// it — the minimizer predicate for verdict mismatches.
+/// True when the candidate still lowers and the engines still return
+/// different witnesses for it — the minimizer predicate for mismatches.
 fn still_disagrees(cand: &Scenario) -> bool {
     let Ok(c) = cand.compile() else {
         return false;
@@ -355,28 +375,48 @@ fn still_disagrees(cand: &Scenario) -> bool {
         .unwrap_or(false)
 }
 
-/// Verifies one engine's corpus counterexample end to end: input ∈ τ₁, a
-/// concrete bad output exists, and the replay verifier confirms all three
-/// legs on the real transducer. Any failed leg reports a minimized triple.
+/// Verifies the engines' corpus counterexample end to end: input ∈ τ₁,
+/// both engines extract the same concrete bad output, and the replay
+/// verifier confirms all three legs on the real transducer. Any failed
+/// leg reports a minimized triple.
 fn verify_corpus_cex(
     ctx: &str,
     scenario: &Scenario,
     c: &xmltc::dsl::CompiledScenario,
     input: &BinaryTree,
-    engine: Engine,
 ) {
-    let ectx = format!("{ctx} [{engine:?}]");
     assert!(
         c.tau1.accepts(input).unwrap(),
-        "{ectx}: cex input must be valid\n{}",
+        "{ctx}: cex input must be valid\n{}",
         scenario.render()
     );
     let defaults = TypecheckOptions::default();
     let bad =
         extract_bad_output_with(&c.transducer, input, &c.tau2, Engine::Eager, &defaults).unwrap();
+    let lazy_bad =
+        extract_bad_output_with(&c.transducer, input, &c.tau2, Engine::Lazy, &defaults).unwrap();
+    if bad != lazy_bad {
+        let reason =
+            format!("engines extract different bad outputs: eager {bad:?}, lazy {lazy_bad:?}");
+        fail_minimized(ctx, scenario, &reason, |cand| {
+            let Ok(cc) = cand.compile() else {
+                return false;
+            };
+            let Ok(vv) = violations_of(&cc) else {
+                return false;
+            };
+            let Some(w) = cc.tau1.intersect(&vv).witness() else {
+                return false;
+            };
+            let bad_with = |engine| {
+                extract_bad_output_with(&cc.transducer, &w, &cc.tau2, engine, &defaults).ok()
+            };
+            bad_with(Engine::Eager) != bad_with(Engine::Lazy)
+        });
+    }
     let Some(b) = bad else {
         fail_minimized(
-            &ectx,
+            ctx,
             scenario,
             "counterexample input has no extractable bad output",
             |cand| {
@@ -399,7 +439,7 @@ fn verify_corpus_cex(
     let ev = replay_counterexample(&c.transducer, &c.tau1, &c.tau2, input, &b).unwrap();
     if !ev.verified() {
         fail_minimized(
-            &ectx,
+            ctx,
             scenario,
             "replay did not confirm the counterexample",
             {
@@ -416,7 +456,7 @@ fn verify_corpus_cex(
             },
         );
     }
-    dump_explain(&c.transducer, engine, input, &b, &ev);
+    dump_explain(&c.transducer, input, &b, &ev);
 }
 
 fn violations_of(c: &xmltc::dsl::CompiledScenario) -> Result<Nta, TypecheckError> {
@@ -424,8 +464,8 @@ fn violations_of(c: &xmltc::dsl::CompiledScenario) -> Result<Nta, TypecheckError
 }
 
 /// Runs `cases` corpus cases of one family through both engines; returns
-/// `(ok, failing, skipped)` verdict counts. Every disagreement and every
-/// replay failure is reported as a minimized triple. A case whose
+/// `(ok, failing, skipped)` verdict counts. Every witness disagreement and
+/// every replay failure is reported as a minimized triple. A case whose
 /// Theorem 4.7 construction exceeds the corpus state budget (see
 /// [`corpus_opts`]) is counted in `skipped` — callers bound the skip rate
 /// so a budget regression cannot silently hollow out the sweep.
@@ -455,16 +495,18 @@ fn run_corpus_family(family: Family, seed: u64, cases: u64) -> (u64, u64, u64) {
         // deliberately tiny and the lazy search's constant overhead can
         // exceed |τ₁|·|violations| on them.)
         if !v.agree() {
-            fail_minimized(&ctx, &scenario, "engines disagree", still_disagrees);
+            let reason = format!(
+                "engines return different witnesses: eager {:?}, lazy {:?}",
+                v.eager_witness, v.lazy_witness
+            );
+            fail_minimized(&ctx, &scenario, &reason, still_disagrees);
         }
-        match (&v.eager_witness, &v.lazy_witness) {
-            (Some(e), Some(l)) => {
+        match &v.eager_witness {
+            Some(w) => {
                 failing += 1;
-                verify_corpus_cex(&ctx, &scenario, &c, e, Engine::Eager);
-                verify_corpus_cex(&ctx, &scenario, &c, l, Engine::Lazy);
+                verify_corpus_cex(&ctx, &scenario, &c, w);
             }
-            (None, None) => ok += 1,
-            _ => unreachable!("agree() checked above"),
+            None => ok += 1,
         }
     }
     (ok, failing, skipped)
