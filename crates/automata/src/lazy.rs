@@ -73,7 +73,7 @@ impl LazyStats {
     }
 }
 
-/// Errors from the lazy engine.
+/// Errors from the on-the-fly search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LazyError {
     /// The two automata speak different alphabets.

@@ -1,12 +1,12 @@
 //! Witness annotation: accepting runs and rejection points.
 //!
-//! Both emptiness engines ultimately hand back a bare witness *tree* — the
-//! eager path via [`Nta::witness`], the lazy path via
+//! Both emptiness checks ultimately hand back a bare witness *tree* — the
+//! built product via [`Nta::witness`], the on-the-fly search via
 //! [`crate::lazy::intersection_witness`]. A bare tree says *that* the
 //! language is non-empty; the provenance layer (`xmltc explain`) also
 //! needs to say *why* a particular tree is in or out of a type. The two
-//! constructions here answer that, engine-independently, by re-running the
-//! automaton on the finished tree:
+//! constructions here answer that, whichever check found the tree, by
+//! re-running the automaton on the finished tree:
 //!
 //! * [`accepting_run`] — a per-node state assignment proving membership
 //!   (the paper's accepting run, Definition 2.1 read bottom-up);

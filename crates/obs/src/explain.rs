@@ -8,7 +8,7 @@
 //! pipeline layer and rendered here in two forms:
 //!
 //! * [`ExplainReport::to_json`] — the machine-readable document (schema
-//!   `xmltc.explain/1`, golden-pinned) written by `xmltc typecheck
+//!   `xmltc.explain/2`, golden-pinned) written by `xmltc typecheck
 //!   --explain-out` and `xmltc explain --json`;
 //! * [`ExplainReport::render_text`] — the human-readable report printed
 //!   by `xmltc explain`.
@@ -22,7 +22,7 @@
 use crate::json::Json;
 
 /// Version tag of the JSON encoding. Bump only with the golden tests.
-pub const SCHEMA: &str = "xmltc.explain/1";
+pub const SCHEMA: &str = "xmltc.explain/2";
 
 /// A document in the provenance chain (counterexample input or offending
 /// output).
@@ -136,8 +136,6 @@ pub struct ExplainReport {
     pub verdict: String,
     /// Resolved Theorem 4.7 route (`"walk"` / `"mso"`).
     pub route: String,
-    /// Resolved emptiness engine (`"lazy"` / `"eager"`).
-    pub engine: String,
     /// The counterexample input document.
     pub input: Option<DocumentRecord>,
     /// The transducer run on it.
@@ -154,11 +152,10 @@ pub struct ExplainReport {
 
 impl ExplainReport {
     /// A report for a passing verdict (no sections).
-    pub fn ok(route: &str, engine: &str) -> ExplainReport {
+    pub fn ok(route: &str) -> ExplainReport {
         ExplainReport {
             verdict: "ok".into(),
             route: route.into(),
-            engine: engine.into(),
             input: None,
             transform: None,
             output: None,
@@ -180,7 +177,6 @@ impl ExplainReport {
             ("schema", Json::Str(SCHEMA.into())),
             ("verdict", Json::Str(self.verdict.clone())),
             ("route", Json::Str(self.route.clone())),
-            ("engine", Json::Str(self.engine.clone())),
         ];
         if let Some(d) = &self.input {
             fields.push(("input", doc_json(d)));
@@ -261,19 +257,13 @@ impl ExplainReport {
         if self.is_ok() {
             line(
                 &mut out,
-                &format!(
-                    "typechecks (route {}, engine {}): nothing to explain",
-                    self.route, self.engine
-                ),
+                &format!("typechecks (route {}): nothing to explain", self.route),
             );
             return out;
         }
         line(
             &mut out,
-            &format!(
-                "DOES NOT typecheck (route {}, engine {})",
-                self.route, self.engine
-            ),
+            &format!("DOES NOT typecheck (route {})", self.route),
         );
         if let Some(d) = &self.input {
             line(&mut out, "");
@@ -433,7 +423,7 @@ mod tests {
 
     #[test]
     fn ok_report_is_minimal() {
-        let r = ExplainReport::ok("walk", "lazy");
+        let r = ExplainReport::ok("walk");
         assert!(r.is_ok());
         let j = r.to_json();
         assert_eq!(j.at("schema").and_then(Json::as_str), Some(SCHEMA));
@@ -460,7 +450,6 @@ mod tests {
         let report = ExplainReport {
             verdict: "counterexample".into(),
             route: "walk".into(),
-            engine: "eager".into(),
             input: Some(DocumentRecord {
                 term: "root(a)".into(),
                 xml: Some("<root><a/></root>".into()),

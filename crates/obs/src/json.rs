@@ -57,7 +57,7 @@ impl Json {
 
     /// Follows a dotted path through nested objects, e.g.
     /// `route_walk.memo_hits`. A numeric segment indexes into an array, so
-    /// `engines.eager.spans.0.wall_ms` reaches inside a report's span
+    /// `runs.0.spans.0.wall_ms` reaches inside a report's span
     /// list. Keys themselves must not contain dots.
     pub fn at(&self, path: &str) -> Option<&Json> {
         let mut cur = self;

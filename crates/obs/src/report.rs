@@ -11,7 +11,7 @@ pub const SCHEMA: &str = "xmltc.pipeline-report/1";
 /// metrics recorded while it was the innermost open span.
 #[derive(Clone, Debug)]
 pub struct SpanRecord {
-    /// Phase name, e.g. `typecheck.violation` or `route.mso`.
+    /// Phase name, e.g. `typecheck.product` or `typecheck.mso`.
     pub name: String,
     /// Nesting depth at open time (0 = top level).
     pub depth: u16,

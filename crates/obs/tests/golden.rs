@@ -31,7 +31,7 @@ fn pipeline_report_json_is_pinned() {
                 metrics: vec![("verdict.ok", 1)],
             },
             SpanRecord {
-                name: "route.walk".into(),
+                name: "typecheck.walk".into(),
                 depth: 1,
                 wall_ns: 1_250_000,
                 metrics: vec![("walk.pairs", 13), ("walk.memo_hits", 4)],
@@ -43,7 +43,7 @@ fn pipeline_report_json_is_pinned() {
         r#"{"schema":"xmltc.pipeline-report/1","#,
         r#""spans":["#,
         r#"{"name":"typecheck","depth":0,"wall_ms":2.5,"metrics":{"verdict.ok":1}},"#,
-        r#"{"name":"route.walk","depth":1,"wall_ms":1.25,"metrics":{"walk.pairs":13,"walk.memo_hits":4}}"#,
+        r#"{"name":"typecheck.walk","depth":1,"wall_ms":1.25,"metrics":{"walk.pairs":13,"walk.memo_hits":4}}"#,
         r#"],"#,
         r#""metrics":{"peak_rss_kb":2048}}"#,
     );
@@ -65,7 +65,6 @@ fn explain_report_json_is_pinned() {
     let report = ExplainReport {
         verdict: "counterexample".into(),
         route: "walk".into(),
-        engine: "eager".into(),
         input: Some(DocumentRecord {
             term: "root(a)".into(),
             xml: Some("<root><a/></root>".into()),
@@ -111,7 +110,7 @@ fn explain_report_json_is_pinned() {
         }),
     };
     let golden = concat!(
-        r#"{"schema":"xmltc.explain/1","verdict":"counterexample","route":"walk","engine":"eager","#,
+        r#"{"schema":"xmltc.explain/2","verdict":"counterexample","route":"walk","#,
         r#""input":{"term":"root(a)","xml":"<root><a/></root>"},"#,
         r#""transform":{"k":1,"states":11,"total_steps":2,"truncated":false,"steps":["#,
         r#"{"state":"dispatch","level":1,"input_symbol":"root","pebbles":["/"],"#,
@@ -131,8 +130,8 @@ fn explain_report_json_is_pinned() {
     );
     // A passing report is just the envelope.
     assert_eq!(
-        ExplainReport::ok("mso", "eager").to_json().encode(),
-        r#"{"schema":"xmltc.explain/1","verdict":"ok","route":"mso","engine":"eager"}"#
+        ExplainReport::ok("mso").to_json().encode(),
+        r#"{"schema":"xmltc.explain/2","verdict":"ok","route":"mso"}"#
     );
 }
 

@@ -33,7 +33,7 @@ use xmltc_dtd::Dtd;
 use xmltc_xmlql::pipeline::{DocumentPipeline, DocumentVerdict};
 
 /// A cached verdict: the document-level outcome plus, for explain
-/// requests, the provenance report JSON (schema `xmltc.explain/1`).
+/// requests, the provenance report JSON (schema `xmltc.explain/2`).
 #[derive(Clone)]
 pub struct VerdictArtifact {
     /// The typecheck verdict.

@@ -96,9 +96,8 @@ pub enum ArtifactKind {
     /// The Theorem 4.7 violation automaton for `(transducer, τ₂)`: keyed
     /// on (input DTD, stylesheet, output DTD, route, state limit).
     Violations,
-    /// A final verdict (with optional provenance report): additionally
-    /// keyed on the engine and the explain flag. Every engine returns the
-    /// same least counterexample, but the report names its engine.
+    /// A final verdict (with optional provenance report): keyed like
+    /// [`ArtifactKind::Violations`] plus the explain flag.
     Verdict,
 }
 
@@ -200,7 +199,6 @@ pub fn verdict_key(
     stylesheet: &str,
     output_dtd: &str,
     route: &str,
-    engine: &str,
     state_limit: u32,
     explain: bool,
 ) -> ArtifactKey {
@@ -211,7 +209,6 @@ pub fn verdict_key(
             .field(stylesheet)
             .field(output_dtd)
             .field(route)
-            .field(engine)
             .num(state_limit as u64)
             .num(explain as u64)
             .finish(),

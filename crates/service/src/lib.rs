@@ -15,7 +15,8 @@
 //! * compiled stylesheet pipelines (transducer + `τ₁`),
 //! * compiled output automata `τ₂`,
 //! * violation automata — the Proposition 4.6 + Theorem 4.7 output for
-//!   `(transducer, τ₂)`, reusable across engines and thread counts,
+//!   `(transducer, τ₂)`, reused when the verdict under the same key was
+//!   evicted or failed to build,
 //! * final verdicts with optional provenance reports.
 //!
 //! A warm repeated `typecheck` is served entirely from the verdict layer:

@@ -15,10 +15,13 @@
 //! transform := "input_dtd": text, "stylesheet": text, "document": text
 //! typecheck := "input_dtd": text, "stylesheet": text, "output_dtd": text,
 //!              "route"?: "auto"|"walk"|"mso",
-//!              "engine"?: "auto"|"lazy"|"eager",
 //!              "state_limit"?: uint, "explain"?: bool
 //! batch     := "requests": [request...]      (no nested batches)
 //! ```
+//!
+//! Unknown fields are ignored. That covers the retired `threads` and
+//! `engine` fields: there is one walk and one emptiness search, so older
+//! clients that still send them get the same answer as without them.
 //!
 //! A request line holds at most [`MAX_REQUEST_BYTES`] (16 MiB) before its
 //! newline. A longer line is answered with `ok: false` and an error naming
@@ -36,7 +39,7 @@
 //! responses, in order, under `"results"`.
 
 use xmltc_obs::Json;
-use xmltc_typecheck::{Engine, Route, TypecheckOptions};
+use xmltc_typecheck::{Route, TypecheckOptions};
 
 /// Protocol identifier, bumped on breaking change.
 pub const PROTOCOL: &str = "xmltc.serve/1";
@@ -54,7 +57,7 @@ pub struct TypecheckParams {
     pub stylesheet: String,
     /// Output DTD text.
     pub output_dtd: String,
-    /// Theorem 4.7 route, emptiness engine and state budget.
+    /// Theorem 4.7 route and state budget.
     pub opts: TypecheckOptions,
     /// Whether to assemble the provenance report.
     pub explain: bool,
@@ -189,13 +192,6 @@ fn parse_value(value: &Json, allow_batch: bool) -> Result<Envelope, String> {
                         Route::parse,
                         "auto|walk|mso",
                     )?,
-                    engine: enum_field(
-                        value,
-                        "engine",
-                        defaults.engine,
-                        Engine::parse,
-                        "auto|lazy|eager",
-                    )?,
                     state_limit,
                 },
                 explain,
@@ -228,9 +224,10 @@ mod tests {
 
     #[test]
     fn parses_typecheck_with_defaults() {
-        // Unknown fields, such as the retired `threads`, are ignored.
+        // Unknown fields, such as the retired `threads` and `engine`, are
+        // ignored.
         let env = parse_line(
-            r#"{"cmd":"typecheck","id":7,"input_dtd":"root := a*","stylesheet":"root -> out","output_dtd":"out := @eps","threads":4}"#,
+            r#"{"cmd":"typecheck","id":7,"input_dtd":"root := a*","stylesheet":"root -> out","output_dtd":"out := @eps","threads":4,"engine":"eager"}"#,
         )
         .unwrap();
         assert_eq!(env.id, Some(7));
@@ -238,7 +235,6 @@ mod tests {
             panic!("wrong variant");
         };
         assert_eq!(p.opts.route, Route::Auto);
-        assert_eq!(p.opts.engine, Engine::Auto);
         assert_eq!(p.opts.state_limit, TypecheckOptions::default().state_limit);
         assert!(!p.explain);
     }

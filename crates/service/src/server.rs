@@ -431,7 +431,7 @@ fn exec_validate(state: &ServiceState, input_dtd: &str, document: &str) -> Resul
     });
     let dtd = as_dtd(res?)?;
     let doc = {
-        let _s = obs::span("doc.parse");
+        let _s = obs::span("xml.parse");
         parse_document(document, dtd.alphabet()).map_err(|e| e.to_string())?
     };
     let verdict = {
@@ -461,7 +461,7 @@ fn exec_transform(
     let (pipeline, pout) = cached_pipeline(state, input_dtd, stylesheet);
     let pipeline = pipeline?;
     let doc = {
-        let _s = obs::span("doc.parse");
+        let _s = obs::span("xml.parse");
         parse_document(document, pipeline.input_dtd().alphabet()).map_err(|e| e.to_string())?
     };
     let out = pipeline.transform(&doc).map_err(|e| e.to_string())?;
@@ -474,8 +474,10 @@ fn exec_transform(
 /// The cached typecheck: verdict artifact first (a warm hit does **zero**
 /// construction work — no pipeline compile, no τ₂, no Theorem 4.7); on a
 /// miss, each constituent artifact comes from its own cache layer, so a
-/// new output DTD against a known stylesheet only pays τ₂ + violations,
-/// and a new engine against a known triple only pays the emptiness check.
+/// new output DTD against a known stylesheet only pays τ₂ + violations.
+/// The violations key is the verdict key without the explain flag, so
+/// that layer hits only when the verdict under the same key was evicted
+/// or failed to build.
 fn exec_typecheck(state: &ServiceState, p: &TypecheckParams) -> Result<Served, String> {
     let opts = &p.opts;
     let vkey = key::verdict_key(
@@ -483,7 +485,6 @@ fn exec_typecheck(state: &ServiceState, p: &TypecheckParams) -> Result<Served, S
         &p.stylesheet,
         &p.output_dtd,
         opts.route.name(),
-        opts.engine.name(),
         opts.state_limit,
         p.explain,
     );

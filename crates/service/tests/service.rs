@@ -130,7 +130,7 @@ fn counterexample_verdicts_cache_and_replay_identically() {
 }
 
 #[test]
-fn typecheck_layers_are_shared_across_specs_and_engines() {
+fn typecheck_layers_are_shared_across_specs() {
     let (addr, handle, _state) = start(false);
     let mut client = Client::connect(&addr).expect("connect");
     client.roundtrip(&typecheck_request(OUTPUT_DTD, 1)).unwrap();
@@ -140,15 +140,39 @@ fn typecheck_layers_are_shared_across_specs_and_engines() {
         .unwrap();
     assert_eq!(field(&other, "cache.pipeline").as_str(), Some("hit"));
     assert_eq!(field(&other, "cache.tau2").as_str(), Some("miss"));
-    // Different engine, same triple: violations layer is warm (the
-    // verdict key includes the engine, the violations key does not).
-    let mut req = typecheck_request(OUTPUT_DTD, 3);
-    if let Json::Object(fields) = &mut req {
-        fields.push(("engine".into(), Json::Str("eager".into())));
+    client
+        .roundtrip(&Json::obj(vec![("cmd", Json::Str("shutdown".into()))]))
+        .unwrap();
+    handle.join().unwrap();
+}
+
+/// `engine` is retired: a request that still sends it, with a once-valid
+/// or an unknown value, gets the answer of the same request without it,
+/// from the same cached verdict.
+#[test]
+fn retired_engine_field_is_ignored() {
+    let (addr, handle, _state) = start(false);
+    let mut client = Client::connect(&addr).expect("connect");
+    for spec in [OUTPUT_DTD, BAD_OUTPUT_DTD] {
+        let plain = client.roundtrip(&typecheck_request(spec, 1)).unwrap();
+        assert_eq!(field(&plain, "cache.verdict").as_str(), Some("miss"));
+        for value in ["eager", "sideways"] {
+            let mut req = typecheck_request(spec, 2);
+            if let Json::Object(fields) = &mut req {
+                fields.push(("engine".into(), Json::Str(value.into())));
+            }
+            for _ in 0..2 {
+                let resp = client.roundtrip(&req).unwrap();
+                assert_eq!(field(&resp, "ok"), &Json::Bool(true), "{value}");
+                assert_eq!(
+                    field(&resp, "result").encode(),
+                    field(&plain, "result").encode(),
+                    "{value}"
+                );
+                assert_eq!(field(&resp, "cache.verdict").as_str(), Some("hit"));
+            }
+        }
     }
-    let eager = client.roundtrip(&req).unwrap();
-    assert_eq!(field(&eager, "cache.verdict").as_str(), Some("miss"));
-    assert_eq!(field(&eager, "cache.violations").as_str(), Some("hit"));
     client
         .roundtrip(&Json::obj(vec![("cmd", Json::Str("shutdown".into()))]))
         .unwrap();

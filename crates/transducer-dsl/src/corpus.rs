@@ -28,7 +28,7 @@ use xmltc_trees::{Alphabet, SmallRng};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Family {
     /// Long chains of silent (non-emitting) walk rules, including silent
-    /// cycles, before any output happens — stresses the engines'
+    /// cycles, before any output happens — stresses the walk's
     /// ε-behaviour and the lazy search's memoization.
     SilentChains,
     /// Input types forcing deeply nested trees; output types bounding

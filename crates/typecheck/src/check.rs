@@ -48,39 +48,15 @@ pub enum ResolvedRoute {
     Mso,
 }
 
-/// Whether the final emptiness checks build their product automata first.
-/// Every engine returns the same least counterexample
-/// ([`Nta::witness`]'s order); they differ only in what they materialize.
+/// The emptiness search's name, kept only because the benchmark harness
+/// (`benchmark/src/tcmix.rs`) compiles against it. Every emptiness check
+/// runs the on-the-fly search of [`xmltc_automata::lazy`]; this selects
+/// nothing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Engine {
-    /// Pick automatically: lazy on the walk route (where the implicit
-    /// product is largest relative to its reachable part), eager on the
-    /// MSO route.
-    Auto,
-    /// Materialize the product automata, then search them.
-    Eager,
-    /// Search the implicit product, making only the pairs the search
-    /// reaches ([`xmltc_automata::lazy`]).
+    /// The on-the-fly search, which makes only the product pairs it
+    /// reaches.
     Lazy,
-}
-
-impl Engine {
-    /// The value that selects this engine in `--engine` and in `serve`'s
-    /// `engine` field: `auto`, `lazy` or `eager`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Auto => "auto",
-            Engine::Lazy => "lazy",
-            Engine::Eager => "eager",
-        }
-    }
-
-    /// The engine whose [`Engine::name`] is `s`.
-    pub fn parse(s: &str) -> Option<Engine> {
-        [Engine::Auto, Engine::Lazy, Engine::Eager]
-            .into_iter()
-            .find(|e| e.name() == s)
-    }
 }
 
 /// Options for [`typecheck`].
@@ -88,8 +64,6 @@ impl Engine {
 pub struct TypecheckOptions {
     /// Route selection.
     pub route: Route,
-    /// Emptiness-engine selection.
-    pub engine: Engine,
     /// Budget for intermediate automata (MSO subset constructions, walk
     /// DBTA states, lazy product configurations). `u32::MAX` = unlimited.
     pub state_limit: u32,
@@ -99,7 +73,6 @@ impl Default for TypecheckOptions {
     fn default() -> Self {
         TypecheckOptions {
             route: Route::Auto,
-            engine: Engine::Auto,
             state_limit: 4_000_000,
         }
     }
@@ -121,16 +94,10 @@ impl TypecheckOptions {
         }
     }
 
-    /// Resolves `Engine::Auto` against the route actually taken: lazy is
-    /// the default for the walk route, opt-in for the MSO route.
-    pub fn engine_for(&self, route: ResolvedRoute) -> Engine {
-        match self.engine {
-            Engine::Auto => match route {
-                ResolvedRoute::Walk => Engine::Lazy,
-                ResolvedRoute::Mso => Engine::Eager,
-            },
-            chosen => chosen,
-        }
+    /// Always [`Engine::Lazy`]; kept only because the benchmark harness
+    /// names it.
+    pub fn engine_for(&self, _route: ResolvedRoute) -> Engine {
+        Engine::Lazy
     }
 }
 
@@ -160,12 +127,12 @@ impl TypecheckOutcome {
 /// **Theorem 4.4** — decides whether `T(τ₁) ⊆ τ₂`.
 ///
 /// Steps: build the Proposition 4.6 violation automaton, convert it to a
-/// regular tree language (Theorem 4.7), intersect with `τ₁` and test
-/// emptiness. The least tree of a nonempty intersection (fewest nodes
-/// first, see [`Nta::witness`]) is the counterexample input; the least
+/// regular tree language (Theorem 4.7), and search `τ₁ ∩ violations` for
+/// its least tree (fewest nodes first, see [`Nta::witness`]) without
+/// building the product. That tree is the counterexample input; the least
 /// tree of the Proposition 3.8 output automaton of that input minus `τ₂`
-/// is the bad output. Both depend on the languages alone, so every engine
-/// and route reports the same pair.
+/// is the bad output. Both depend on the languages alone, so every route
+/// reports the same pair.
 ///
 /// After a walk whose DBTA had 2¹⁴ or more transitions, the heap the
 /// construction freed is handed back to the OS before returning (glibc
@@ -177,9 +144,9 @@ pub fn typecheck(
     opts: &TypecheckOptions,
 ) -> Result<TypecheckOutcome, TypecheckError> {
     let _span = obs::span("typecheck");
-    let engine = begin(t, input_type, opts)?;
+    begin(t, input_type, opts)?;
     let (violations, dbta_transitions) = violation_nta_sized(t, output_type, opts)?;
-    let outcome = decide_with_violations(t, input_type, output_type, &violations, engine, opts);
+    let outcome = decide_with_violations(t, input_type, output_type, &violations, opts);
     drop(violations);
     if dbta_transitions >= RELEASE_AFTER_DBTA_TRANSITIONS {
         release_free_memory();
@@ -223,8 +190,8 @@ fn release_free_memory() {}
 ///
 /// This is the warm path of the `xmltc serve` artifact cache: when the
 /// Theorem 4.7 output (the expensive walk/MSO construction) is already
-/// cached for `(T, τ₂)`, a typecheck against a different `τ₁` reduces to
-/// this call — no `route.walk`/`route.mso` work at all. The `violations`
+/// cached for `(T, τ₂)`, a typecheck reduces to this call — no
+/// `typecheck.walk`/`typecheck.mso` work at all. The `violations`
 /// automaton must be the one [`crate::inverse::violation_nta`] would
 /// produce for `(t, output_type)`; pairing a stale automaton with a
 /// different transducer or output type yields garbage verdicts.
@@ -236,64 +203,48 @@ pub fn typecheck_with_violations(
     opts: &TypecheckOptions,
 ) -> Result<TypecheckOutcome, TypecheckError> {
     let _span = obs::span("typecheck");
-    let engine = begin(t, input_type, opts)?;
+    begin(t, input_type, opts)?;
     obs::record("violation.cached", 1);
     obs::record("violation.states", violations.n_states() as u64);
     obs::record("violation.transitions", violations.n_transitions() as u64);
-    decide_with_violations(t, input_type, output_type, violations, engine, opts)
+    decide_with_violations(t, input_type, output_type, violations, opts)
 }
 
-/// Shared head of [`typecheck`]/[`typecheck_with_violations`]: resolves
-/// the route and engine, records them with the machine's size, and checks
-/// that `τ₁` is over the machine's input alphabet.
+/// Shared head of [`typecheck`]/[`typecheck_with_violations`]: records the
+/// route with the machine's size, and checks that `τ₁` is over the
+/// machine's input alphabet.
 fn begin(
     t: &PebbleTransducer,
     input_type: &Nta,
     opts: &TypecheckOptions,
-) -> Result<Engine, TypecheckError> {
+) -> Result<(), TypecheckError> {
     let route = opts.route_for(t.k());
-    let engine = opts.engine_for(route);
     obs::record("transducer.k", t.k() as u64);
     obs::record("transducer.states", t.core().n_states() as u64);
     obs::record("route.is_mso", matches!(route, ResolvedRoute::Mso) as u64);
-    obs::record("engine.lazy", matches!(engine, Engine::Lazy) as u64);
     if !Alphabet::same(t.input_alphabet(), input_type.alphabet()) {
         return Err(TypecheckError::Tree(
             xmltc_trees::TreeError::AlphabetMismatch,
         ));
     }
-    Ok(engine)
+    Ok(())
 }
 
-/// Shared tail of [`typecheck`]/[`typecheck_with_violations`]: emptiness
-/// of `τ₁ ∩ violations`, then Proposition 3.8 bad-output extraction.
+/// Shared tail of [`typecheck`]/[`typecheck_with_violations`]: the least
+/// tree of `τ₁ ∩ violations`, searched on the fly, then Proposition 3.8
+/// bad-output extraction.
 fn decide_with_violations(
     t: &PebbleTransducer,
     input_type: &Nta,
     output_type: &Nta,
     violations: &Nta,
-    engine: Engine,
     opts: &TypecheckOptions,
 ) -> Result<TypecheckOutcome, TypecheckError> {
     let witness = {
-        let _span = obs::span("typecheck.emptiness");
-        match engine {
-            Engine::Lazy => {
-                // On-the-fly: never materializes `τ₁ × violations`.
-                lazy::intersection_witness(input_type, violations, opts.state_limit)?
-                    .0
-                    .into_witness()
-            }
-            _ => {
-                let offending_inputs = input_type.intersect(violations);
-                obs::record("intersection.states", offending_inputs.n_states() as u64);
-                obs::record(
-                    "intersection.transitions",
-                    offending_inputs.n_transitions() as u64,
-                );
-                offending_inputs.witness()
-            }
-        }
+        let _span = obs::span("automata.lazy");
+        lazy::intersection_witness(input_type, violations, opts.state_limit)?
+            .0
+            .into_witness()
     };
     match witness {
         None => {
@@ -302,32 +253,27 @@ fn decide_with_violations(
         }
         Some(input) => {
             obs::record("verdict.ok", 0);
-            let bad_output = extract_bad_output_with(t, &input, output_type, engine, opts)?;
+            let bad_output = extract_bad_output_with(t, &input, output_type, Engine::Lazy, opts)?;
             Ok(TypecheckOutcome::CounterExample { input, bad_output })
         }
     }
 }
 
-/// The least member of `T(input) ∖ τ₂` via Proposition 3.8. The eager
-/// engine intersects the output automaton with the complement of `τ₂`;
-/// the lazy engine searches `T(input) ∖ τ₂` directly, determinizing `τ₂`
-/// on demand instead of materializing its complement. Both return the
-/// same tree.
+/// The least member of `T(input) ∖ τ₂` via Proposition 3.8: searches the
+/// output automaton minus `τ₂` directly, determinizing `τ₂` on demand
+/// instead of building its complement. The [`Engine`] argument is ignored;
+/// it stays only because the benchmark harness passes one.
 pub fn extract_bad_output_with(
     t: &PebbleTransducer,
     input: &BinaryTree,
     output_type: &Nta,
-    engine: Engine,
+    _engine: Engine,
     opts: &TypecheckOptions,
 ) -> Result<Option<BinaryTree>, TypecheckError> {
     let _span = obs::span("typecheck.bad_output");
     let out_lang = eval::output_automaton(t, input)?.to_nta();
-    if matches!(engine, Engine::Lazy) {
-        let (outcome, _stats) = lazy::difference_witness(&out_lang, output_type, opts.state_limit)?;
-        return Ok(outcome.into_witness());
-    }
-    let bad = out_lang.intersect(&output_type.complement().to_nta());
-    Ok(bad.witness())
+    let (outcome, _stats) = lazy::difference_witness(&out_lang, output_type, opts.state_limit)?;
+    Ok(outcome.into_witness())
 }
 
 #[cfg(test)]
@@ -422,90 +368,37 @@ mod tests {
         let x = al.get("x").unwrap();
         let tau1 = top(&al);
         let tau2 = all_leaves(&al, x);
-        let walk = typecheck(
-            &t,
-            &tau1,
-            &tau2,
-            &TypecheckOptions {
-                route: Route::ForceWalk,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mso = typecheck(
-            &t,
-            &tau1,
-            &tau2,
-            &TypecheckOptions {
-                route: Route::ForceMso,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(walk.is_ok(), mso.is_ok());
-        assert!(!walk.is_ok());
-        // And on the passing instance:
-        let tau_x = all_leaves(&al, x);
         for route in [Route::ForceWalk, Route::ForceMso] {
-            let out = typecheck(
-                &t,
-                &tau_x,
-                &tau_x,
-                &TypecheckOptions {
-                    route,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert!(out.is_ok(), "{route:?}");
-        }
-    }
-
-    #[test]
-    fn engines_agree_and_auto_resolves_by_route() {
-        let al = alpha();
-        let t = library::copy(&al).unwrap();
-        let x = al.get("x").unwrap();
-        let tau1 = top(&al);
-        let tau2 = all_leaves(&al, x);
-        for engine in [Engine::Auto, Engine::Eager, Engine::Lazy] {
             let opts = TypecheckOptions {
-                engine,
+                route,
                 ..Default::default()
             };
-            // Failing instance: every engine refutes with the least
-            // counterexample, the leaf y, which copy maps to itself.
+            // Both routes report the least counterexample, the leaf y,
+            // which copy maps to itself.
             match typecheck(&t, &tau1, &tau2, &opts).unwrap() {
-                TypecheckOutcome::Ok => panic!("{engine:?}: should not typecheck"),
+                TypecheckOutcome::Ok => panic!("{route:?}: should not typecheck"),
                 TypecheckOutcome::CounterExample { input, bad_output } => {
-                    assert_eq!(input.to_string(), "y", "{engine:?}");
+                    assert_eq!(input.to_string(), "y", "{route:?}");
                     let bad = bad_output.expect("bad output extracted");
-                    assert_eq!(bad.to_string(), "y", "{engine:?}");
+                    assert_eq!(bad.to_string(), "y", "{route:?}");
                 }
             }
-            // Passing instance.
-            let ok = typecheck(&t, &tau2, &tau2, &opts).unwrap();
-            assert!(ok.is_ok(), "{engine:?}");
+            // And on the passing instance:
+            assert!(
+                typecheck(&t, &tau2, &tau2, &opts).unwrap().is_ok(),
+                "{route:?}"
+            );
         }
-        let opts = TypecheckOptions::default();
-        assert_eq!(opts.engine_for(ResolvedRoute::Walk), Engine::Lazy);
-        assert_eq!(opts.engine_for(ResolvedRoute::Mso), Engine::Eager);
-        let forced = TypecheckOptions {
-            engine: Engine::Eager,
-            ..Default::default()
-        };
-        assert_eq!(forced.engine_for(ResolvedRoute::Walk), Engine::Eager);
     }
 
     #[test]
-    fn lazy_engine_respects_state_limit() {
+    fn emptiness_search_respects_state_limit() {
         let al = alpha();
         let t = library::copy(&al).unwrap();
         let x = al.get("x").unwrap();
         let tau1 = top(&al);
         let tau2 = all_leaves(&al, x);
         let opts = TypecheckOptions {
-            engine: Engine::Lazy,
             state_limit: 1,
             ..Default::default()
         };

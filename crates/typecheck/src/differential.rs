@@ -1,13 +1,14 @@
-//! Differential execution of the emptiness engines on one typechecking
+//! Differential execution of the emptiness check on one typechecking
 //! instance.
 //!
-//! The eager engine materializes `τ₁ ∩ violations` and asks for its least
-//! tree; the lazy engine searches the same product on the fly for the
-//! same least tree. Any difference in the witness bytes, not only in the
-//! verdict, is a bug in one of them. [`differential_emptiness`] runs
-//! **both** on a shared violation automaton (computed once — it depends
-//! only on `(T, τ₂)`) and returns both witnesses side by side; the corpus
-//! harness and the `xmltc corpus` CLI both consume this.
+//! The typechecker searches `τ₁ ∩ violations` for its least tree on the
+//! fly ([`lazy::intersection_witness`]); the oracle builds the product
+//! automaton and asks it for its least tree ([`Nta::witness`]). Any
+//! difference in the witness bytes, not only in the verdict, is a bug in
+//! one of them. [`differential_emptiness`] runs **both** on a shared
+//! violation automaton (computed once — it depends only on `(T, τ₂)`) and
+//! returns both witnesses side by side; the corpus harness and the
+//! `xmltc corpus` CLI both consume this.
 
 use crate::check::ResolvedRoute;
 use crate::error::TypecheckError;
@@ -17,12 +18,13 @@ use xmltc_automata::{lazy, Nta};
 use xmltc_core::PebbleTransducer;
 use xmltc_trees::BinaryTree;
 
-/// Both engines' answers to one `T(τ₁) ⊆ τ₂` instance.
+/// Both answers to one `T(τ₁) ⊆ τ₂` instance.
 #[derive(Clone, Debug)]
 pub struct DifferentialVerdict {
-    /// The eager engine's counterexample input, if any.
+    /// The least tree of the built product `τ₁ ∩ violations`, if any.
     pub eager_witness: Option<BinaryTree>,
-    /// The lazy engine's counterexample input, if any.
+    /// The on-the-fly search's least tree, if any: the counterexample
+    /// input [`crate::typecheck`] reports.
     pub lazy_witness: Option<BinaryTree>,
     /// States in the (shared) violation automaton, after trimming.
     pub violation_states: u32,
@@ -31,15 +33,15 @@ pub struct DifferentialVerdict {
 }
 
 impl DifferentialVerdict {
-    /// True when the engines return the same witness: both none, or the
-    /// same least counterexample.
+    /// True when both return the same witness: both none, or the same
+    /// least counterexample.
     pub fn agree(&self) -> bool {
         self.eager_witness == self.lazy_witness
     }
 }
 
-/// Runs the eager and the lazy emptiness engine on the same instance and
-/// returns both verdicts. The violation automaton is built once (by
+/// Runs the on-the-fly search and the built product on the same instance
+/// and returns both verdicts. The violation automaton is built once (by
 /// whichever Theorem 4.7 route `opts` selects) and shared.
 pub fn differential_emptiness(
     t: &PebbleTransducer,

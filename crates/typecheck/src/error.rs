@@ -64,7 +64,7 @@ impl From<TreeError> for TypecheckError {
     }
 }
 
-/// Maps lazy-engine failures onto the typechecker's error vocabulary.
+/// Maps the on-the-fly search's failures onto the typechecker's error vocabulary.
 impl From<LazyError> for TypecheckError {
     fn from(e: LazyError) -> Self {
         match e {

@@ -53,7 +53,7 @@ pub(crate) fn violation_nta_sized(
 ) -> Result<(Nta, usize), TypecheckError> {
     let mut dbta_transitions = 0;
     let v = {
-        let _span = obs::span("typecheck.violation");
+        let _span = obs::span("typecheck.product");
         // The product holds only the rule-graph-reachable pairs, which is
         // all `trim_states` would keep (`tests/violation_trim.rs`).
         let v = violation_automaton(t, output_type)?;
@@ -63,7 +63,7 @@ pub(crate) fn violation_nta_sized(
     };
     let nta = match opts.route_for(t.k()) {
         ResolvedRoute::Walk => {
-            let _span = obs::span("route.walk");
+            let _span = obs::span("typecheck.walk");
             let wopts = walk::WalkOptions {
                 limit: opts.state_limit,
             };
@@ -85,7 +85,7 @@ pub(crate) fn violation_nta_sized(
             d.to_nta().trim()
         }
         ResolvedRoute::Mso => {
-            let _span = obs::span("route.mso");
+            let _span = obs::span("typecheck.mso");
             let (nta, stats) = mso_route::pebble_to_nta(&v, opts.state_limit)?;
             obs::record("mso.max_states", stats.max_states as u64);
             obs::record("mso.determinizations", stats.determinizations as u64);

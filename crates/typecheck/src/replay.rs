@@ -16,7 +16,7 @@
 //!
 //! [`ReplayEvidence::verified`] holds exactly when all three legs confirm.
 //! The differential harness and the test suite require it of every
-//! counterexample either engine produces.
+//! counterexample the typechecker reports.
 
 use crate::error::TypecheckError;
 use xmltc_automata::witness::{rejection_point, RejectionPoint};

@@ -50,9 +50,7 @@ impl DocumentPipeline {
         let out_dtd = Dtd::parse_text_with(output_dtd_text, self.enc_out().source())?;
         let tau2 = out_dtd.compile(self.enc_out())?;
 
-        let route = opts.route_for(self.transducer().k());
-        let engine_name = opts.engine_for(route).name();
-        let route_name = match route {
+        let route_name = match opts.route_for(self.transducer().k()) {
             ResolvedRoute::Walk => Route::ForceWalk,
             ResolvedRoute::Mso => Route::ForceMso,
         }
@@ -61,15 +59,12 @@ impl DocumentPipeline {
         let outcome = typecheck(self.transducer(), self.tau1(), &tau2, opts)?;
         let (input, bad_output) = match outcome {
             TypecheckOutcome::Ok => {
-                return Ok((
-                    DocumentVerdict::Ok,
-                    ExplainReport::ok(route_name, engine_name),
-                ))
+                return Ok((DocumentVerdict::Ok, ExplainReport::ok(route_name)))
             }
             TypecheckOutcome::CounterExample { input, bad_output } => (input, bad_output),
         };
 
-        let mut report = ExplainReport::ok(route_name, engine_name);
+        let mut report = ExplainReport::ok(route_name);
         report.verdict = "counterexample".into();
 
         let input_doc = decode(&input, self.enc_in()).map_err(QueryError::Tree)?;

@@ -111,7 +111,7 @@ impl DocumentPipeline {
     pub fn new(stylesheet: Stylesheet, input_dtd: Dtd) -> Result<DocumentPipeline, PipelineError> {
         let _span = obs::span("pipeline.compile");
         let (transducer, enc_in, enc_out) = {
-            let _span = obs::span("stylesheet.compile");
+            let _span = obs::span("xmlql.compile");
             let out = stylesheet.compile(input_dtd.alphabet())?;
             obs::record("transducer.k", out.0.k() as u64);
             obs::record("transducer.states", out.0.core().n_states() as u64);

@@ -6,9 +6,9 @@
 //!                   [--trace-out F]
 //! xmltc typecheck   <input.dtd> <sheet.xsl> <output.dtd> [--stats|--json]
 //!                   [--trace-out F] [--explain-out F] [--route auto|walk|mso]
-//!                   [--engine auto|lazy|eager] [--state-limit N]
+//!                   [--state-limit N]
 //! xmltc explain     <input.dtd> <sheet.xsl> <output.dtd> [--json]
-//!                   [--explain-out F] [--route ..] [--engine ..] [...]
+//!                   [--explain-out F] [--route ..] [...]
 //! xmltc forward     <input.dtd> <sheet.xsl> <output.dtd>
 //! xmltc bench-diff  <baseline-dir> <candidate-dir> [--advisory] [--json]
 //! xmltc corpus      <family> <index> [--seed S] [--minimize] [--state-limit N]
@@ -16,7 +16,7 @@
 //! xmltc serve       [--addr H:P] [--cache-bytes N] [--oneshot]
 //!                   [--trace-out F] [--json]
 //! xmltc client      <addr> <validate|transform|typecheck|stats|shutdown>
-//!                   <files...> [--route ..] [--engine ..] [--state-limit N]
+//!                   <files...> [--route ..] [--state-limit N]
 //!                   [--explain] [--id N] [--json]
 //! ```
 //!
@@ -41,15 +41,19 @@
 //! `explain` renders the verdict-provenance report (counterexample input,
 //! replayed transducer run, offending output, DTD violation), and
 //! `typecheck --explain-out FILE` writes the same report as JSON (schema
-//! `xmltc.explain/1`) next to the normal verdict.
+//! `xmltc.explain/2`) next to the normal verdict.
 //!
 //! Exit code 0 = success / typechecks; 1 = validation or typecheck
-//! failure (details on stdout); 2 = usage or input errors.
+//! failure (details on stdout); 2 = usage or input errors. A reader that
+//! closes stdout early (`xmltc … | head`) cuts the output short but not
+//! the command: the exit code is the one the command computed.
 
+use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use xmltc::dtd::Dtd;
 use xmltc::obs;
-use xmltc::typecheck::{Engine, Route, TypecheckOptions};
+use xmltc::typecheck::{Route, TypecheckOptions};
 use xmltc::xml::{parse_document, raw_to_xml};
 use xmltc::xmlql::pipeline::{DocumentPipeline, DocumentVerdict};
 use xmltc::xmlql::Stylesheet;
@@ -63,6 +67,35 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// Set once stdout's reader has gone away.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes to stdout, the only way this binary does. `print!` panics when
+/// the reader has closed the pipe; this drops the rest of the output
+/// instead. Any other write error is reported on stderr once.
+fn write_stdout(args: std::fmt::Arguments) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: cannot write to stdout: {e}");
+        }
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => { write_stdout(format_args!("\n")) };
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
 }
 
 fn read(path: &str) -> Result<String, String> {
@@ -131,13 +164,6 @@ fn parse_flags(rest: &[String], allowed: FlagLevel) -> Result<(Vec<&str>, Typech
                 flags.opts.route = Route::parse(v)
                     .ok_or_else(|| format!("unknown route `{v}` (auto|walk|mso)"))?;
             }
-            "--engine" => {
-                let v = it
-                    .next()
-                    .ok_or("--engine requires a value: auto|lazy|eager")?;
-                flags.opts.engine = Engine::parse(v)
-                    .ok_or_else(|| format!("unknown engine `{v}` (auto|lazy|eager)"))?;
-            }
             "--state-limit" => {
                 let v = it.next().ok_or("--state-limit requires a number")?;
                 flags.opts.state_limit = v
@@ -156,7 +182,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let cmd = args.first().ok_or(usage)?;
     match cmd.as_str() {
         "--help" | "-h" | "help" => {
-            println!("{}", HELP);
+            outln!("{}", HELP);
             Ok(ExitCode::SUCCESS)
         }
         "validate" => {
@@ -170,7 +196,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     Dtd::parse_text(&dtd_text).map_err(|e| e.to_string())?
                 };
                 let doc = {
-                    let _s = obs::span("doc.parse");
+                    let _s = obs::span("xml.parse");
                     parse_document(&xml_text, dtd.alphabet()).map_err(|e| e.to_string())?
                 };
                 let verdict = {
@@ -183,13 +209,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let print = |v: &Result<(), String>, quiet: bool| match v {
                 Ok(()) => {
                     if !quiet {
-                        println!("valid");
+                        outln!("valid");
                     }
                     ExitCode::SUCCESS
                 }
                 Err(e) => {
                     if !quiet {
-                        println!("invalid: {e}");
+                        outln!("invalid: {e}");
                     }
                     ExitCode::FAILURE
                 }
@@ -212,7 +238,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     Stylesheet::parse_text(&xsl_text).map_err(|e| e.to_string())?
                 };
                 let doc = {
-                    let _s = obs::span("doc.parse");
+                    let _s = obs::span("xml.parse");
                     parse_document(&xml_text, dtd.alphabet()).map_err(|e| e.to_string())?
                 };
                 let pipeline = DocumentPipeline::new(sheet, dtd).map_err(|e| e.to_string())?;
@@ -221,7 +247,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             };
             let print = |out: &String, quiet: bool| {
                 if !quiet {
-                    println!("{out}");
+                    outln!("{out}");
                 }
                 ExitCode::SUCCESS
             };
@@ -280,9 +306,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 write_explain(path, &report)?;
             }
             if flags.json {
-                println!("{}", report.to_json_string());
+                outln!("{}", report.to_json_string());
             } else {
-                print!("{}", report.render_text());
+                out!("{}", report.render_text());
             }
             Ok(if verdict.is_ok() {
                 ExitCode::SUCCESS
@@ -305,13 +331,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 .map_err(|e| e.to_string())?
             {
                 None => {
-                    println!("forward inference proves the spec (sound)");
+                    outln!("forward inference proves the spec (sound)");
                     Ok(ExitCode::SUCCESS)
                 }
                 Some(w) => {
-                    println!("forward inference cannot prove the spec");
-                    println!("image witness (possibly spurious): {}", raw_to_xml(&w));
-                    println!("(run `xmltc typecheck` for the exact verdict)");
+                    outln!("forward inference cannot prove the spec");
+                    outln!("image witness (possibly spurious): {}", raw_to_xml(&w));
+                    outln!("(run `xmltc typecheck` for the exact verdict)");
                     Ok(ExitCode::FAILURE)
                 }
             }
@@ -335,7 +361,7 @@ fn write_trace(trace_out: &Option<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes the explain report JSON (schema `xmltc.explain/1`) for
+/// Writes the explain report JSON (schema `xmltc.explain/2`) for
 /// `--explain-out`.
 fn write_explain(path: &str, report: &obs::ExplainReport) -> Result<(), String> {
     let mut text = report.to_json_string();
@@ -365,21 +391,21 @@ fn run_reported<T>(
         Ok(v) => v,
         Err(msg) => {
             if flags.json {
-                println!("{}", report.to_json_string());
+                outln!("{}", report.to_json_string());
             } else if flags.stats {
-                print!("{}", report.render_table());
+                out!("{}", report.render_table());
             }
             return Err(msg);
         }
     };
     if flags.json {
-        println!("{}", report.to_json_string());
+        outln!("{}", report.to_json_string());
         return Ok(print(&value, true));
     }
     let code = print(&value, false);
     if flags.stats {
-        println!();
-        print!("{}", report.render_table());
+        outln!();
+        out!("{}", report.render_table());
     }
     Ok(code)
 }
@@ -408,9 +434,9 @@ fn bench_diff(rest: &[String]) -> Result<ExitCode, String> {
         .ok_or("the compiled-in BENCHMARK.json is malformed")?;
     let report = obs::diff::diff(&results(base_dir)?, &results(cand_dir)?, &bench);
     if json {
-        println!("{}", report.to_json().encode());
+        outln!("{}", report.to_json().encode());
     } else {
-        print!("{}", report.render_table());
+        out!("{}", report.render_table());
     }
     let regressed: Vec<&str> = report.regressions().map(|d| d.row.as_str()).collect();
     if regressed.is_empty() {
@@ -453,10 +479,11 @@ fn results(dir: &str) -> Result<Vec<obs::diff::Run>, String> {
 }
 
 /// `xmltc corpus <family> <index>`: regenerates one adversarial corpus
-/// case from the seeded generator, runs both emptiness engines on it, and
-/// prints the (transducer, τ₁, τ₂) triple with both engines' witnesses.
-/// Exit 0 when the engines agree — the same least counterexample, or none
-/// (or the case exceeds the corpus state budget and is reported as a
+/// case from the seeded generator and prints the (transducer, τ₁, τ₂)
+/// triple with two witnesses: `eager`, the least tree of the built
+/// product, and `lazy`, the on-the-fly search's, which `typecheck`
+/// reports. Exit 0 when they agree — the same least counterexample, or
+/// none (or the case exceeds the corpus state budget and is reported as a
 /// resource skip, mirroring the harness), 1 on a disagreement (with the
 /// minimized triple), 2 on usage errors.
 fn corpus(rest: &[String]) -> Result<ExitCode, String> {
@@ -476,7 +503,7 @@ fn corpus(rest: &[String]) -> Result<ExitCode, String> {
         match arg.as_str() {
             "--list" => {
                 for f in FAMILIES {
-                    println!("{}", f.name());
+                    outln!("{}", f.name());
                 }
                 return Ok(ExitCode::SUCCESS);
             }
@@ -515,9 +542,9 @@ fn corpus(rest: &[String]) -> Result<ExitCode, String> {
         .map_err(|_| format!("invalid case index `{index_str}`"))?;
 
     let scenario = generate(seed, family, index);
-    print!("{}", scenario.render());
-    println!("digest: {:#018x}", scenario.digest());
-    println!("case seed: {:#018x}", case_seed(seed, family, index));
+    out!("{}", scenario.render());
+    outln!("digest: {:#018x}", scenario.digest());
+    outln!("case seed: {:#018x}", case_seed(seed, family, index));
 
     let opts = TypecheckOptions {
         state_limit,
@@ -534,8 +561,8 @@ fn corpus(rest: &[String]) -> Result<ExitCode, String> {
                 // resource skip, not a verdict (rare walk-construction
                 // blowups cost super-linear time per state — a hang
                 // without the budget).
-                println!();
-                println!(
+                outln!();
+                outln!(
                     "resource skip: state budget exceeded at {n} \
                      (limit {state_limit}; raise with --state-limit)"
                 );
@@ -547,14 +574,14 @@ fn corpus(rest: &[String]) -> Result<ExitCode, String> {
         Some(t) => format!("counterexample {t}"),
         None => "typechecks (no violation reachable from τ₁)".to_string(),
     };
-    println!();
-    println!(
+    outln!();
+    outln!(
         "route: {}",
         if verdict.route_is_walk { "walk" } else { "mso" }
     );
-    println!("violation automaton: {} states", verdict.violation_states);
-    println!("eager: {}", show(&verdict.eager_witness));
-    println!("lazy:  {}", show(&verdict.lazy_witness));
+    outln!("violation automaton: {} states", verdict.violation_states);
+    outln!("eager: {}", show(&verdict.eager_witness));
+    outln!("lazy:  {}", show(&verdict.lazy_witness));
 
     if !verdict.agree() {
         let still_disagrees = |cand: &Scenario| {
@@ -566,14 +593,14 @@ fn corpus(rest: &[String]) -> Result<ExitCode, String> {
                 .unwrap_or(false)
         };
         let out = minimize_scenario(&scenario, still_disagrees);
-        println!(
+        outln!(
             "ENGINES DISAGREE — minimized triple ({} components removed):",
             out.removed
         );
-        print!("{}", out.scenario.render());
+        out!("{}", out.scenario.render());
         return Ok(ExitCode::FAILURE);
     }
-    println!("engines agree");
+    outln!("engines agree");
 
     if minimize {
         let fails = |cand: &Scenario| {
@@ -585,16 +612,17 @@ fn corpus(rest: &[String]) -> Result<ExitCode, String> {
             };
             !c.tau1.intersect(&v).is_empty()
         };
-        println!();
+        outln!();
         if fails(&scenario) {
             let out = minimize_scenario(&scenario, fails);
-            println!(
+            outln!(
                 "minimized while preserving the counterexample ({} of {} candidate removals kept):",
-                out.removed, out.tried
+                out.removed,
+                out.tried
             );
-            print!("{}", out.scenario.render());
+            out!("{}", out.scenario.render());
         } else {
-            println!("case typechecks: nothing to minimize against");
+            outln!("case typechecks: nothing to minimize against");
         }
     }
     Ok(ExitCode::SUCCESS)
@@ -638,15 +666,14 @@ fn serve(rest: &[String]) -> Result<ExitCode, String> {
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     // Scripts (and the CLI tests) wait for this exact line before
     // connecting; flush so it is visible through a pipe immediately.
-    println!("xmltc serve: listening on {addr}");
-    use std::io::Write as _;
+    outln!("xmltc serve: listening on {addr}");
     let _ = std::io::stdout().flush();
     let report = server.run();
     write_trace(&trace_out)?;
     if json {
-        println!("{}", report.to_json_string());
+        outln!("{}", report.to_json_string());
     } else {
-        print!("{}", report.render_table());
+        out!("{}", report.render_table());
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -674,12 +701,6 @@ fn client(rest: &[String]) -> Result<ExitCode, String> {
             "--route" => {
                 let v = it.next().ok_or("--route requires a value: auto|walk|mso")?;
                 options.push(("route", Json::Str(v.clone())));
-            }
-            "--engine" => {
-                let v = it
-                    .next()
-                    .ok_or("--engine requires a value: auto|lazy|eager")?;
-                options.push(("engine", Json::Str(v.clone())));
             }
             "--state-limit" => {
                 let v = it.next().ok_or("--state-limit requires a number")?;
@@ -737,7 +758,7 @@ fn client(rest: &[String]) -> Result<ExitCode, String> {
     let mut conn = Client::connect(addr).map_err(|e| format!("cannot connect to `{addr}`: {e}"))?;
     let response = conn.roundtrip(&request)?;
     if json_out {
-        println!("{}", response.encode());
+        outln!("{}", response.encode());
         return Ok(client_exit_code(&response));
     }
     render_client_response(cmd, &response)
@@ -769,41 +790,41 @@ fn render_client_response(cmd: &str, response: &xmltc::obs::Json) -> Result<Exit
     }
     match cmd {
         "validate" => match response.at("result.verdict").and_then(Json::as_str) {
-            Some("valid") => println!("valid"),
+            Some("valid") => outln!("valid"),
             _ => {
                 let reason = response
                     .at("result.reason")
                     .and_then(Json::as_str)
                     .unwrap_or("unknown");
-                println!("invalid: {reason}");
+                outln!("invalid: {reason}");
             }
         },
         "transform" => {
             if let Some(out) = response.at("result.output").and_then(Json::as_str) {
-                println!("{out}");
+                outln!("{out}");
             }
         }
         "typecheck" => {
             match response.at("result.verdict").and_then(Json::as_str) {
                 Some("typechecks") => {
-                    println!("typechecks: every valid input maps into the output DTD");
+                    outln!("typechecks: every valid input maps into the output DTD");
                 }
                 _ => {
-                    println!("DOES NOT typecheck");
+                    outln!("DOES NOT typecheck");
                     if let Some(input) = response.at("result.input").and_then(Json::as_str) {
-                        println!("counterexample input: {input}");
+                        outln!("counterexample input: {input}");
                     }
                     if let Some(bad) = response.at("result.bad_output").and_then(Json::as_str) {
-                        println!("offending output:     {bad}");
+                        outln!("offending output:     {bad}");
                     }
                 }
             }
             if let Some(explain) = response.at("result.explain") {
-                println!("{}", explain.encode_pretty());
+                outln!("{}", explain.encode_pretty());
             }
         }
-        "stats" => println!("{}", response.encode_pretty()),
-        "shutdown" => println!("server shutting down"),
+        "stats" => outln!("{}", response.encode_pretty()),
+        "shutdown" => outln!("server shutting down"),
         _ => {}
     }
     if let Some(cache) = response.get("cache") {
@@ -819,7 +840,7 @@ fn render_client_response(cmd: &str, response: &xmltc::obs::Json) -> Result<Exit
                 .get("wall_ms")
                 .and_then(Json::as_f64)
                 .unwrap_or(0.0);
-            println!(
+            outln!(
                 "cache: {} (hits {hits}, misses {misses}) wall {wall:.1}ms",
                 parts.join(" ")
             );
@@ -831,14 +852,14 @@ fn render_client_response(cmd: &str, response: &xmltc::obs::Json) -> Result<Exit
 fn print_verdict(verdict: &DocumentVerdict) -> ExitCode {
     match verdict {
         DocumentVerdict::Ok => {
-            println!("typechecks: every valid input maps into the output DTD");
+            outln!("typechecks: every valid input maps into the output DTD");
             ExitCode::SUCCESS
         }
         DocumentVerdict::CounterExample { input, bad_output } => {
-            println!("DOES NOT typecheck");
-            println!("counterexample input: {}", raw_to_xml(input));
+            outln!("DOES NOT typecheck");
+            outln!("counterexample input: {}", raw_to_xml(input));
             if let Some(bad) = bad_output {
-                println!("offending output:     {}", raw_to_xml(bad));
+                outln!("offending output:     {}", raw_to_xml(bad));
             }
             ExitCode::FAILURE
         }
@@ -871,9 +892,10 @@ commands:
   forward   <input.dtd> <sheet.xsl> <output.dtd> forward-inference baseline
   bench-diff <baseline-dir> <candidate-dir>      compare benchmark results
   corpus    <family> <index>                     regenerate one adversarial
-                                                 corpus case and run both
-                                                 engines on it (--list for
-                                                 the family names)
+                                                 corpus case and check its
+                                                 witness against the built
+                                                 product (--list for the
+                                                 family names)
   serve                                          long-running typecheck service
                                                  (TCP, line-delimited JSON) with
                                                  a content-addressed artifact
@@ -890,15 +912,12 @@ reporting options (validate, transform, typecheck):
 
 typecheck / explain options:
   --explain-out FILE write the verdict-provenance report as JSON (schema
-                     xmltc.explain/1): counterexample input, replayed
+                     xmltc.explain/2): counterexample input, replayed
                      transducer run, offending output, DTD violation;
                      `explain` prints the human form (--json for JSON)
   --route R          Theorem 4.7 route: auto (default) | walk | mso
-  --engine E         emptiness engine: auto (default) | lazy | eager
-                     (auto = lazy on the walk route, eager on mso); every
-                     engine reports the same least counterexample, eager
-                     builds the product automata first
-  --state-limit N    budget for intermediate automata (default 4000000)
+  --state-limit N    budget for intermediate automata and the emptiness
+                     search (default 4000000)
 
 corpus options:
   --seed S           corpus seed (decimal or 0x-hex; default 0xc0de) — the

@@ -171,26 +171,20 @@ fn typecheck_passes_on_even_dtd() {
 
 #[test]
 fn typecheck_fails_with_counterexample() {
-    // Every engine reports the least counterexample (fewest nodes first),
-    // byte for byte.
-    let base = [
+    // The least counterexample (fewest nodes first), byte for byte.
+    let out = run(&[
         "typecheck",
         &fixture("any_a.dtd"),
         &fixture("relabel.xsl"),
         &fixture("even_b.dtd"),
-    ];
-    let expected = "DOES NOT typecheck\n\
-                    counterexample input: <root><a/></root>\n\
-                    offending output:     <result><b/></result>\n";
-    let out = run(&base);
+    ]);
     assert_eq!(out.status.code(), Some(1));
-    assert_eq!(stdout(&out), expected);
-    for engine in ["auto", "lazy", "eager"] {
-        let args: Vec<&str> = base.iter().copied().chain(["--engine", engine]).collect();
-        let out = run(&args);
-        assert_eq!(out.status.code(), Some(1), "--engine {engine}");
-        assert_eq!(stdout(&out), expected, "--engine {engine}");
-    }
+    assert_eq!(
+        stdout(&out),
+        "DOES NOT typecheck\n\
+         counterexample input: <root><a/></root>\n\
+         offending output:     <result><b/></result>\n"
+    );
 }
 
 /// The human-readable provenance report is golden-pinned byte-for-byte:
@@ -209,7 +203,7 @@ fn explain_human_report_matches_golden() {
     assert_eq!(stdout(&out), golden);
 }
 
-/// The JSON provenance report (schema `xmltc.explain/1`) is golden-pinned
+/// The JSON provenance report (schema `xmltc.explain/2`) is golden-pinned
 /// byte-for-byte and stays parseable with a verified replay.
 #[test]
 fn explain_json_report_matches_golden() {
@@ -228,7 +222,7 @@ fn explain_json_report_matches_golden() {
     let v = Json::parse(&s).unwrap();
     assert_eq!(
         v.at("schema").and_then(Json::as_str),
-        Some("xmltc.explain/1")
+        Some("xmltc.explain/2")
     );
     assert_eq!(v.at("replay.verified"), Some(&Json::Bool(true)));
     assert_eq!(
@@ -248,36 +242,39 @@ fn explain_passing_spec_has_nothing_to_explain() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     assert_eq!(
         stdout(&out),
-        "typechecks (route walk, engine lazy): nothing to explain\n"
+        "typechecks (route walk): nothing to explain\n"
     );
 }
 
-/// Both engines' counterexamples replay: whatever input/output pair the
-/// search reports, the report's replay section must confirm it.
+/// Every failing fixture's counterexample replays: whatever input/output
+/// pair the search reports, the report's replay section must confirm it.
 #[test]
-fn explain_replay_verifies_for_both_engines() {
+fn explain_replay_verifies_on_every_failing_fixture() {
     use xmltc::obs::Json;
-    for engine in ["lazy", "eager"] {
+    for [dtd, xsl, out_dtd] in [
+        ["q2.dtd", "q2.xsl", "q2_mod2_out.dtd"],
+        ["any_a.dtd", "relabel.xsl", "even_b.dtd"],
+        ["any_a.dtd", "relabel.xsl", "empty_out.dtd"],
+        ["single.dtd", "single.xsl", "single_out_strict.dtd"],
+    ] {
         let out = run(&[
             "explain",
-            &fixture("any_a.dtd"),
-            &fixture("relabel.xsl"),
-            &fixture("even_b.dtd"),
-            "--engine",
-            engine,
+            &fixture(dtd),
+            &fixture(xsl),
+            &fixture(out_dtd),
             "--json",
         ]);
-        assert_eq!(out.status.code(), Some(1), "--engine {engine}");
+        assert_eq!(out.status.code(), Some(1), "{out_dtd}");
         let v = Json::parse(&stdout(&out)).unwrap();
         assert_eq!(
             v.at("replay.verified"),
             Some(&Json::Bool(true)),
-            "--engine {engine}"
+            "{out_dtd}"
         );
         assert_eq!(
             v.at("verdict").and_then(Json::as_str),
             Some("counterexample"),
-            "--engine {engine}"
+            "{out_dtd}"
         );
     }
 }
@@ -366,9 +363,9 @@ fn typecheck_stats_appends_phase_table() {
         "wall_ms",
         "pipeline.compile",
         "input_dtd.compile",
-        "typecheck.violation",
-        "route.walk",
-        "typecheck.emptiness",
+        "typecheck.product",
+        "typecheck.walk",
+        "automata.lazy",
         "verdict.ok=1",
     ] {
         assert!(s.contains(needle), "missing `{needle}` in:\n{s}");
@@ -402,9 +399,9 @@ fn typecheck_json_emits_full_report() {
         "input_dtd.compile",
         "output_dtd.compile",
         "typecheck",
-        "typecheck.violation",
-        "route.walk",
-        "typecheck.emptiness",
+        "typecheck.product",
+        "typecheck.walk",
+        "automata.lazy",
     ] {
         assert!(
             s.contains(&format!("\"name\": \"{span}\"")),
@@ -417,9 +414,7 @@ fn typecheck_json_emits_full_report() {
     assert!(json_u64(&s, "violation.states").unwrap() > 0);
     assert!(json_u64(&s, "walk.dbta_states").unwrap() > 0);
     assert_eq!(json_u64(&s, "verdict.ok"), Some(1));
-    // The walk route defaults to the lazy engine, whose search metrics
-    // replace the eager product sizes.
-    assert_eq!(json_u64(&s, "engine.lazy"), Some(1));
+    // The emptiness search reports what it made, not a built product.
     assert!(json_u64(&s, "lazy.states_materialized").unwrap() > 0);
     assert!(json_u64(&s, "lazy.states_eager").unwrap() > 0);
     assert_eq!(json_u64(&s, "lazy.subset_states"), Some(0));
@@ -430,80 +425,19 @@ fn typecheck_json_emits_full_report() {
     );
 }
 
+/// The emptiness search is not selectable: `--engine` is gone.
 #[test]
-fn typecheck_engine_flag_selects_engine() {
-    let base = [
-        "typecheck",
-        &fixture("even_a.dtd"),
-        &fixture("relabel.xsl"),
-        &fixture("even_b.dtd"),
-    ];
-    let expected = "typechecks: every valid input maps into the output DTD\n";
-    // Verdict-identical stdout across engines on the plain path.
-    for engine in ["auto", "lazy", "eager"] {
-        let args: Vec<&str> = base.iter().copied().chain(["--engine", engine]).collect();
-        let out = run(&args);
-        assert_eq!(out.status.code(), Some(0), "--engine {engine}");
-        assert_eq!(stdout(&out), expected, "--engine {engine}");
-    }
-    // Failing instance: the same least counterexample either way.
-    let fail = [
-        "typecheck",
-        &fixture("any_a.dtd"),
-        &fixture("relabel.xsl"),
-        &fixture("even_b.dtd"),
-    ];
-    let outputs: Vec<String> = ["auto", "lazy", "eager"]
-        .iter()
-        .map(|engine| {
-            let args: Vec<&str> = fail.iter().copied().chain(["--engine", engine]).collect();
-            let out = run(&args);
-            assert_eq!(out.status.code(), Some(1), "--engine {engine}");
-            stdout(&out)
-        })
-        .collect();
-    assert!(
-        outputs[0].contains("counterexample input:"),
-        "{}",
-        outputs[0]
-    );
-    assert_eq!(outputs[1], outputs[0]);
-    assert_eq!(outputs[2], outputs[0]);
-}
-
-#[test]
-fn typecheck_engine_eager_reports_product_sizes() {
+fn typecheck_engine_flag_is_unknown() {
     let out = run(&[
         "typecheck",
         &fixture("even_a.dtd"),
         &fixture("relabel.xsl"),
         &fixture("even_b.dtd"),
-        "--json",
         "--engine",
-        "eager",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let s = stdout(&out);
-    assert_eq!(json_u64(&s, "engine.lazy"), Some(0));
-    assert!(json_u64(&s, "intersection.states").unwrap() > 0);
-    assert!(json_u64(&s, "lazy.states_materialized").is_none());
-}
-
-#[test]
-fn typecheck_engine_invalid_value_is_usage_error() {
-    let out = run(&[
-        "typecheck",
-        "a.dtd",
-        "b.xsl",
-        "c.dtd",
-        "--engine",
-        "sideways",
+        "lazy",
     ]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("unknown engine"));
-    let out = run(&["typecheck", "a.dtd", "b.xsl", "c.dtd", "--engine"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("--engine requires"));
+    assert!(stderr(&out).contains("unknown flag"), "{}", stderr(&out));
 }
 
 #[test]
@@ -519,7 +453,7 @@ fn typecheck_json_mso_route_propagates_compile_stats() {
     ]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let s = stdout(&out);
-    assert!(s.contains("\"name\": \"route.mso\""), "{s}");
+    assert!(s.contains("\"name\": \"typecheck.mso\""), "{s}");
     // The MSO compiler's CompileStats must land in the report (these were
     // previously discarded by the typechecker).
     assert!(json_u64(&s, "mso.operations").unwrap() > 0);
@@ -545,7 +479,7 @@ fn typecheck_mso_budget_abort_reports_partial_progress() {
     assert!(stderr(&out).contains("exceeded 1 states"));
     // The partial report still made it out, with the stats so far.
     let s = stdout(&out);
-    assert!(s.contains("route.mso"), "{s}");
+    assert!(s.contains("typecheck.mso"), "{s}");
     assert!(s.contains("mso.operations="), "{s}");
 }
 
@@ -585,6 +519,31 @@ fn typecheck_route_walk_is_explicit_default_for_k1() {
         stdout(&out),
         "typechecks: every valid input maps into the output DTD\n"
     );
+}
+
+/// A reader that goes away early (`xmltc … | head`) cuts the output short
+/// without a panic, and the command still exits with its verdict's code.
+#[test]
+fn closed_stdout_is_not_a_panic() {
+    use std::process::Stdio;
+    let (any_a, even_a) = (fixture("any_a.dtd"), fixture("even_a.dtd"));
+    let (relabel, even_b) = (fixture("relabel.xsl"), fixture("even_b.dtd"));
+    for (args, code) in [
+        (["explain", &any_a, &relabel, &even_b, "--json"], 1),
+        (["typecheck", &even_a, &relabel, &even_b, "--stats"], 0),
+    ] {
+        let mut child = bin()
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let err = stderr(&out);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {err}");
+    }
 }
 
 #[test]
@@ -686,7 +645,7 @@ fn xmltc_log_traces_to_stderr() {
     assert!(err.contains("<- typecheck"), "{err}");
     // Nesting indents the lines without `--stats` too: the log keeps its
     // own depth, whether or not a report is captured.
-    assert!(err.contains("info]   -> stylesheet.compile"), "{err}");
+    assert!(err.contains("info]   -> xmlql.compile"), "{err}");
     // Every log line carries the level and a monotonic timestamp.
     let mut last_ts = 0.0f64;
     for line in err.lines().filter(|l| l.starts_with("[xmltc +")) {
@@ -747,8 +706,8 @@ fn xmltc_log_format_json_emits_json_lines() {
     let nested = lines
         .iter()
         .map(|l| Json::parse(l).unwrap())
-        .find(|v| v.at("span").and_then(Json::as_str) == Some("stylesheet.compile"))
-        .unwrap_or_else(|| panic!("no stylesheet.compile line in:\n{err}"));
+        .find(|v| v.at("span").and_then(Json::as_str) == Some("xmlql.compile"))
+        .unwrap_or_else(|| panic!("no xmlql.compile line in:\n{err}"));
     assert_eq!(nested.at("depth").and_then(Json::as_u64), Some(1), "{err}");
     assert_eq!(
         stdout(&out),
@@ -782,7 +741,7 @@ fn validate_stats_and_json_report_phases() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let s = stdout(&out);
     assert!(s.starts_with("valid\n"), "{s}");
-    for needle in ["dtd.parse", "doc.parse", "dtd.validate", "verdict.ok=1"] {
+    for needle in ["dtd.parse", "xml.parse", "dtd.validate", "verdict.ok=1"] {
         assert!(s.contains(needle), "missing `{needle}` in:\n{s}");
     }
 
@@ -825,7 +784,7 @@ fn transform_stats_and_json_report_phases() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let s = stdout(&out);
     assert!(s.starts_with("<result><b/><b/></result>\n"), "{s}");
-    for needle in ["dtd.parse", "sheet.parse", "doc.parse"] {
+    for needle in ["dtd.parse", "sheet.parse", "xml.parse"] {
         assert!(s.contains(needle), "missing `{needle}` in:\n{s}");
     }
 
@@ -1010,7 +969,7 @@ fn validate_trace_out_records_phase_spans() {
         .filter(|e| e.at("ph").and_then(Json::as_str) == Some("B"))
         .filter_map(|e| e.at("name").and_then(Json::as_str))
         .collect();
-    for span in ["dtd.parse", "doc.parse", "dtd.validate"] {
+    for span in ["dtd.parse", "xml.parse", "dtd.validate"] {
         assert!(
             begins.contains(&span),
             "missing span `{span}` in {begins:?}"
@@ -1165,8 +1124,9 @@ fn corpus_lists_families() {
     }
 }
 
-/// Regenerating a corpus case prints the triple, runs both engines, and
-/// exits 0 when they agree — for every family at index 0.
+/// Regenerating a corpus case prints the triple, the built product's and
+/// the on-the-fly search's witnesses, and exits 0 when they agree — for
+/// every family at index 0.
 #[test]
 fn corpus_regenerates_and_runs_both_engines() {
     for family in [

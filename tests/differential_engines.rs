@@ -1,17 +1,18 @@
-//! Differential validation of the emptiness engines: the lazy on-the-fly
-//! search and the eager materializing procedure must return the same
-//! least counterexample, byte for byte, on every instance (and the same
-//! bad output for it), and `typecheck::bounded` (exhaustive up to its
-//! depth bound) must never contradict either. Every counterexample is
-//! independently re-verified against `τ₂`.
+//! Differential validation of the emptiness search against oracles: the
+//! library's on-the-fly search (`lazy`) and the built product automaton
+//! (`eager`, [`Nta::witness`]) must return the same least counterexample,
+//! byte for byte, on every instance, and the search's bad output must
+//! equal the built complement's ([`Nta::inclusion_counterexample`]).
+//! `typecheck::bounded` (exhaustive up to its depth bound) must never
+//! contradict either. Every counterexample is independently re-verified
+//! against `τ₂`.
 //!
 //! Seeded random (input DTD, transducer, output DTD) triples drawn from
 //! the in-tree [`SmallRng`]. The Theorem 4.7 walk construction depends
-//! only on (transducer, output DTD), so its (expensive, engine-independent)
-//! violation automaton is computed once per such pair and shared by both
-//! engines — the engines then race on the final emptiness check, which is
-//! where they actually differ. Case count and seed are overridable for the
-//! CI nightly-style run:
+//! only on (transducer, output DTD), so its (expensive) violation
+//! automaton is computed once per such pair and shared by both sides,
+//! which then differ only in the final emptiness check. Case count and
+//! seed are overridable for the CI nightly-style run:
 //!
 //! ```text
 //! XMLTC_DIFF_CASES=1000 XMLTC_DIFF_SEED=7 cargo test --test differential_engines
@@ -26,12 +27,9 @@ use xmltc::dtd::Dtd;
 use xmltc::obs::{DocumentRecord, ExplainReport, ReplayRecord, TraceStepRecord, TransformRecord};
 use xmltc::trees::{BinaryTree, SmallRng};
 use xmltc::typecheck::bounded::{bounded_typecheck, BoundedOutcome};
-use xmltc::typecheck::check::extract_bad_output_with;
 use xmltc::typecheck::differential::differential_emptiness;
 use xmltc::typecheck::inverse::violation_nta;
-use xmltc::typecheck::{
-    replay_counterexample, Engine, ReplayEvidence, TypecheckError, TypecheckOptions,
-};
+use xmltc::typecheck::{replay_counterexample, ReplayEvidence, TypecheckError, TypecheckOptions};
 use xmltc::xmlql::{Stylesheet, Template};
 
 /// Input DTDs (the `τ₁` pool). All share the tag set `{root, a}` so any
@@ -112,27 +110,36 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Re-verifies a counterexample independently of the engine that found
+/// The least tree of `out_lang ∖ τ₂` two ways: the built complement's
+/// (`eager`) and the library's on-the-fly search's (`lazy`), under the
+/// library's default budget.
+fn bad_outputs(out_lang: &Nta, tau2: &Nta) -> [Option<BinaryTree>; 2] {
+    let limit = TypecheckOptions::default().state_limit;
+    let (lazy, _) = lazy::difference_witness(out_lang, tau2, limit).unwrap();
+    [out_lang.inclusion_counterexample(tau2), lazy.into_witness()]
+}
+
+/// The output automaton of `t` on `input` (Proposition 3.8).
+fn output_language(t: &xmltc::core::PebbleTransducer, input: &BinaryTree) -> Nta {
+    xmltc::core::output_automaton(t, input).unwrap().to_nta()
+}
+
+/// Re-verifies a counterexample independently of the search that found
 /// it: the input must be in `τ₁`, the input's output language must leak
-/// outside `τ₂`, and the bad output both engines extract (the same tree)
-/// must exhibit the leak.
+/// outside `τ₂`, and the bad output (the same tree from the search and the
+/// built complement) must exhibit the leak.
 fn verify_cex(ctx: &str, c: &Compiled, tau1: &Nta, input: &BinaryTree) {
     assert!(
         tau1.accepts(input).unwrap(),
         "{ctx}: cex input must be valid"
     );
-    let out_lang = xmltc::core::output_automaton(&c.t, input).unwrap().to_nta();
-    let bad = out_lang.intersect(&c.tau2.complement().to_nta());
-    assert!(!bad.is_empty(), "{ctx}: cex must actually violate the spec");
-    let [eager, b] = [Engine::Eager, Engine::Lazy].map(|engine| {
-        extract_bad_output_with(&c.t, input, &c.tau2, engine, &TypecheckOptions::default())
-            .unwrap()
-            .expect("bad output extracted for every counterexample")
-    });
+    let out_lang = output_language(&c.t, input);
+    let [eager, lazy] = bad_outputs(&out_lang, &c.tau2);
+    let b = lazy.expect("bad output extracted for every counterexample");
     assert_eq!(
-        eager.to_string(),
-        b.to_string(),
-        "{ctx}: engines extract different bad outputs"
+        eager.map(|t| t.to_string()),
+        Some(b.to_string()),
+        "{ctx}: the search and the built complement extract different bad outputs"
     );
     assert!(
         out_lang.accepts(&b).unwrap(),
@@ -155,9 +162,10 @@ fn verify_cex(ctx: &str, c: &Compiled, tau1: &Nta, input: &BinaryTree) {
     dump_explain(&c.t, input, &b, &ev);
 }
 
-/// When `XMLTC_EXPLAIN_DIR` is set, writes both engines' witnesses for an
-/// instance they disagree on into that directory, next to the explain
-/// reports the CI differential job uploads.
+/// When `XMLTC_EXPLAIN_DIR` is set, writes both witnesses (the built
+/// product's and the search's) for an instance they disagree on into that
+/// directory, next to the explain reports the CI differential job
+/// uploads.
 fn dump_witnesses(ctx: &str, eager: &Option<BinaryTree>, lazy: &Option<BinaryTree>) {
     let Ok(dir) = std::env::var("XMLTC_EXPLAIN_DIR") else {
         return;
@@ -175,7 +183,7 @@ static EXPLAIN_DUMPS: AtomicUsize = AtomicUsize::new(0);
 const EXPLAIN_DUMP_CAP: usize = 32;
 
 /// When `XMLTC_EXPLAIN_DIR` is set, writes the annotated explain report
-/// (schema `xmltc.explain/1`) for a verified counterexample into that
+/// (schema `xmltc.explain/2`) for a verified counterexample into that
 /// directory — the CI differential job uploads them as artifacts.
 fn dump_explain(
     t: &xmltc::core::PebbleTransducer,
@@ -190,9 +198,7 @@ fn dump_explain(
     if n >= EXPLAIN_DUMP_CAP {
         return;
     }
-    // Both engines return this counterexample; the report names the
-    // default one.
-    let mut report = ExplainReport::ok("walk", "lazy");
+    let mut report = ExplainReport::ok("walk");
     report.verdict = "counterexample".into();
     report.input = Some(DocumentRecord {
         term: input.to_string(),
@@ -262,7 +268,7 @@ fn engines_never_disagree() {
             .compile(&c.enc_in)
             .unwrap();
 
-        // The two engines return the same least witness.
+        // The search and the built product return the same least witness.
         let eager_witness = tau1.intersect(&c.violations).witness();
         let (lazy_out, stats) =
             lazy::intersection_witness(&tau1, &c.violations, 4_000_000).unwrap();
@@ -274,11 +280,11 @@ fn engines_never_disagree() {
         assert_eq!(
             text(&eager_witness),
             text(&lazy_witness),
-            "{ctx}: engines disagree"
+            "{ctx}: the search and the built product disagree"
         );
         assert!(
             stats.states_materialized <= stats.states_eager,
-            "{ctx}: lazy materialized more states than the eager product"
+            "{ctx}: the search made more pairs than the product has states"
         );
 
         // The bounded-exhaustive oracle: enumerates τ₁ inputs up to a
@@ -287,7 +293,7 @@ fn engines_never_disagree() {
         if let BoundedOutcome::CounterExample { input, .. } = &bounded {
             assert!(
                 eager_witness.is_some(),
-                "{ctx}: engines said OK but bounded found {input}"
+                "{ctx}: the search said OK but bounded found {input}"
             );
         }
 
@@ -364,8 +370,9 @@ fn corpus_opts() -> TypecheckOptions {
     }
 }
 
-/// True when the candidate still lowers and the engines still return
-/// different witnesses for it — the minimizer predicate for mismatches.
+/// True when the candidate still lowers and the search and the built
+/// product still return different witnesses for it — the minimizer
+/// predicate for mismatches.
 fn still_disagrees(cand: &Scenario) -> bool {
     let Ok(c) = cand.compile() else {
         return false;
@@ -375,10 +382,10 @@ fn still_disagrees(cand: &Scenario) -> bool {
         .unwrap_or(false)
 }
 
-/// Verifies the engines' corpus counterexample end to end: input ∈ τ₁,
-/// both engines extract the same concrete bad output, and the replay
-/// verifier confirms all three legs on the real transducer. Any failed
-/// leg reports a minimized triple.
+/// Verifies a corpus counterexample end to end: input ∈ τ₁, the search
+/// and the built complement extract the same concrete bad output, and the
+/// replay verifier confirms all three legs on the real transducer. Any
+/// failed leg reports a minimized triple.
 fn verify_corpus_cex(
     ctx: &str,
     scenario: &Scenario,
@@ -390,14 +397,12 @@ fn verify_corpus_cex(
         "{ctx}: cex input must be valid\n{}",
         scenario.render()
     );
-    let defaults = TypecheckOptions::default();
-    let bad =
-        extract_bad_output_with(&c.transducer, input, &c.tau2, Engine::Eager, &defaults).unwrap();
-    let lazy_bad =
-        extract_bad_output_with(&c.transducer, input, &c.tau2, Engine::Lazy, &defaults).unwrap();
+    let [bad, lazy_bad] = bad_outputs(&output_language(&c.transducer, input), &c.tau2);
     if bad != lazy_bad {
-        let reason =
-            format!("engines extract different bad outputs: eager {bad:?}, lazy {lazy_bad:?}");
+        let reason = format!(
+            "the search and the built complement extract different bad outputs: \
+             eager {bad:?}, lazy {lazy_bad:?}"
+        );
         fail_minimized(ctx, scenario, &reason, |cand| {
             let Ok(cc) = cand.compile() else {
                 return false;
@@ -408,10 +413,8 @@ fn verify_corpus_cex(
             let Some(w) = cc.tau1.intersect(&vv).witness() else {
                 return false;
             };
-            let bad_with = |engine| {
-                extract_bad_output_with(&cc.transducer, &w, &cc.tau2, engine, &defaults).ok()
-            };
-            bad_with(Engine::Eager) != bad_with(Engine::Lazy)
+            let [eager, lazy] = bad_outputs(&output_language(&cc.transducer, &w), &cc.tau2);
+            eager != lazy
         });
     }
     let Some(b) = bad else {
@@ -429,10 +432,9 @@ fn verify_corpus_cex(
                 let Some(w) = cc.tau1.intersect(&vv).witness() else {
                     return false;
                 };
-                matches!(
-                    extract_bad_output_with(&cc.transducer, &w, &cc.tau2, Engine::Eager, &defaults),
-                    Ok(None)
-                )
+                output_language(&cc.transducer, &w)
+                    .inclusion_counterexample(&cc.tau2)
+                    .is_none()
             },
         );
     };
@@ -463,7 +465,8 @@ fn violations_of(c: &xmltc::dsl::CompiledScenario) -> Result<Nta, TypecheckError
     violation_nta(&c.transducer, &c.tau2, &corpus_opts())
 }
 
-/// Runs `cases` corpus cases of one family through both engines; returns
+/// Runs `cases` corpus cases of one family through the search and the
+/// built product; returns
 /// `(ok, failing, skipped)` verdict counts. Every witness disagreement and
 /// every replay failure is reported as a minimized triple. A case whose
 /// Theorem 4.7 construction exceeds the corpus state budget (see
@@ -492,11 +495,12 @@ fn run_corpus_family(family: Family, seed: u64, cases: u64) -> (u64, u64, u64) {
         };
         // (No `states_materialized ≤ states_eager` assertion here: that
         // economy only kicks in once products are large; corpus cases are
-        // deliberately tiny and the lazy search's constant overhead can
-        // exceed |τ₁|·|violations| on them.)
+        // deliberately tiny and the search's constant overhead can exceed
+        // |τ₁|·|violations| on them.)
         if !v.agree() {
             let reason = format!(
-                "engines return different witnesses: eager {:?}, lazy {:?}",
+                "the search and the built product return different witnesses: \
+                 eager {:?}, lazy {:?}",
                 v.eager_witness, v.lazy_witness
             );
             fail_minimized(&ctx, &scenario, &reason, still_disagrees);
@@ -523,8 +527,8 @@ fn assert_skips_rare(ctx: &str, skipped: u64, total: u64) {
     );
 }
 
-/// The corpus sweep: every adversarial family, both engines, minimized
-/// reporting. `XMLTC_CORPUS_CASES` scales the per-family count — the CI
+/// The corpus sweep: every adversarial family, the search against the
+/// built product, minimized reporting. `XMLTC_CORPUS_CASES` scales the per-family count — the CI
 /// corpus job sets it so the total is ≥2000; the default keeps a plain
 /// `cargo test` fast.
 #[test]
@@ -546,9 +550,10 @@ fn corpus_families_agree() {
 }
 
 /// Satellite focus: the silent-transition-heavy family alone, at depth —
-/// long ε-chains and silent cycles are where lazy and eager search differ
-/// most, so this family gets its own ≥200-case run with replay enforced
-/// on every counterexample (inside `verify_corpus_cex`).
+/// long ε-chains and silent cycles are where the on-the-fly search and the
+/// built product differ most, so this family gets its own ≥200-case run
+/// with replay enforced on every counterexample (inside
+/// `verify_corpus_cex`).
 #[test]
 fn silent_chains_stress() {
     let cases = env_u64("XMLTC_SILENT_CASES", 200);

@@ -4,14 +4,15 @@
 //! triples differ only outside those projections share one state, so the
 //! DBTA, its transition table and everything downstream shrink while the
 //! fixpoint work (one run per distinct projection pair) stays the same.
-//! The last test pins what the final emptiness check materializes on the
-//! same instance, per engine.
+//! The last test pins what the final emptiness search materializes on the
+//! same instance, against the product it does not build.
 
 use xmltc::core::machine::PebbleAutomaton;
 use xmltc::dtd::Dtd;
 use xmltc::obs;
+use xmltc::typecheck::inverse::violation_nta;
 use xmltc::typecheck::walk::{walking_to_dbta_with, WalkOptions, WalkStats};
-use xmltc::typecheck::{typecheck, violation_automaton, Engine, TypecheckOptions};
+use xmltc::typecheck::{typecheck, violation_automaton, TypecheckOptions};
 use xmltc::xmlql::Stylesheet;
 
 fn walk(v: &PebbleAutomaton) -> WalkStats {
@@ -90,26 +91,21 @@ fn q2_m8_walk_collapses_to_fourteen_signatures() {
 #[test]
 fn q2_mod3_emptiness_materializes_54_eager_and_12_lazy_states() {
     let fx = xmltc::bench::q2_fixture();
-    let emptiness_metric = |engine, metric| {
-        let opts = TypecheckOptions {
-            engine,
-            ..Default::default()
-        };
-        let (outcome, report) =
-            obs::with_report(|| typecheck(&fx.transducer, &fx.tau1, &fx.tau2_mod3, &opts).unwrap());
-        assert!(outcome.is_ok());
+    let opts = TypecheckOptions::default();
+    let (outcome, report) =
+        obs::with_report(|| typecheck(&fx.transducer, &fx.tau1, &fx.tau2_mod3, &opts).unwrap());
+    assert!(outcome.is_ok());
+    let metric = |m| {
         report
-            .span_metric("typecheck.emptiness", metric)
-            .unwrap_or_else(|| panic!("{engine:?} run reports {metric}"))
+            .span_metric("automata.lazy", m)
+            .unwrap_or_else(|| panic!("the search reports {m}"))
     };
-    // The eager engine builds the whole trimmed τ₁ × violations product;
-    // the lazy one makes only the 12 pairs of it that some tree reaches
-    // (the instance typechecks, so its search runs to the end) and reports
-    // the same product size as its bound.
-    assert_eq!(emptiness_metric(Engine::Eager, "intersection.states"), 54);
-    assert_eq!(
-        emptiness_metric(Engine::Lazy, "lazy.states_materialized"),
-        12
-    );
-    assert_eq!(emptiness_metric(Engine::Lazy, "lazy.states_eager"), 54);
+    // The trimmed τ₁ × violations product has 54 states; the search makes
+    // only the 12 pairs of it that some tree reaches (the instance
+    // typechecks, so it runs to the end) and reports the product's
+    // |τ₁|·|violations| as its bound.
+    let violations = violation_nta(&fx.transducer, &fx.tau2_mod3, &opts).unwrap();
+    assert_eq!(fx.tau1.intersect(&violations).n_states(), 54);
+    assert_eq!(metric("lazy.states_materialized"), 12);
+    assert_eq!(metric("lazy.states_eager"), 54);
 }

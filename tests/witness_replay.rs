@@ -1,14 +1,13 @@
-//! Witness extraction on the edge fixtures, in both engines, with the
-//! replay contract enforced: every counterexample either engine reports
-//! must re-execute through the real transducer and fail output
-//! validation. The fixtures cover the degenerate output types — the
+//! Witness extraction on the edge fixtures, with the replay contract
+//! enforced: every counterexample the typechecker reports must re-execute
+//! through the real transducer and fail output validation. The fixtures cover the degenerate output types — the
 //! empty language (everything is a counterexample), the universal
 //! language (nothing is), and a single-symbol alphabet.
 
 use std::path::PathBuf;
 use xmltc::dtd::Dtd;
 use xmltc::obs::Json;
-use xmltc::typecheck::{Engine, TypecheckOptions};
+use xmltc::typecheck::{Route, TypecheckOptions};
 use xmltc::xmlql::{DocumentPipeline, Stylesheet};
 
 fn fixture(name: &str) -> String {
@@ -24,27 +23,13 @@ fn pipeline(dtd: &str, xsl: &str) -> DocumentPipeline {
     DocumentPipeline::new(sheet, dtd).unwrap()
 }
 
-fn opts(engine: Engine) -> TypecheckOptions {
-    TypecheckOptions {
-        engine,
-        ..TypecheckOptions::default()
-    }
-}
-
-/// Runs `explain` for one fixture triple under one engine and returns the
-/// report after asserting the replay contract on failing verdicts.
-fn check(dtd: &str, xsl: &str, out_dtd: &str, engine: Engine, expect_ok: bool) {
-    let name = format!(
-        "{dtd}+{xsl}+{out_dtd} [{}]",
-        if matches!(engine, Engine::Eager) {
-            "eager"
-        } else {
-            "lazy"
-        }
-    );
+/// Runs `explain` for one fixture triple and asserts the replay contract
+/// on failing verdicts.
+fn check(dtd: &str, xsl: &str, out_dtd: &str, expect_ok: bool) {
+    let name = format!("{dtd}+{xsl}+{out_dtd}");
     let p = pipeline(dtd, xsl);
     let (verdict, report) = p
-        .explain_against_with(&fixture(out_dtd), &opts(engine))
+        .explain_against_with(&fixture(out_dtd), &TypecheckOptions::default())
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     assert_eq!(verdict.is_ok(), expect_ok, "{name}");
     assert_eq!(report.is_ok(), expect_ok, "{name}");
@@ -77,57 +62,54 @@ fn check(dtd: &str, xsl: &str, out_dtd: &str, engine: Engine, expect_ok: bool) {
 fn empty_output_type_everything_is_a_counterexample() {
     // `result := result` has the empty language: even the childless
     // input's output violates it.
-    for engine in [Engine::Lazy, Engine::Eager] {
-        check("any_a.dtd", "relabel.xsl", "empty_out.dtd", engine, false);
-    }
+    check("any_a.dtd", "relabel.xsl", "empty_out.dtd", false);
 }
 
 #[test]
 fn universal_output_type_always_typechecks() {
-    for engine in [Engine::Lazy, Engine::Eager] {
-        check(
-            "any_a.dtd",
-            "relabel.xsl",
-            "universal_out.dtd",
-            engine,
-            true,
-        );
-    }
+    check("any_a.dtd", "relabel.xsl", "universal_out.dtd", true);
 }
 
 #[test]
 fn single_symbol_alphabet_both_verdicts() {
-    for engine in [Engine::Lazy, Engine::Eager] {
-        // Identity image vs. itself: typechecks.
-        check("single.dtd", "single.xsl", "single_out.dtd", engine, true);
-        // Empty single-symbol spec: nothing conforms.
-        check(
-            "single.dtd",
-            "single.xsl",
-            "single_out_strict.dtd",
-            engine,
-            false,
-        );
-    }
+    // Identity image vs. itself: typechecks.
+    check("single.dtd", "single.xsl", "single_out.dtd", true);
+    // Empty single-symbol spec: nothing conforms.
+    check("single.dtd", "single.xsl", "single_out_strict.dtd", false);
 }
 
 #[test]
 fn q2_mod2_variant_fails_with_verified_replay() {
-    for engine in [Engine::Lazy, Engine::Eager] {
-        check("q2.dtd", "q2.xsl", "q2_mod2_out.dtd", engine, false);
-    }
+    check("q2.dtd", "q2.xsl", "q2_mod2_out.dtd", false);
 }
 
-/// The eager and lazy witnesses may differ, but the annotated reports are
-/// each internally consistent and name their engine.
+/// A report names the Theorem 4.7 route that decided it: `auto` resolves
+/// to the walk for these 1-pebble machines, and a forced MSO run says so.
 #[test]
-fn reports_name_their_engine() {
-    for (engine, name) in [(Engine::Lazy, "lazy"), (Engine::Eager, "eager")] {
-        let p = pipeline("any_a.dtd", "relabel.xsl");
-        let (_, report) = p
-            .explain_against_with(&fixture("even_b.dtd"), &opts(engine))
+fn reports_name_their_route() {
+    for (dtd, xsl, out_dtd, route, name) in [
+        (
+            "any_a.dtd",
+            "relabel.xsl",
+            "even_b.dtd",
+            Route::Auto,
+            "walk",
+        ),
+        (
+            "minimal.dtd",
+            "minimal.xsl",
+            "minimal_out.dtd",
+            Route::ForceMso,
+            "mso",
+        ),
+    ] {
+        let opts = TypecheckOptions {
+            route,
+            ..TypecheckOptions::default()
+        };
+        let (_, report) = pipeline(dtd, xsl)
+            .explain_against_with(&fixture(out_dtd), &opts)
             .unwrap();
-        assert_eq!(report.engine, name);
-        assert_eq!(report.route, "walk");
+        assert_eq!(report.route, name, "{dtd}+{xsl}+{out_dtd}");
     }
 }

@@ -3,7 +3,8 @@
 
 use xmltc::dtd::Dtd;
 use xmltc::trees::{decode, encode};
-use xmltc::typecheck::{typecheck, Engine, TypecheckOptions, TypecheckOutcome};
+use xmltc::typecheck::differential::differential_emptiness;
+use xmltc::typecheck::{typecheck, TypecheckOptions, TypecheckOutcome};
 use xmltc::xml::{parse_document, raw_to_xml, to_xml};
 use xmltc::xmlql::pipeline::{DocumentPipeline, DocumentVerdict};
 use xmltc::xmlql::{Stylesheet, Template};
@@ -113,55 +114,56 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// Runs one committed fixture triple through the document pipeline with a
-/// given engine; returns the verdict.
-fn run_fixture(dtd: &str, xsl: &str, out_dtd: &str, engine: Engine) -> DocumentVerdict {
+/// Runs one committed fixture triple through the document pipeline and
+/// checks its witness against the built product's on the same violation
+/// automaton; returns the verdict.
+fn run_fixture(dtd: &str, xsl: &str, out_dtd: &str) -> DocumentVerdict {
     let dtd = Dtd::parse_text(&fixture(dtd)).unwrap();
     let sheet = Stylesheet::parse_text(&fixture(xsl)).unwrap();
-    let pipeline = DocumentPipeline::new(sheet, dtd).unwrap();
-    let opts = TypecheckOptions {
-        engine,
-        ..Default::default()
-    };
-    pipeline
-        .typecheck_against_with(&fixture(out_dtd), &opts)
+    let (t, enc_in, enc_out) = sheet.compile(dtd.alphabet()).unwrap();
+    let tau1 = dtd.compile(&enc_in).unwrap();
+    let tau2 = Dtd::parse_text_with(&fixture(out_dtd), enc_out.source())
+        .unwrap()
+        .compile(&enc_out)
+        .unwrap();
+    let both = differential_emptiness(&t, &tau1, &tau2, &TypecheckOptions::default()).unwrap();
+    assert!(both.agree(), "{out_dtd}: {both:?}");
+    DocumentPipeline::new(sheet, dtd)
+        .unwrap()
+        .typecheck_against(&fixture(out_dtd))
         .unwrap()
 }
 
 /// Golden regression for the edge-case fixtures: the empty output type,
 /// the universal output type, and the single-symbol alphabet — each
-/// decided identically by both emptiness engines.
+/// decided identically by the on-the-fly search and the built product.
 #[test]
 fn edge_case_fixtures_agree_across_engines() {
-    for engine in [Engine::Lazy, Engine::Eager] {
-        // Empty τ₂: no output document conforms, so every valid input is
-        // a counterexample — even the childless root.
-        match run_fixture("any_a.dtd", "relabel.xsl", "empty_out.dtd", engine) {
-            DocumentVerdict::CounterExample { input, bad_output } => {
-                assert_eq!(input.name, "root", "{engine:?}");
-                let bad = bad_output.expect("bad output against empty type");
-                assert_eq!(bad.name, "result", "{engine:?}");
-            }
-            DocumentVerdict::Ok => panic!("{engine:?}: empty output type cannot be satisfied"),
+    // Empty τ₂: no output document conforms, so every valid input is a
+    // counterexample — even the childless root.
+    match run_fixture("any_a.dtd", "relabel.xsl", "empty_out.dtd") {
+        DocumentVerdict::CounterExample { input, bad_output } => {
+            assert_eq!(input.name, "root");
+            let bad = bad_output.expect("bad output against empty type");
+            assert_eq!(bad.name, "result");
         }
+        DocumentVerdict::Ok => panic!("empty output type cannot be satisfied"),
+    }
 
-        // Universal τ₂: every output conforms, so the check passes.
-        assert!(
-            run_fixture("any_a.dtd", "relabel.xsl", "universal_out.dtd", engine).is_ok(),
-            "{engine:?}: universal output type accepts everything"
-        );
+    // Universal τ₂: every output conforms, so the check passes.
+    assert!(
+        run_fixture("any_a.dtd", "relabel.xsl", "universal_out.dtd").is_ok(),
+        "universal output type accepts everything"
+    );
 
-        // Single-symbol alphabet, identity transform: conforming spec
-        // passes, empty-language spec fails on every input.
-        assert!(
-            run_fixture("single.dtd", "single.xsl", "single_out.dtd", engine).is_ok(),
-            "{engine:?}: identity into the same single-symbol DTD"
-        );
-        match run_fixture("single.dtd", "single.xsl", "single_out_strict.dtd", engine) {
-            DocumentVerdict::CounterExample { input, .. } => {
-                assert_eq!(input.name, "s", "{engine:?}");
-            }
-            DocumentVerdict::Ok => panic!("{engine:?}: strict single-symbol spec is empty"),
-        }
+    // Single-symbol alphabet, identity transform: conforming spec passes,
+    // empty-language spec fails on every input.
+    assert!(
+        run_fixture("single.dtd", "single.xsl", "single_out.dtd").is_ok(),
+        "identity into the same single-symbol DTD"
+    );
+    match run_fixture("single.dtd", "single.xsl", "single_out_strict.dtd") {
+        DocumentVerdict::CounterExample { input, .. } => assert_eq!(input.name, "s"),
+        DocumentVerdict::Ok => panic!("strict single-symbol spec is empty"),
     }
 }
