@@ -375,12 +375,6 @@ impl PebbleAutomaton {
         self.core.k()
     }
 
-    /// Assembles an automaton from a pre-validated core (used by the
-    /// Proposition 4.6 product construction).
-    pub fn from_core(core: MachineCore) -> PebbleAutomaton {
-        PebbleAutomaton { core }
-    }
-
     /// Removes states unreachable in the rule graph (a tree-independent
     /// over-approximation of configuration reachability), renumbering the
     /// rest. Sound: a configuration `(q, x̄)` can only arise if `q` is

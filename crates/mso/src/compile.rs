@@ -118,10 +118,13 @@ pub fn compile_sentence(f: &Formula, alphabet: &Arc<Alphabet>) -> Result<Nta, Co
     compile_sentence_limited(f, alphabet, u32::MAX).map(|(a, _)| a)
 }
 
-/// [`compile_sentence`] with a state budget and resource statistics. The
-/// budget bounds every intermediate automaton; exceeding it aborts with
-/// [`CompileError::StateLimit`] instead of consuming unbounded memory —
-/// essential when demonstrating the Theorem 4.8 blow-up.
+/// [`compile_sentence`] with a state budget and resource statistics. Each
+/// intermediate automaton is checked against the budget, and exceeding it
+/// aborts with [`CompileError::StateLimit`]. Complementation stops its
+/// subset construction at the budget, but other operations are checked
+/// only once built: an intersection ([`SymTa::intersect`]) first builds its
+/// whole untrimmed product, up to the square of the budget, so one step
+/// can still exhaust memory before the check sees it.
 pub fn compile_sentence_limited(
     f: &Formula,
     alphabet: &Arc<Alphabet>,

@@ -112,11 +112,6 @@ impl<S: Copy + Eq + Hash + Ord> Dfa<S> {
         self.trans.len()
     }
 
-    /// True when there are no states (cannot happen for constructed DFAs).
-    pub fn is_empty_automaton(&self) -> bool {
-        self.trans.is_empty()
-    }
-
     /// The start state.
     pub fn start(&self) -> u32 {
         self.start

@@ -94,7 +94,7 @@ pub enum ArtifactKind {
     /// pipelines.
     Tau2,
     /// The Theorem 4.7 violation automaton for `(transducer, τ₂)`: keyed
-    /// on (input DTD, stylesheet, output DTD, route, state limit).
+    /// on (input DTD, stylesheet, output DTD, state limit).
     Violations,
     /// A final verdict (with optional provenance report): keyed like
     /// [`ArtifactKind::Violations`] plus the explain flag.
@@ -172,13 +172,12 @@ pub fn tau2_key(input_dtd: &str, stylesheet: &str, output_dtd: &str) -> Artifact
     }
 }
 
-/// Key of a violation automaton (route + state budget affect the
-/// construction; thread count does not — see [`ArtifactKind::Violations`]).
+/// Key of a violation automaton (the state budget can stop the
+/// construction — see [`ArtifactKind::Violations`]).
 pub fn violations_key(
     input_dtd: &str,
     stylesheet: &str,
     output_dtd: &str,
-    route: &str,
     state_limit: u32,
 ) -> ArtifactKey {
     ArtifactKey {
@@ -187,7 +186,6 @@ pub fn violations_key(
             .field(input_dtd)
             .field(stylesheet)
             .field(output_dtd)
-            .field(route)
             .num(state_limit as u64)
             .finish(),
     }
@@ -198,7 +196,6 @@ pub fn verdict_key(
     input_dtd: &str,
     stylesheet: &str,
     output_dtd: &str,
-    route: &str,
     state_limit: u32,
     explain: bool,
 ) -> ArtifactKey {
@@ -208,7 +205,6 @@ pub fn verdict_key(
             .field(input_dtd)
             .field(stylesheet)
             .field(output_dtd)
-            .field(route)
             .num(state_limit as u64)
             .num(explain as u64)
             .finish(),
@@ -233,9 +229,8 @@ mod tests {
         let k3 = pipeline_key("root := a*", "a -> c");
         assert_eq!(k1, k2);
         assert_ne!(k1.hash, k3.hash);
-        let v = violations_key("d", "s", "o", "auto", 100);
-        assert_ne!(v, violations_key("d", "s", "o", "walk", 100));
-        assert_ne!(v, violations_key("d", "s", "o", "auto", 101));
+        let v = violations_key("d", "s", "o", 100);
+        assert_ne!(v, violations_key("d", "s", "o", 101));
     }
 
     #[test]

@@ -14,13 +14,13 @@
 //! validate  := "input_dtd": text, "document": text
 //! transform := "input_dtd": text, "stylesheet": text, "document": text
 //! typecheck := "input_dtd": text, "stylesheet": text, "output_dtd": text,
-//!              "route"?: "auto"|"walk"|"mso",
 //!              "state_limit"?: uint, "explain"?: bool
 //! batch     := "requests": [request...]      (no nested batches)
 //! ```
 //!
-//! Unknown fields are ignored. That covers the retired `threads` and
-//! `engine` fields: there is one walk and one emptiness search, so older
+//! Unknown fields are ignored. That covers the retired `threads`,
+//! `engine` and `route` fields: there is one walk, one emptiness search,
+//! and the machine's pebble count picks the Theorem 4.7 route, so older
 //! clients that still send them get the same answer as without them.
 //!
 //! A request line holds at most [`MAX_REQUEST_BYTES`] (16 MiB) before its
@@ -39,7 +39,7 @@
 //! responses, in order, under `"results"`.
 
 use xmltc_obs::Json;
-use xmltc_typecheck::{Route, TypecheckOptions};
+use xmltc_typecheck::TypecheckOptions;
 
 /// Protocol identifier, bumped on breaking change.
 pub const PROTOCOL: &str = "xmltc.serve/1";
@@ -57,7 +57,7 @@ pub struct TypecheckParams {
     pub stylesheet: String,
     /// Output DTD text.
     pub output_dtd: String,
-    /// Theorem 4.7 route and state budget.
+    /// The state budget.
     pub opts: TypecheckOptions,
     /// Whether to assemble the provenance report.
     pub explain: bool,
@@ -122,26 +122,6 @@ fn text_field(obj: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing or non-string field `{key}`"))
 }
 
-/// An optional enum-valued field: `default` when absent, else the value
-/// `parse` accepts; `names` lists the accepted values for the error.
-fn enum_field<T>(
-    obj: &Json,
-    key: &str,
-    default: T,
-    parse: fn(&str) -> Option<T>,
-    names: &str,
-) -> Result<T, String> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => {
-            let s = v
-                .as_str()
-                .ok_or_else(|| format!("field `{key}` must be a string"))?;
-            parse(s).ok_or_else(|| format!("unknown {key} `{s}` (one of: {names})"))
-        }
-    }
-}
-
 /// Parses one request line. Errors are protocol-level (malformed JSON,
 /// missing fields) — the server reports them as `ok:false` responses.
 pub fn parse_line(line: &str) -> Result<Envelope, String> {
@@ -166,9 +146,8 @@ fn parse_value(value: &Json, allow_batch: bool) -> Result<Envelope, String> {
             document: text_field(value, "document")?,
         },
         "typecheck" => {
-            let defaults = TypecheckOptions::default();
             let state_limit = match value.get("state_limit") {
-                None => defaults.state_limit,
+                None => TypecheckOptions::default().state_limit,
                 Some(v) => u32::try_from(
                     v.as_u64()
                         .ok_or("`state_limit` must be a non-negative integer")?,
@@ -184,16 +163,7 @@ fn parse_value(value: &Json, allow_batch: bool) -> Result<Envelope, String> {
                 input_dtd: text_field(value, "input_dtd")?,
                 stylesheet: text_field(value, "stylesheet")?,
                 output_dtd: text_field(value, "output_dtd")?,
-                opts: TypecheckOptions {
-                    route: enum_field(
-                        value,
-                        "route",
-                        defaults.route,
-                        Route::parse,
-                        "auto|walk|mso",
-                    )?,
-                    state_limit,
-                },
+                opts: TypecheckOptions { state_limit },
                 explain,
             }))
         }
@@ -224,28 +194,22 @@ mod tests {
 
     #[test]
     fn parses_typecheck_with_defaults() {
-        // Unknown fields, such as the retired `threads` and `engine`, are
-        // ignored.
+        // Unknown fields, such as the retired `threads`, `engine` and
+        // `route`, are ignored.
         let env = parse_line(
-            r#"{"cmd":"typecheck","id":7,"input_dtd":"root := a*","stylesheet":"root -> out","output_dtd":"out := @eps","threads":4,"engine":"eager"}"#,
+            r#"{"cmd":"typecheck","id":7,"input_dtd":"root := a*","stylesheet":"root -> out","output_dtd":"out := @eps","threads":4,"engine":"eager","route":"mso"}"#,
         )
         .unwrap();
         assert_eq!(env.id, Some(7));
         let Request::Typecheck(p) = env.request else {
             panic!("wrong variant");
         };
-        assert_eq!(p.opts.route, Route::Auto);
         assert_eq!(p.opts.state_limit, TypecheckOptions::default().state_limit);
         assert!(!p.explain);
     }
 
     #[test]
-    fn rejects_unknown_route_and_nested_batch() {
-        let err = parse_line(
-            r#"{"cmd":"typecheck","input_dtd":"d","stylesheet":"s","output_dtd":"o","route":"fast"}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("unknown route"), "{err}");
+    fn rejects_nested_batch() {
         let err = parse_line(r#"{"cmd":"batch","requests":[{"cmd":"batch","requests":[]}]}"#)
             .unwrap_err();
         assert!(err.contains("nested"), "{err}");

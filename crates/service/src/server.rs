@@ -484,7 +484,6 @@ fn exec_typecheck(state: &ServiceState, p: &TypecheckParams) -> Result<Served, S
         &p.input_dtd,
         &p.stylesheet,
         &p.output_dtd,
-        opts.route.name(),
         opts.state_limit,
         p.explain,
     );
@@ -523,13 +522,7 @@ fn exec_typecheck(state: &ServiceState, p: &TypecheckParams) -> Result<Served, S
         tau2_out.set(Some(tout));
         let tau2 = as_nta(tres?)?;
         let (rres, rout) = state.cache.get_or_build(
-            key::violations_key(
-                &p.input_dtd,
-                &p.stylesheet,
-                &p.output_dtd,
-                opts.route.name(),
-                opts.state_limit,
-            ),
+            key::violations_key(&p.input_dtd, &p.stylesheet, &p.output_dtd, opts.state_limit),
             || {
                 violation_nta(pipeline.transducer(), &tau2, opts)
                     .map(|n| Artifact::Nta(Arc::new(n)))

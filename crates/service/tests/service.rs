@@ -146,28 +146,34 @@ fn typecheck_layers_are_shared_across_specs() {
     handle.join().unwrap();
 }
 
-/// `engine` is retired: a request that still sends it, with a once-valid
-/// or an unknown value, gets the answer of the same request without it,
-/// from the same cached verdict.
+/// `engine` and `route` are retired: a request that still sends one, with
+/// a once-valid or an unknown value, gets the answer of the same request
+/// without it, from the same cached verdict.
 #[test]
-fn retired_engine_field_is_ignored() {
+fn retired_fields_are_ignored() {
     let (addr, handle, _state) = start(false);
     let mut client = Client::connect(&addr).expect("connect");
     for spec in [OUTPUT_DTD, BAD_OUTPUT_DTD] {
         let plain = client.roundtrip(&typecheck_request(spec, 1)).unwrap();
         assert_eq!(field(&plain, "cache.verdict").as_str(), Some("miss"));
-        for value in ["eager", "sideways"] {
+        for (name, value) in [
+            ("engine", "eager"),
+            ("engine", "sideways"),
+            ("route", "mso"),
+            ("route", "walk"),
+            ("route", "sideways"),
+        ] {
             let mut req = typecheck_request(spec, 2);
             if let Json::Object(fields) = &mut req {
-                fields.push(("engine".into(), Json::Str(value.into())));
+                fields.push((name.into(), Json::Str(value.into())));
             }
             for _ in 0..2 {
                 let resp = client.roundtrip(&req).unwrap();
-                assert_eq!(field(&resp, "ok"), &Json::Bool(true), "{value}");
+                assert_eq!(field(&resp, "ok"), &Json::Bool(true), "{name}={value}");
                 assert_eq!(
                     field(&resp, "result").encode(),
                     field(&plain, "result").encode(),
-                    "{value}"
+                    "{name}={value}"
                 );
                 assert_eq!(field(&resp, "cache.verdict").as_str(), Some("hit"));
             }

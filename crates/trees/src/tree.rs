@@ -186,20 +186,6 @@ impl BinaryTree {
         }
     }
 
-    /// Nodes of the subtree rooted at `n`, in pre-order.
-    pub fn subtree_nodes(&self, n: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![n];
-        while let Some(x) = stack.pop() {
-            out.push(x);
-            if let Some((l, r)) = self.children(x) {
-                stack.push(r);
-                stack.push(l);
-            }
-        }
-        out
-    }
-
     /// Converts back to a [`RawTree`] (for printing and cross-checking).
     pub fn to_raw(&self) -> RawTree {
         self.raw_at(self.root)
@@ -479,13 +465,12 @@ mod tests {
     }
 
     #[test]
-    fn subtree_nodes_and_eq() {
+    fn subtree_eq_compares_structure() {
         let al = alpha();
         let t = BinaryTree::parse("f(g(a, b), g(a, b))", &al).unwrap();
         let (l, r) = t.children(t.root()).unwrap();
         assert!(t.subtree_eq(l, &t, r));
         assert!(!t.subtree_eq(l, &t, t.root()));
-        assert_eq!(t.subtree_nodes(l).len(), 3);
     }
 
     #[test]

@@ -8,44 +8,23 @@ use xmltc_core::{eval, PebbleTransducer};
 use xmltc_obs as obs;
 use xmltc_trees::{Alphabet, BinaryTree};
 
-/// Which Theorem 4.7 construction to use.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Route {
-    /// Pick automatically: behaviour composition when `k = 1`, MSO
-    /// otherwise.
-    Auto,
-    /// Force the k = 1 behaviour-composition route (errors when `k > 1`).
-    ForceWalk,
-    /// Force the paper's MSO route (any `k`, non-elementary).
-    ForceMso,
-}
-
-impl Route {
-    /// The value that selects this route in `--route` and in `serve`'s
-    /// `route` field: `auto`, `walk` or `mso`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Route::Auto => "auto",
-            Route::ForceWalk => "walk",
-            Route::ForceMso => "mso",
-        }
-    }
-
-    /// The route whose [`Route::name`] is `s`.
-    pub fn parse(s: &str) -> Option<Route> {
-        [Route::Auto, Route::ForceWalk, Route::ForceMso]
-            .into_iter()
-            .find(|r| r.name() == s)
-    }
-}
-
-/// Resolved route (post-`Auto`).
+/// The Theorem 4.7 construction a machine's pebble count selects.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ResolvedRoute {
-    /// Behaviour composition.
+    /// Behaviour composition, for `k = 1`.
     Walk,
-    /// MSO compilation.
+    /// MSO compilation, for `k ≥ 2`.
     Mso,
+}
+
+impl ResolvedRoute {
+    /// The route's name in reports: `walk` or `mso`.
+    pub fn name(self) -> &'static str {
+        match self {
+            ResolvedRoute::Walk => "walk",
+            ResolvedRoute::Mso => "mso",
+        }
+    }
 }
 
 /// The emptiness search's name, kept only because the benchmark harness
@@ -62,8 +41,6 @@ pub enum Engine {
 /// Options for [`typecheck`].
 #[derive(Clone, Copy, Debug)]
 pub struct TypecheckOptions {
-    /// Route selection.
-    pub route: Route,
     /// Budget for intermediate automata (MSO subset constructions, walk
     /// DBTA states, lazy product configurations). `u32::MAX` = unlimited.
     pub state_limit: u32,
@@ -72,25 +49,20 @@ pub struct TypecheckOptions {
 impl Default for TypecheckOptions {
     fn default() -> Self {
         TypecheckOptions {
-            route: Route::Auto,
             state_limit: 4_000_000,
         }
     }
 }
 
 impl TypecheckOptions {
-    /// Resolves `Auto` against the machine's pebble count.
+    /// The route for a `k`-pebble machine: the walk when `k = 1`, MSO
+    /// otherwise. No option selects it; it stays a method because the
+    /// benchmark harness calls it as one.
     pub fn route_for(&self, k: u8) -> ResolvedRoute {
-        match self.route {
-            Route::ForceWalk => ResolvedRoute::Walk,
-            Route::ForceMso => ResolvedRoute::Mso,
-            Route::Auto => {
-                if k == 1 {
-                    ResolvedRoute::Walk
-                } else {
-                    ResolvedRoute::Mso
-                }
-            }
+        if k == 1 {
+            ResolvedRoute::Walk
+        } else {
+            ResolvedRoute::Mso
         }
     }
 
@@ -361,6 +333,10 @@ mod tests {
         assert!(out.is_ok());
     }
 
+    /// The MSO route, which only `k ≥ 2` machines select, decides a
+    /// 1-pebble machine as the walk does: its automaton for the same
+    /// violation automaton gives the same least counterexample, the leaf
+    /// y, which copy maps to itself, and the same pass.
     #[test]
     fn mso_route_agrees_on_k1() {
         let al = alpha();
@@ -368,27 +344,29 @@ mod tests {
         let x = al.get("x").unwrap();
         let tau1 = top(&al);
         let tau2 = all_leaves(&al, x);
-        for route in [Route::ForceWalk, Route::ForceMso] {
-            let opts = TypecheckOptions {
-                route,
-                ..Default::default()
-            };
-            // Both routes report the least counterexample, the leaf y,
-            // which copy maps to itself.
-            match typecheck(&t, &tau1, &tau2, &opts).unwrap() {
-                TypecheckOutcome::Ok => panic!("{route:?}: should not typecheck"),
+        let opts = TypecheckOptions::default();
+        let v = crate::product::violation_automaton(&t, &tau2).unwrap();
+        let mso = crate::mso_route::pebble_to_nta(&v, opts.state_limit)
+            .unwrap()
+            .0
+            .trim();
+        let walk = typecheck(&t, &tau1, &tau2, &opts).unwrap();
+        let via_mso = typecheck_with_violations(&t, &tau1, &tau2, &mso, &opts).unwrap();
+        for (route, outcome) in [("walk", walk), ("mso", via_mso)] {
+            match outcome {
+                TypecheckOutcome::Ok => panic!("{route}: should not typecheck"),
                 TypecheckOutcome::CounterExample { input, bad_output } => {
-                    assert_eq!(input.to_string(), "y", "{route:?}");
+                    assert_eq!(input.to_string(), "y", "{route}");
                     let bad = bad_output.expect("bad output extracted");
-                    assert_eq!(bad.to_string(), "y", "{route:?}");
+                    assert_eq!(bad.to_string(), "y", "{route}");
                 }
             }
-            // And on the passing instance:
-            assert!(
-                typecheck(&t, &tau2, &tau2, &opts).unwrap().is_ok(),
-                "{route:?}"
-            );
         }
+        // And on the passing instance:
+        assert!(typecheck(&t, &tau2, &tau2, &opts).unwrap().is_ok());
+        assert!(typecheck_with_violations(&t, &tau2, &tau2, &mso, &opts)
+            .unwrap()
+            .is_ok());
     }
 
     #[test]
@@ -398,10 +376,7 @@ mod tests {
         let x = al.get("x").unwrap();
         let tau1 = top(&al);
         let tau2 = all_leaves(&al, x);
-        let opts = TypecheckOptions {
-            state_limit: 1,
-            ..Default::default()
-        };
+        let opts = TypecheckOptions { state_limit: 1 };
         match typecheck(&t, &tau1, &tau2, &opts) {
             Err(TypecheckError::TooManyStates { .. }) => {}
             other => panic!("expected budget abort, got {other:?}"),

@@ -9,7 +9,8 @@ use xmltc_trees::TreeError;
 /// Errors raised by the typechecker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TypecheckError {
-    /// The chosen route requires a 1-pebble machine.
+    /// The walk ([`crate::walk::walking_to_dbta_with`]) requires a
+    /// 1-pebble machine.
     NeedsOnePebble {
         /// Actual pebble count.
         k: u8,

@@ -34,7 +34,7 @@ pub fn inverse_type(
 }
 
 /// The regular tree automaton for `{t | T(t) ⊈ τ₂}` (the violation
-/// language), by whichever Theorem 4.7 route the options select.
+/// language), by the Theorem 4.7 route the machine's pebble count selects.
 pub fn violation_nta(
     t: &PebbleTransducer,
     output_type: &Nta,
@@ -67,20 +67,7 @@ pub(crate) fn violation_nta_sized(
             let wopts = walk::WalkOptions {
                 limit: opts.state_limit,
             };
-            let (d, ws) = walk::walking_to_dbta_with(&v, &wopts)?;
-            obs::record("walk.dbta_states", d.n_states() as u64);
-            obs::record("walk.pairs", ws.pairs);
-            obs::record("walk.compositions", ws.compositions);
-            obs::record("walk.memo_hits", ws.memo_hits);
-            obs::record("walk.memo_misses", ws.memo_misses);
-            obs::record("walk.fixpoint_steps", ws.fixpoint_steps);
-            obs::record("walk.worklist_peak", ws.worklist_peak);
-            obs::record("walk.rounds", ws.rounds);
-            obs::record("walk.kernel.words", ws.words);
-            obs::record("walk.kernel.rows", ws.kernel_rows);
-            obs::record("walk.kernel.row_peak", ws.kernel_row_peak);
-            obs::record("walk.kernel.projections", ws.projections_interned);
-            obs::record("walk.classes", ws.classes);
+            let (d, _) = walk::walking_to_dbta_with(&v, &wopts)?;
             dbta_transitions = d.n_transitions();
             d.to_nta().trim()
         }

@@ -12,10 +12,11 @@
 //! 1. [`product::violation_automaton`] — **Proposition 4.6**: compose `T`
 //!    with a top-down automaton for the *complement* of `τ₂`, yielding a
 //!    k-pebble automaton `A` accepting `{t | T(t) ⊈ τ₂}`.
-//! 2. Theorem 4.7 — convert `A` to an ordinary tree automaton. Two routes:
+//! 2. Theorem 4.7 — convert `A` to an ordinary tree automaton. Two routes,
+//!    picked by the pebble count:
 //!    * [`mso_route`] — the paper's proof: translate `A` to an MSO sentence
 //!      (the reverse-closed-sets encoding of the and/or configuration
-//!      graph) and compile it (non-elementary, any `k`);
+//!      graph) and compile it (non-elementary, any `k`; taken for `k ≥ 2`);
 //!    * [`walk`] — for `k = 1` (where pebble automata are exactly
 //!      *branching tree-walking automata*, covering top-down transducers,
 //!      the XSLT fragment, and the Section 5 practical cases): a direct
@@ -47,9 +48,7 @@ pub mod product;
 pub mod replay;
 pub mod walk;
 
-pub use check::{
-    typecheck, typecheck_with_violations, Engine, Route, TypecheckOptions, TypecheckOutcome,
-};
+pub use check::{typecheck, typecheck_with_violations, Engine, TypecheckOptions, TypecheckOutcome};
 pub use differential::{differential_emptiness, DifferentialVerdict};
 pub use error::TypecheckError;
 pub use inverse::inverse_type;

@@ -150,8 +150,8 @@ pub fn pebble_to_formula(a: &PebbleAutomaton) -> Formula {
 }
 
 /// Theorem 4.7 by the MSO route: an ordinary tree automaton equivalent to
-/// the k-pebble automaton. `state_limit` bounds every intermediate
-/// automaton of the MSO compilation.
+/// the k-pebble automaton. `state_limit` is the MSO compiler's state
+/// budget; [`compile_sentence_limited`] says where it is checked.
 pub fn pebble_to_nta(
     a: &PebbleAutomaton,
     state_limit: u32,

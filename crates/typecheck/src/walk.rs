@@ -97,7 +97,7 @@ use crate::error::TypecheckError;
 use xmltc_automata::state::StateSet;
 use xmltc_automata::{Dbta, State};
 use xmltc_core::machine::{Action, Move, PebbleAutomaton};
-use xmltc_obs::journal;
+use xmltc_obs::{self as obs, journal};
 use xmltc_trees::{Alphabet, FxHashMap, FxHashSet, Rank, Symbol};
 
 /// Arena id of a bitset row (in row units: the row occupies words
@@ -1509,6 +1509,23 @@ pub struct WalkStats {
 }
 
 impl WalkStats {
+    /// Records the counters as the `walk.*` rows of the current report.
+    fn record(&self) {
+        obs::record("walk.dbta_states", self.dbta_states);
+        obs::record("walk.pairs", self.pairs);
+        obs::record("walk.compositions", self.compositions);
+        obs::record("walk.memo_hits", self.memo_hits);
+        obs::record("walk.memo_misses", self.memo_misses);
+        obs::record("walk.fixpoint_steps", self.fixpoint_steps);
+        obs::record("walk.worklist_peak", self.worklist_peak);
+        obs::record("walk.rounds", self.rounds);
+        obs::record("walk.kernel.words", self.words);
+        obs::record("walk.kernel.rows", self.kernel_rows);
+        obs::record("walk.kernel.row_peak", self.kernel_row_peak);
+        obs::record("walk.kernel.projections", self.projections_interned);
+        obs::record("walk.classes", self.classes);
+    }
+
     /// Fraction of composition requests resolved from the memo, in
     /// `[0, 1]`. Defined as `0.0` when no requests were made at all (a
     /// trivial automaton), so the value is always finite — never the `NaN`
@@ -1531,7 +1548,9 @@ pub fn resolve_threads(_requested: usize) -> usize {
 
 /// Converts a 1-pebble (branching tree-walking) automaton into an
 /// equivalent deterministic bottom-up tree automaton, returning the
-/// construction counters alongside.
+/// construction counters alongside. The counters are also recorded as the
+/// `walk.*` rows of the current report, and when the DBTA-state budget
+/// stops the walk, the rows record how far it got.
 ///
 /// Errors when `k ≠ 1` or the DBTA-state budget is exceeded. The walk runs
 /// on the calling thread: each generation's jobs are composed and interned
@@ -1543,19 +1562,36 @@ pub fn walking_to_dbta_with(
 ) -> Result<(Dbta, WalkStats), TypecheckError> {
     let mut stats = WalkStats::default();
     let (walker, mut ws) = Walker::new(a, &mut stats)?;
+    stats.words = walker.words as u64;
     let limit = opts.limit;
     let alphabet = a.input_alphabet();
     let jour = journal::enabled();
     // One composition, bracketed by a `walk.job` span in the journal.
-    let mut compose = |table: u32, children: Option<(&Projection, &Projection)>| {
-        if jour {
-            journal::begin("walk.job");
+    let mut compose =
+        |table: u32, children: Option<(&Projection, &Projection)>, stats: &mut WalkStats| {
+            if jour {
+                journal::begin("walk.job");
+            }
+            let raw = walker.compose(table, children, &mut ws, stats);
+            stats.memo_misses += 1;
+            if jour {
+                journal::end("walk.job");
+            }
+            raw
+        };
+    // Over budget: records the counters so far, with `n` signatures and
+    // `projections` interned in `rounds` generations, and every
+    // composition a miss (hits are counted at the expansion, which never
+    // ran).
+    let over_budget = |stats: &WalkStats, n: usize, projections: usize, rounds| {
+        WalkStats {
+            compositions: stats.memo_misses,
+            dbta_states: n as u64,
+            projections_interned: projections as u64,
+            rounds,
+            ..*stats
         }
-        let raw = walker.compose(table, children, &mut ws, &mut stats);
-        if jour {
-            journal::end("walk.job");
-        }
-        raw
+        .record()
     };
 
     let mut projs = ProjArena::default();
@@ -1565,8 +1601,9 @@ pub fn walking_to_dbta_with(
     // Leaf states, in alphabet order (canonical).
     let mut leaf: FxHashMap<Symbol, State> = FxHashMap::default();
     for &sym in alphabet.leaves().iter() {
-        let raw = compose(walker.slot(sym), None);
-        let q = intern_signature(raw, &mut projs, &mut states, &mut index, limit)?;
+        let raw = compose(walker.slot(sym), None, &mut stats);
+        let q = intern_signature(raw, &mut projs, &mut states, &mut index, limit)
+            .inspect_err(|_| over_budget(&stats, states.len(), projs.projs.len(), 0))?;
         leaf.insert(sym, q);
     }
 
@@ -1611,8 +1648,9 @@ pub fn walking_to_dbta_with(
         // so interning each result right away cannot change a later job.
         for &(table, l, r) in &jobs {
             let children = (&projs.projs[l as usize], &projs.projs[r as usize]);
-            let raw = compose(table, Some(children));
-            let q = intern_signature(raw, &mut projs, &mut states, &mut index, limit)?;
+            let raw = compose(table, Some(children), &mut stats);
+            let q = intern_signature(raw, &mut projs, &mut states, &mut index, limit)
+                .inspect_err(|_| over_budget(&stats, states.len(), projs.projs.len(), rounds))?;
             memo.insert((table, l, r), q);
         }
         if jour {
@@ -1651,13 +1689,12 @@ pub fn walking_to_dbta_with(
         pairs: node.len() as u64,
         compositions: (leaf.len() + node.len()) as u64,
         memo_hits,
-        memo_misses: (leaf.len() + memo.len()) as u64,
         rounds,
         dbta_states: states.len() as u64,
-        words: walker.words as u64,
         projections_interned: projs.projs.len() as u64,
         ..stats
     };
+    stats.record();
     let d = Dbta::from_parts(alphabet, states.len() as u32, leaf, node, finals);
     Ok((d, stats))
 }

@@ -29,10 +29,7 @@ use xmltc_obs::explain::{
     TransformRecord, ViolationRecord,
 };
 use xmltc_trees::{decode, UnrankedTree};
-use xmltc_typecheck::check::ResolvedRoute;
-use xmltc_typecheck::{
-    replay_counterexample, typecheck, Route, TypecheckOptions, TypecheckOutcome,
-};
+use xmltc_typecheck::{replay_counterexample, typecheck, TypecheckOptions, TypecheckOutcome};
 use xmltc_xml::raw_to_xml;
 
 /// Trace steps kept in a report; longer runs are truncated (the recorded
@@ -50,11 +47,7 @@ impl DocumentPipeline {
         let out_dtd = Dtd::parse_text_with(output_dtd_text, self.enc_out().source())?;
         let tau2 = out_dtd.compile(self.enc_out())?;
 
-        let route_name = match opts.route_for(self.transducer().k()) {
-            ResolvedRoute::Walk => Route::ForceWalk,
-            ResolvedRoute::Mso => Route::ForceMso,
-        }
-        .name();
+        let route_name = opts.route_for(self.transducer().k()).name();
 
         let outcome = typecheck(self.transducer(), self.tau1(), &tau2, opts)?;
         let (input, bad_output) = match outcome {

@@ -189,7 +189,7 @@ impl DocumentPipeline {
     }
 
     /// [`DocumentPipeline::typecheck_against`] with explicit
-    /// [`TypecheckOptions`] (route selection, state budget).
+    /// [`TypecheckOptions`] (the state budget).
     pub fn typecheck_against_with(
         &self,
         output_dtd_text: &str,

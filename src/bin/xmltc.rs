@@ -5,10 +5,9 @@
 //! xmltc transform   <input.dtd> <sheet.xsl> <doc.xml> [--stats|--json]
 //!                   [--trace-out F]
 //! xmltc typecheck   <input.dtd> <sheet.xsl> <output.dtd> [--stats|--json]
-//!                   [--trace-out F] [--explain-out F] [--route auto|walk|mso]
-//!                   [--state-limit N]
+//!                   [--trace-out F] [--explain-out F] [--state-limit N]
 //! xmltc explain     <input.dtd> <sheet.xsl> <output.dtd> [--json]
-//!                   [--explain-out F] [--route ..] [...]
+//!                   [--explain-out F] [--state-limit N]
 //! xmltc forward     <input.dtd> <sheet.xsl> <output.dtd>
 //! xmltc bench-diff  <baseline-dir> <candidate-dir> [--advisory] [--json]
 //! xmltc corpus      <family> <index> [--seed S] [--minimize] [--state-limit N]
@@ -16,7 +15,7 @@
 //! xmltc serve       [--addr H:P] [--cache-bytes N] [--oneshot]
 //!                   [--trace-out F] [--json]
 //! xmltc client      <addr> <validate|transform|typecheck|stats|shutdown>
-//!                   <files...> [--route ..] [--state-limit N]
+//!                   <files...> [--state-limit N]
 //!                   [--explain] [--id N] [--json]
 //! ```
 //!
@@ -53,7 +52,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use xmltc::dtd::Dtd;
 use xmltc::obs;
-use xmltc::typecheck::{Route, TypecheckOptions};
+use xmltc::typecheck::TypecheckOptions;
 use xmltc::xml::{parse_document, raw_to_xml};
 use xmltc::xmlql::pipeline::{DocumentPipeline, DocumentVerdict};
 use xmltc::xmlql::Stylesheet;
@@ -158,11 +157,6 @@ fn parse_flags(rest: &[String], allowed: FlagLevel) -> Result<(Vec<&str>, Typech
             "--explain-out" => {
                 let v = it.next().ok_or("--explain-out requires a file path")?;
                 flags.explain_out = Some(v.clone());
-            }
-            "--route" => {
-                let v = it.next().ok_or("--route requires a value: auto|walk|mso")?;
-                flags.opts.route = Route::parse(v)
-                    .ok_or_else(|| format!("unknown route `{v}` (auto|walk|mso)"))?;
             }
             "--state-limit" => {
                 let v = it.next().ok_or("--state-limit requires a number")?;
@@ -546,10 +540,7 @@ fn corpus(rest: &[String]) -> Result<ExitCode, String> {
     outln!("digest: {:#018x}", scenario.digest());
     outln!("case seed: {:#018x}", case_seed(seed, family, index));
 
-    let opts = TypecheckOptions {
-        state_limit,
-        ..TypecheckOptions::default()
-    };
+    let opts = TypecheckOptions { state_limit };
     let compiled = scenario
         .compile()
         .map_err(|e| format!("corpus case failed to lower: {e}"))?;
@@ -688,7 +679,7 @@ fn client(rest: &[String]) -> Result<ExitCode, String> {
     let mut json_out = false;
     let mut explain = false;
     let mut id: Option<u64> = None;
-    let mut options: Vec<(&'static str, Json)> = Vec::new();
+    let mut state_limit: Option<u64> = None;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -698,16 +689,12 @@ fn client(rest: &[String]) -> Result<ExitCode, String> {
                 let v = it.next().ok_or("--id requires a number")?;
                 id = Some(v.parse().map_err(|_| format!("invalid id `{v}`"))?);
             }
-            "--route" => {
-                let v = it.next().ok_or("--route requires a value: auto|walk|mso")?;
-                options.push(("route", Json::Str(v.clone())));
-            }
             "--state-limit" => {
                 let v = it.next().ok_or("--state-limit requires a number")?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid state limit `{v}`"))?;
-                options.push(("state_limit", Json::U64(n)));
+                state_limit = Some(
+                    v.parse()
+                        .map_err(|_| format!("invalid state limit `{v}`"))?,
+                );
             }
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag `{other}` for client"));
@@ -742,7 +729,9 @@ fn client(rest: &[String]) -> Result<ExitCode, String> {
             fields.push(("input_dtd", Json::Str(read(dtd_path)?)));
             fields.push(("stylesheet", Json::Str(read(xsl_path)?)));
             fields.push(("output_dtd", Json::Str(read(out_dtd_path)?)));
-            fields.append(&mut options);
+            if let Some(n) = state_limit {
+                fields.push(("state_limit", Json::U64(n)));
+            }
             if explain {
                 fields.push(("explain", Json::Bool(true)));
             }
@@ -915,7 +904,6 @@ typecheck / explain options:
                      xmltc.explain/2): counterexample input, replayed
                      transducer run, offending output, DTD violation;
                      `explain` prints the human form (--json for JSON)
-  --route R          Theorem 4.7 route: auto (default) | walk | mso
   --state-limit N    budget for intermediate automata and the emptiness
                      search (default 4000000)
 
@@ -940,8 +928,8 @@ serve options:
   --json             print the final whole-run report as JSON instead of
                      the table (requests served, cache hits/misses)
 
-client options (typecheck requests accept the typecheck options above,
-plus --explain for the provenance report and --id N to tag the request;
+client options (typecheck requests accept --state-limit N, plus
+--explain for the provenance report and --id N to tag the request;
 --json prints the raw response line):
   xmltc client ADDR validate  <input.dtd> <doc.xml>
   xmltc client ADDR transform <input.dtd> <sheet.xsl> <doc.xml>

@@ -440,85 +440,32 @@ fn typecheck_engine_flag_is_unknown() {
     assert!(stderr(&out).contains("unknown flag"), "{}", stderr(&out));
 }
 
+/// A walk stopped by its state budget still says how far it got: the
+/// partial table's `typecheck.walk` row carries the walk's counters.
 #[test]
-fn typecheck_json_mso_route_propagates_compile_stats() {
-    let out = run(&[
-        "typecheck",
-        &fixture("minimal.dtd"),
-        &fixture("minimal.xsl"),
-        &fixture("minimal_out.dtd"),
-        "--json",
-        "--route",
-        "mso",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let s = stdout(&out);
-    assert!(s.contains("\"name\": \"typecheck.mso\""), "{s}");
-    // The MSO compiler's CompileStats must land in the report (these were
-    // previously discarded by the typechecker).
-    assert!(json_u64(&s, "mso.operations").unwrap() > 0);
-    assert!(json_u64(&s, "mso.determinizations").unwrap() > 0);
-    assert!(json_u64(&s, "mso.max_states").unwrap() > 0);
-    assert!(json_u64(&s, "mso.peak_subset_frontier").unwrap() > 0);
-}
-
-#[test]
-fn typecheck_mso_budget_abort_reports_partial_progress() {
-    let out = run(&[
-        "typecheck",
-        &fixture("minimal.dtd"),
-        &fixture("minimal.xsl"),
-        &fixture("minimal_out.dtd"),
-        "--stats",
-        "--route",
-        "mso",
-        "--state-limit",
-        "1",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("exceeded 1 states"));
-    // The partial report still made it out, with the stats so far.
-    let s = stdout(&out);
-    assert!(s.contains("typecheck.mso"), "{s}");
-    assert!(s.contains("mso.operations="), "{s}");
-}
-
-/// Q2's violation formula nests more quantifiers than the MSO compiler has
-/// variables: the route says so, with the numbers, before compiling.
-#[test]
-fn typecheck_mso_variable_cap_names_depth_cap_and_size() {
+fn typecheck_walk_budget_abort_reports_partial_progress() {
     let out = run(&[
         "typecheck",
         &fixture("q2.dtd"),
         &fixture("q2.xsl"),
         &fixture("q2_mod3_out.dtd"),
-        "--route",
-        "mso",
+        "--stats",
+        "--state-limit",
+        "5",
     ]);
     assert_eq!(out.status.code(), Some(2));
     assert_eq!(
         stderr(&out),
-        "error: MSO route failed: the formula (size 27413) nests 229 quantifiers, \
-         more than the 64 variables the compiler can track\n"
+        "error: state/class budget exceeded: 6 states\n"
     );
-    assert_eq!(stdout(&out), "");
-}
-
-#[test]
-fn typecheck_route_walk_is_explicit_default_for_k1() {
-    let out = run(&[
-        "typecheck",
-        &fixture("even_a.dtd"),
-        &fixture("relabel.xsl"),
-        &fixture("even_b.dtd"),
-        "--route",
-        "walk",
-    ]);
-    assert_eq!(out.status.code(), Some(0));
-    assert_eq!(
-        stdout(&out),
-        "typechecks: every valid input maps into the output DTD\n"
-    );
+    let s = stdout(&out);
+    let row = s
+        .lines()
+        .find(|l| l.trim_start().starts_with("typecheck.walk "))
+        .unwrap_or_else(|| panic!("no typecheck.walk row in:\n{s}"));
+    for counter in ["walk.dbta_states=5", "walk.rounds=2"] {
+        assert!(row.contains(counter), "missing `{counter}` in:\n{row}");
+    }
 }
 
 /// A reader that goes away early (`xmltc … | head`) cuts the output short
@@ -557,6 +504,29 @@ fn unknown_flag_is_usage_error() {
     ]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("unknown flag"));
+    // The machine's pebble count picks the Theorem 4.7 route; no flag does.
+    let (even_a, relabel, even_b) = (
+        fixture("even_a.dtd"),
+        fixture("relabel.xsl"),
+        fixture("even_b.dtd"),
+    );
+    for cmd in ["typecheck", "explain"] {
+        let out = run(&[cmd, &even_a, &relabel, &even_b, "--route", "walk"]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        assert!(stderr(&out).contains("unknown flag"), "{cmd}");
+    }
+    let out = run(&[
+        "client",
+        "127.0.0.1:9",
+        "typecheck",
+        &even_a,
+        &relabel,
+        &even_b,
+        "--route",
+        "walk",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("unknown flag"), "{}", stderr(&out));
 
     // Pipeline flags are rejected on the reporting-only commands...
     let out = run(&[
@@ -589,15 +559,18 @@ fn bad_flag_values_are_usage_errors() {
         "b.xsl",
         "c.dtd",
     ];
-    let out = run(&[&base[..], &["--route", "sideways"]].concat());
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("unknown route"));
     let out = run(&[&base[..], &["--state-limit", "many"]].concat());
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("invalid state limit"));
-    let out = run(&[&base[..], &["--route"]].concat());
+    let out = run(&[&base[..], &["--state-limit"]].concat());
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("--route requires"));
+    assert!(stderr(&out).contains("--state-limit requires"));
+    // `--route` is gone, with or without a value.
+    for route in [&["--route", "sideways"][..], &["--route"]] {
+        let out = run(&[&base[..], route].concat());
+        assert_eq!(out.status.code(), Some(2));
+        assert!(stderr(&out).contains("unknown flag `--route`"));
+    }
 }
 
 #[test]
@@ -812,8 +785,6 @@ fn typecheck_trace_out_writes_chrome_trace() {
         &fixture("q2.dtd"),
         &fixture("q2.xsl"),
         &fixture("q2_mod3_out.dtd"),
-        "--route",
-        "walk",
         "--trace-out",
         &trace_path,
     ]);
@@ -899,8 +870,6 @@ fn trace_and_report_do_not_depend_on_each_other() {
         &fixture("q2.dtd"),
         &fixture("q2.xsl"),
         &fixture("q2_mod3_out.dtd"),
-        "--route",
-        "walk",
     ]
     .map(String::from);
     let run_with = |extra: &[&str]| {

@@ -366,7 +366,6 @@ fn fail_minimized(
 fn corpus_opts() -> TypecheckOptions {
     TypecheckOptions {
         state_limit: env_u64("XMLTC_CORPUS_STATE_LIMIT", CORPUS_STATE_LIMIT as u64) as u32,
-        ..TypecheckOptions::default()
     }
 }
 

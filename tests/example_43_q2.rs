@@ -16,7 +16,8 @@
 
 use xmltc_dtd::Dtd;
 use xmltc_trees::{decode, encode, EncodedAlphabet};
-use xmltc_typecheck::{typecheck, TypecheckOptions, TypecheckOutcome};
+use xmltc_typecheck::mso_route::pebble_to_nta;
+use xmltc_typecheck::{typecheck, violation_automaton, TypecheckOptions, TypecheckOutcome};
 use xmltc_xmlql::xslt::example_q2;
 use xmltc_xmlql::Stylesheet;
 
@@ -48,6 +49,28 @@ fn q2_inferred_image(enc_out: &EncodedAlphabet) -> xmltc_automata::Nta {
 fn q2_is_one_pebble() {
     let (t, _, _, _) = setup();
     assert_eq!(t.k(), 1);
+}
+
+/// Q2's violation formula nests more quantifiers than the MSO compiler
+/// has variables, so the MSO route, which only k ≥ 2 machines take, says
+/// so with the numbers before compiling.
+#[test]
+fn mso_route_variable_cap_names_depth_cap_and_size() {
+    let (t, _enc_in, enc_out, _tau1) = setup();
+    let tau2 = Dtd::parse_text_with(
+        "result := ((a|b).(a|b).(a|b))*\na := @eps\nb := @eps",
+        enc_out.source(),
+    )
+    .unwrap()
+    .compile(&enc_out)
+    .unwrap();
+    let v = violation_automaton(&t, &tau2).unwrap();
+    let err = pebble_to_nta(&v, TypecheckOptions::default().state_limit).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "MSO route failed: the formula (size 27413) nests 229 quantifiers, \
+         more than the 64 variables the compiler can track"
+    );
 }
 
 #[test]

@@ -35,7 +35,6 @@ fn large_walk_leaves_no_resident_heap_behind() {
 
     let opts = TypecheckOptions {
         state_limit: CORPUS_STATE_LIMIT,
-        ..TypecheckOptions::default()
     };
     let before = resident_kb();
     let outcome = typecheck(&case.transducer, &case.tau1, &case.tau2, &opts).unwrap();

@@ -104,10 +104,7 @@ fn assert_one_answer(
     shuffles: usize,
     rng: &mut SmallRng,
 ) -> String {
-    let opts = TypecheckOptions {
-        state_limit,
-        ..TypecheckOptions::default()
-    };
+    let opts = TypecheckOptions { state_limit };
     let expected = answer(t, tau1, tau2, &opts);
     for round in 1..=shuffles {
         let (a, b) = (reinserted(tau1, rng), reinserted(tau2, rng));

@@ -1,14 +1,23 @@
 //! Genuinely multi-pebble behaviour through the full pipeline: machines
 //! whose acceptance depends on pebble-presence guards, converted to
 //! regular tree automata by the paper's MSO construction (Theorem 4.7,
-//! k ≥ 2) and validated against direct AGAP acceptance.
+//! k ≥ 2) and validated against direct AGAP acceptance, and a 2-pebble
+//! transducer typechecked end to end (Theorem 4.4), which takes the MSO
+//! route because its pebble count picks it.
 
 use std::sync::Arc;
+use xmltc::automata::{Nta, State};
 use xmltc::core::accepts;
 use xmltc::core::machine::{Guard, Move, PebbleAutomaton};
+use xmltc::core::PebbleTransducer;
 use xmltc::dsl::{MachineSpec, Syms};
+use xmltc::mso::CompileError;
+use xmltc::obs::{self, PipelineReport};
 use xmltc::trees::{Alphabet, BinaryTree};
 use xmltc::typecheck::mso_route::pebble_to_nta;
+use xmltc::typecheck::{
+    replay_counterexample, typecheck, TypecheckError, TypecheckOptions, TypecheckOutcome,
+};
 
 fn alpha() -> Arc<Alphabet> {
     Alphabet::ranked(&["x", "y"], &["f"])
@@ -105,4 +114,102 @@ fn pick_returns_control() {
         let t = BinaryTree::parse(src, &al).unwrap();
         assert_eq!(nta.accepts(&t).unwrap(), want, "MSO {src}");
     }
+}
+
+/// A 2-pebble transducer that may always emit `ok`, and emits `bad` when
+/// its second pebble finds a `y` other than the one its first pebble
+/// marks: `T(t)` leaves `{ok}` exactly on trees with two `y` leaves.
+fn bad_on_two_y(al: &Arc<Alphabet>) -> (PebbleTransducer, Arc<Alphabet>) {
+    let out = Alphabet::ranked(&["ok", "bad"], &[]);
+    let mut s = MachineSpec::new("bad_on_two_y", 2);
+    s.state("w1", 1).state("w2", 2).initial("w1");
+    s.emit_leaf(Syms::Any, "w1", Guard::any(), "ok");
+    for m in [Move::DownLeft, Move::DownRight] {
+        s.walk(Syms::Binaries, "w1", Guard::any(), m, "w1");
+        s.walk(Syms::Binaries, "w2", Guard::any(), m, "w2");
+    }
+    s.walk(Syms::one("y"), "w1", Guard::any(), Move::PlaceNew, "w2");
+    s.emit_leaf(Syms::one("y"), "w2", Guard::absent(1), "bad");
+    (s.build_transducer(al, &out).unwrap(), out)
+}
+
+/// All trees (`at_most_one_y = false`) or the trees with at most one `y`
+/// leaf: state 0 has no `y` below it, state 1 has one.
+fn input_type(al: &Arc<Alphabet>, at_most_one_y: bool) -> Nta {
+    let [x, y, f] = ["x", "y", "f"].map(|n| al.get(n).unwrap());
+    let (none, one) = (State(0), State(1));
+    let mut a = Nta::new(al, 2);
+    a.add_leaf(x, none);
+    a.add_leaf(y, if at_most_one_y { one } else { none });
+    a.add_node(f, none, none, none);
+    a.add_node(f, none, one, one);
+    a.add_node(f, one, none, one);
+    a.add_final(none);
+    a.add_final(one);
+    a
+}
+
+/// τ₂ = {ok}.
+fn only_ok(out: &Arc<Alphabet>) -> Nta {
+    let mut a = Nta::new(out, 1);
+    a.add_leaf(out.get("ok").unwrap(), State(0));
+    a.add_final(State(0));
+    a
+}
+
+/// The first value of metric `name` in any span of `report`.
+fn metric(report: &PipelineReport, name: &str) -> Option<u64> {
+    report.spans.iter().find_map(|s| s.metric(name))
+}
+
+/// Theorem 4.4 at k = 2: the least input with two `y` leaves is the
+/// counterexample, `bad` its offending output, and the replay confirms
+/// both; restricting τ₁ to at most one `y` makes the machine typecheck.
+#[test]
+fn two_pebble_transducer_typechecks_through_the_mso_route() {
+    let al = alpha();
+    let (t, out) = bad_on_two_y(&al);
+    assert_eq!(t.k(), 2);
+    let (tau1, tau2) = (input_type(&al, false), only_ok(&out));
+    let opts = TypecheckOptions::default();
+    let (outcome, report) = obs::with_report(|| typecheck(&t, &tau1, &tau2, &opts).unwrap());
+    let TypecheckOutcome::CounterExample { input, bad_output } = outcome else {
+        panic!("two y leaves can emit `bad`");
+    };
+    let bad = bad_output.expect("bad output extracted");
+    assert_eq!(input.to_string(), "f(y, y)");
+    assert_eq!(bad.to_string(), "bad");
+    let ev = replay_counterexample(&t, &tau1, &tau2, &input, &bad).unwrap();
+    assert!(ev.verified(), "{ev:?}");
+
+    assert_eq!(report.span_metric("typecheck", "route.is_mso"), Some(1));
+    assert!(report.span("typecheck.mso").is_some());
+    for name in [
+        "mso.operations",
+        "mso.determinizations",
+        "mso.max_states",
+        "mso.peak_subset_frontier",
+    ] {
+        assert!(metric(&report, name) > Some(0), "{name}");
+    }
+
+    let tau1 = input_type(&al, true);
+    assert!(typecheck(&t, &tau1, &tau2, &opts).unwrap().is_ok());
+}
+
+/// The MSO route's state budget stops the k = 2 typecheck with a typed
+/// error, and the partial report shows how far the compiler got.
+#[test]
+fn two_pebble_typecheck_honors_state_limit() {
+    let al = alpha();
+    let (t, out) = bad_on_two_y(&al);
+    let (tau1, tau2) = (input_type(&al, false), only_ok(&out));
+    let opts = TypecheckOptions { state_limit: 1 };
+    let (result, report) = obs::with_report(|| typecheck(&t, &tau1, &tau2, &opts));
+    assert_eq!(
+        result.unwrap_err(),
+        TypecheckError::Mso(CompileError::StateLimit { limit: 1 })
+    );
+    assert!(report.span("typecheck.mso").is_some());
+    assert!(metric(&report, "mso.operations") > Some(0));
 }
