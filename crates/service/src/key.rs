@@ -93,8 +93,10 @@ pub enum ArtifactKind {
     /// so the same output-DTD text compiles differently under different
     /// pipelines.
     Tau2,
-    /// The Theorem 4.7 violation automaton for `(transducer, τ₂)`: keyed
-    /// on (input DTD, stylesheet, output DTD, state limit).
+    /// The Theorem 4.7 automaton the decision searches: for a 1-pebble
+    /// transducer, the input DTD's trees that violate `τ₂` (the walk is
+    /// guided by the input DTD). Keyed on (input DTD, stylesheet, output
+    /// DTD, state limit).
     Violations,
     /// A final verdict (with optional provenance report): keyed like
     /// [`ArtifactKind::Violations`] plus the explain flag.

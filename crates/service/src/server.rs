@@ -26,7 +26,6 @@ use std::time::{Duration, Instant};
 use xmltc_automata::Nta;
 use xmltc_dtd::Dtd;
 use xmltc_obs::{self as obs, Json, PipelineReport, SpanRecord};
-use xmltc_typecheck::inverse::violation_nta;
 use xmltc_xml::{parse_document, raw_to_xml};
 use xmltc_xmlql::pipeline::{DocumentPipeline, DocumentVerdict};
 use xmltc_xmlql::Stylesheet;
@@ -474,7 +473,8 @@ fn exec_transform(
 /// The cached typecheck: verdict artifact first (a warm hit does **zero**
 /// construction work — no pipeline compile, no τ₂, no Theorem 4.7); on a
 /// miss, each constituent artifact comes from its own cache layer, so a
-/// new output DTD against a known stylesheet only pays τ₂ + violations.
+/// new output DTD against a known stylesheet only pays τ₂ + violations
+/// (the walk guided by the input DTD, [`DocumentPipeline::violations`]).
 /// The violations key is the verdict key without the explain flag, so
 /// that layer hits only when the verdict under the same key was evicted
 /// or failed to build.
@@ -524,7 +524,8 @@ fn exec_typecheck(state: &ServiceState, p: &TypecheckParams) -> Result<Served, S
         let (rres, rout) = state.cache.get_or_build(
             key::violations_key(&p.input_dtd, &p.stylesheet, &p.output_dtd, opts.state_limit),
             || {
-                violation_nta(pipeline.transducer(), &tau2, opts)
+                pipeline
+                    .violations(&tau2, opts)
                     .map(|n| Artifact::Nta(Arc::new(n)))
                     .map_err(|e| e.to_string())
             },

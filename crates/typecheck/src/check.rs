@@ -2,7 +2,7 @@
 //! counterexample extraction.
 
 use crate::error::TypecheckError;
-use crate::inverse::violation_nta_sized;
+use crate::inverse::{violation_nta_sized, violations_within};
 use xmltc_automata::{lazy, Nta};
 use xmltc_core::{eval, PebbleTransducer};
 use xmltc_obs as obs;
@@ -106,6 +106,12 @@ impl TypecheckOutcome {
 /// is the bad output. Both depend on the languages alone, so every route
 /// reports the same pair.
 ///
+/// The walk here is the full one, over every tree of the input alphabet:
+/// the benchmark harness's traced path rebuilds this decision layer by
+/// layer with that walk and requires the same answers, including the
+/// same budget skips. [`typecheck_within`] decides the same question with
+/// the walk guided by `τ₁`.
+///
 /// After a walk whose DBTA had 2¹⁴ or more transitions, the heap the
 /// construction freed is handed back to the OS before returning (glibc
 /// only; see `release_free_memory`).
@@ -126,9 +132,42 @@ pub fn typecheck(
     outcome
 }
 
-/// Walk DBTAs with at least this many transitions leave megabytes of freed
-/// heap behind them: the DBTA, its NTA expansion, the trimmed copy and the
-/// emptiness search peak at ~200 bytes per transition (~68 MB at 315 000).
+/// [`typecheck`] with the Theorem 4.7 step guided by `τ₁`: the walk
+/// composes only the subtrees some tree of `input_type` can contain
+/// ([`crate::inverse::violations_within`]), and its automaton, for
+/// `τ₁ ∩ violations`, goes to the same emptiness search and bad-output
+/// extraction. The least counterexample depends on the languages alone,
+/// so this returns what [`typecheck`] returns wherever both decide; it
+/// decides more often under a budget, since the guided walk never finds
+/// more signatures than the full walk.
+///
+/// The document path (`DocumentPipeline`, the `xmltc` CLI and `serve`)
+/// decides through this. [`typecheck`] keeps the full walk, which the
+/// benchmark harness's traced path replays layer by layer. As there, the
+/// freed heap goes back to the OS after an automaton of 2¹⁴ or more
+/// transitions.
+pub fn typecheck_within(
+    t: &PebbleTransducer,
+    input_type: &Nta,
+    output_type: &Nta,
+    opts: &TypecheckOptions,
+) -> Result<TypecheckOutcome, TypecheckError> {
+    let _span = obs::span("typecheck");
+    begin(t, input_type, opts)?;
+    let violations = violations_within(t, input_type, output_type, opts)?;
+    let outcome = decide_with_violations(t, input_type, output_type, &violations, opts);
+    let transitions = violations.n_transitions();
+    drop(violations);
+    if transitions >= RELEASE_AFTER_DBTA_TRANSITIONS {
+        release_free_memory();
+    }
+    outcome
+}
+
+/// Walk automata with at least this many transitions leave megabytes of
+/// freed heap behind them: the full walk's DBTA, its NTA expansion, the
+/// trimmed copy and the emptiness search peak at ~200 bytes per
+/// transition (~68 MB at 315 000).
 const RELEASE_AFTER_DBTA_TRANSITIONS: usize = 1 << 14;
 
 /// Returns the allocator's free pages to the OS (glibc `malloc_trim`).
@@ -162,11 +201,14 @@ fn release_free_memory() {}
 ///
 /// This is the warm path of the `xmltc serve` artifact cache: when the
 /// Theorem 4.7 output (the expensive walk/MSO construction) is already
-/// cached for `(T, τ₂)`, a typecheck reduces to this call — no
-/// `typecheck.walk`/`typecheck.mso` work at all. The `violations`
-/// automaton must be the one [`crate::inverse::violation_nta`] would
-/// produce for `(t, output_type)`; pairing a stale automaton with a
-/// different transducer or output type yields garbage verdicts.
+/// cached, a typecheck reduces to this call — no `typecheck.walk` or
+/// `typecheck.mso` work at all. The `violations`
+/// automaton must be one that [`crate::inverse::violation_nta`] would
+/// produce for `(t, output_type)`, or
+/// [`crate::inverse::violations_within`] for `(t, input_type,
+/// output_type)`: either meets `τ₁` in exactly the violating inputs, so
+/// either gives the same answer. Pairing a stale automaton with a
+/// different transducer or type yields garbage verdicts.
 pub fn typecheck_with_violations(
     t: &PebbleTransducer,
     input_type: &Nta,
@@ -182,9 +224,9 @@ pub fn typecheck_with_violations(
     decide_with_violations(t, input_type, output_type, violations, opts)
 }
 
-/// Shared head of [`typecheck`]/[`typecheck_with_violations`]: records the
-/// route with the machine's size, and checks that `τ₁` is over the
-/// machine's input alphabet.
+/// Shared head of the typecheck entry points: records the route with the
+/// machine's size, and checks that `τ₁` is over the machine's input
+/// alphabet.
 fn begin(
     t: &PebbleTransducer,
     input_type: &Nta,
@@ -202,9 +244,9 @@ fn begin(
     Ok(())
 }
 
-/// Shared tail of [`typecheck`]/[`typecheck_with_violations`]: the least
-/// tree of `τ₁ ∩ violations`, searched on the fly, then Proposition 3.8
-/// bad-output extraction.
+/// Shared tail of the typecheck entry points: the least tree of
+/// `τ₁ ∩ violations`, searched on the fly, then Proposition 3.8 bad-output
+/// extraction.
 fn decide_with_violations(
     t: &PebbleTransducer,
     input_type: &Nta,

@@ -12,6 +12,7 @@ use crate::mso_route;
 use crate::product::violation_automaton;
 use crate::walk;
 use xmltc_automata::Nta;
+use xmltc_core::machine::PebbleAutomaton;
 use xmltc_core::PebbleTransducer;
 use xmltc_obs as obs;
 
@@ -51,36 +52,72 @@ pub(crate) fn violation_nta_sized(
     output_type: &Nta,
     opts: &TypecheckOptions,
 ) -> Result<(Nta, usize), TypecheckError> {
-    let mut dbta_transitions = 0;
-    let v = {
-        let _span = obs::span("typecheck.product");
-        // The product holds only the rule-graph-reachable pairs, which is
-        // all `trim_states` would keep (`tests/violation_trim.rs`).
-        let v = violation_automaton(t, output_type)?;
-        obs::record("pebble.k", v.k() as u64);
-        obs::record("pebble.states", v.core().n_states() as u64);
-        v
+    let v = product(t, output_type)?;
+    let (nta, dbta_transitions) = match opts.route_for(t.k()) {
+        ResolvedRoute::Walk => {
+            let _span = obs::span("typecheck.walk");
+            let (d, _) = walk::walking_to_dbta_with(&v, &walk_options(opts))?;
+            (d.to_nta().trim(), d.n_transitions())
+        }
+        ResolvedRoute::Mso => (mso(&v, opts)?, 0),
     };
+    record_size(&nta);
+    Ok((nta, dbta_transitions))
+}
+
+/// A regular tree automaton whose language meets `τ₁` exactly where the
+/// violation language does, which is all [`crate::typecheck`]'s emptiness
+/// search asks of it: for `k = 1` the guided walk's automaton for
+/// `τ₁ ∩ {t | T(t) ⊈ τ₂}` ([`walk::walking_to_nta_within`]), which composes
+/// only the subtrees a tree of `τ₁` can contain (every state of it is
+/// reachable, so it is not trimmed); for `k ≥ 2` the MSO route's automaton
+/// for the whole violation language, as in [`violation_nta`].
+pub fn violations_within(
+    t: &PebbleTransducer,
+    input_type: &Nta,
+    output_type: &Nta,
+    opts: &TypecheckOptions,
+) -> Result<Nta, TypecheckError> {
+    let v = product(t, output_type)?;
     let nta = match opts.route_for(t.k()) {
         ResolvedRoute::Walk => {
             let _span = obs::span("typecheck.walk");
-            let wopts = walk::WalkOptions {
-                limit: opts.state_limit,
-            };
-            let (d, _) = walk::walking_to_dbta_with(&v, &wopts)?;
-            dbta_transitions = d.n_transitions();
-            d.to_nta().trim()
+            walk::walking_to_nta_within(&v, input_type, &walk_options(opts))?.0
         }
-        ResolvedRoute::Mso => {
-            let _span = obs::span("typecheck.mso");
-            let (nta, stats) = mso_route::pebble_to_nta(&v, opts.state_limit)?;
-            obs::record("mso.max_states", stats.max_states as u64);
-            obs::record("mso.determinizations", stats.determinizations as u64);
-            obs::record("mso.operations", stats.operations as u64);
-            nta.trim()
-        }
+        ResolvedRoute::Mso => mso(&v, opts)?,
     };
+    record_size(&nta);
+    Ok(nta)
+}
+
+/// The Proposition 4.6 violation automaton, in its `typecheck.product`
+/// span.
+fn product(t: &PebbleTransducer, output_type: &Nta) -> Result<PebbleAutomaton, TypecheckError> {
+    let _span = obs::span("typecheck.product");
+    // The product holds only the rule-graph-reachable pairs, which is
+    // all `trim_states` would keep (`tests/violation_trim.rs`).
+    let v = violation_automaton(t, output_type)?;
+    obs::record("pebble.k", v.k() as u64);
+    obs::record("pebble.states", v.core().n_states() as u64);
+    Ok(v)
+}
+
+/// The walk's budget: `opts.state_limit` signatures.
+fn walk_options(opts: &TypecheckOptions) -> walk::WalkOptions {
+    walk::WalkOptions {
+        limit: opts.state_limit,
+    }
+}
+
+/// The MSO route, in its `typecheck.mso` span. Its counters are the
+/// `mso.compile` span's.
+fn mso(v: &PebbleAutomaton, opts: &TypecheckOptions) -> Result<Nta, TypecheckError> {
+    let _span = obs::span("typecheck.mso");
+    Ok(mso_route::pebble_to_nta(v, opts.state_limit)?.0.trim())
+}
+
+/// Records the Theorem 4.7 automaton's size as `violation.*` rows.
+fn record_size(nta: &Nta) {
     obs::record("violation.states", nta.n_states() as u64);
     obs::record("violation.transitions", nta.n_transitions() as u64);
-    Ok((nta, dbta_transitions))
 }

@@ -48,7 +48,10 @@ pub mod product;
 pub mod replay;
 pub mod walk;
 
-pub use check::{typecheck, typecheck_with_violations, Engine, TypecheckOptions, TypecheckOutcome};
+pub use check::{
+    typecheck, typecheck_with_violations, typecheck_within, Engine, TypecheckOptions,
+    TypecheckOutcome,
+};
 pub use differential::{differential_emptiness, DifferentialVerdict};
 pub use error::TypecheckError;
 pub use inverse::inverse_type;

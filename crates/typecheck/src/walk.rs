@@ -92,13 +92,26 @@
 //!   composed. Job order is a pure function of the interned-signature
 //!   sequence, so state numbering, the point where [`WalkOptions::limit`]
 //!   aborts, and therefore every downstream artifact are deterministic.
+//!
+//! # Guided by an input type
+//!
+//! Typechecking asks only whether `τ₁ ∩ inst(A)` is empty, and most
+//! signatures of the full walk belong to subtrees no tree of `τ₁`
+//! contains. [`walking_to_nta_within`] runs the same compositions,
+//! interning and memo, but discovers bottom-up only the (signature,
+//! τ₁-state) pairs a run of `τ₁` can reach, joining projections through
+//! `τ₁`'s rules, and returns an automaton for `τ₁ ∩ inst(A)` over those
+//! pairs. On Q2 (8, 8, 8) it composes 20 of the full walk's 177 projection
+//! pairs. The full walk ([`walking_to_dbta_with`]) stays for what needs
+//! all of `inst(A)`: inverse types, grammar decompilation, and the
+//! oracles the guided walk is tested against.
 
 use crate::error::TypecheckError;
 use xmltc_automata::state::StateSet;
-use xmltc_automata::{Dbta, State};
+use xmltc_automata::{Dbta, Nta, State};
 use xmltc_core::machine::{Action, Move, PebbleAutomaton};
 use xmltc_obs::{self as obs, journal};
-use xmltc_trees::{Alphabet, FxHashMap, FxHashSet, Rank, Symbol};
+use xmltc_trees::{Alphabet, FxHashMap, FxHashSet, Rank, Symbol, TreeError};
 
 /// Arena id of a bitset row (in row units: the row occupies words
 /// `id * words .. (id + 1) * words` of its arena).
@@ -1022,6 +1035,8 @@ struct Walker {
     exit_bit: Vec<u32>,
     words: usize,
     initial: usize,
+    /// Whether the journal records this walk's timeline events.
+    jour: bool,
 }
 
 impl Walker {
@@ -1089,6 +1104,7 @@ impl Walker {
             exit_states,
             exit_bit,
             initial: initial as usize,
+            jour: journal::enabled(),
         };
         // Base fixpoints: solve each symbol's system with `Down` candidates
         // absent (no children). Every composition restarts from here.
@@ -1348,8 +1364,9 @@ impl Walker {
     /// One full composition: the root fixpoint (restarted from the symbol
     /// base) plus its left/right up-move extensions, each projected onto
     /// every binary table's targets for its side. Pure apart from the
-    /// workspace buffers: it reads only the symbol tables and the two child
-    /// projections.
+    /// workspace buffers and the counters (one more memo miss): it reads
+    /// only the symbol tables and the two child projections. Bracketed by
+    /// a `walk.job` span in the journal.
     fn compose(
         &self,
         table_idx: u32,
@@ -1357,6 +1374,10 @@ impl Walker {
         ws: &mut Workspace,
         stats: &mut WalkStats,
     ) -> Signature<Projection> {
+        if self.jour {
+            journal::begin("walk.job");
+        }
+        stats.memo_misses += 1;
         let table = &self.tables[table_idx as usize];
         let words = self.words;
         let Workspace {
@@ -1416,6 +1437,9 @@ impl Walker {
         stats.kernel_rows += rows;
         stats.kernel_row_peak = stats.kernel_row_peak.max(rows);
         let [left, right] = sides;
+        if self.jour {
+            journal::end("walk.job");
+        }
         Signature {
             accepting,
             left,
@@ -1452,11 +1476,11 @@ fn intern_signature(
     Ok(q)
 }
 
-/// Options for [`walking_to_dbta_with`].
+/// Options for [`walking_to_dbta_with`] and [`walking_to_nta_within`].
 #[derive(Clone, Copy, Debug)]
 pub struct WalkOptions {
-    /// Budget on DBTA states (child-projection signatures); `u32::MAX` =
-    /// unlimited.
+    /// Budget on DBTA states (child-projection signatures), which both
+    /// walks count; `u32::MAX` = unlimited.
     pub limit: u32,
 }
 
@@ -1466,14 +1490,18 @@ impl Default for WalkOptions {
     }
 }
 
-/// Counters describing one [`walking_to_dbta_with`] run. All fields are
-/// deterministic functions of the input automaton.
+/// Counters describing one [`walking_to_dbta_with`] or
+/// [`walking_to_nta_within`] run. All fields are deterministic functions
+/// of the input automaton (and of `τ₁`, for the guided walk). Where they
+/// say "DBTA", read the guided walk's signatures and its automaton's
+/// transitions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalkStats {
     /// Transition-table entries `(symbol, s₁, s₂)` of the DBTA: the binary
-    /// symbols times the squared state count.
+    /// symbols times the squared state count. For the guided walk, its
+    /// automaton's binary transitions.
     pub pairs: u64,
-    /// Composition requests: one per leaf symbol plus one per
+    /// Composition requests: one per leaf symbol composed plus one per
     /// transition-table entry (`compositions = memo_hits + memo_misses`).
     pub compositions: u64,
     /// Transition-table entries that share their composition with an
@@ -1492,7 +1520,8 @@ pub struct WalkStats {
     /// Always 0: the walk runs on the calling thread and never fans out.
     /// Kept so that callers reading it keep compiling.
     pub parallel_batches: u64,
-    /// States of the resulting DBTA.
+    /// States of the resulting DBTA: the distinct signatures, the unit
+    /// [`WalkOptions::limit`] counts.
     pub dbta_states: u64,
     /// Width of an exit-set row, in `u64` words: one bit per distinct
     /// up-move target class, at least one word.
@@ -1506,9 +1535,18 @@ pub struct WalkStats {
     pub classes: u64,
     /// Distinct child projections interned.
     pub projections_interned: u64,
+    /// (signature, τ₁-state) pairs [`walking_to_nta_within`] reached: the
+    /// states of its automaton. 0 for the full walk.
+    pub tau1_pairs: u64,
 }
 
 impl WalkStats {
+    /// [`WalkStats::record`], plus the `walk.tau1_pairs` row.
+    fn record_within(&self) {
+        self.record();
+        obs::record("walk.tau1_pairs", self.tau1_pairs);
+    }
+
     /// Records the counters as the `walk.*` rows of the current report.
     fn record(&self) {
         obs::record("walk.dbta_states", self.dbta_states);
@@ -1565,20 +1603,7 @@ pub fn walking_to_dbta_with(
     stats.words = walker.words as u64;
     let limit = opts.limit;
     let alphabet = a.input_alphabet();
-    let jour = journal::enabled();
-    // One composition, bracketed by a `walk.job` span in the journal.
-    let mut compose =
-        |table: u32, children: Option<(&Projection, &Projection)>, stats: &mut WalkStats| {
-            if jour {
-                journal::begin("walk.job");
-            }
-            let raw = walker.compose(table, children, &mut ws, stats);
-            stats.memo_misses += 1;
-            if jour {
-                journal::end("walk.job");
-            }
-            raw
-        };
+    let jour = walker.jour;
     // Over budget: records the counters so far, with `n` signatures and
     // `projections` interned in `rounds` generations, and every
     // composition a miss (hits are counted at the expansion, which never
@@ -1601,7 +1626,7 @@ pub fn walking_to_dbta_with(
     // Leaf states, in alphabet order (canonical).
     let mut leaf: FxHashMap<Symbol, State> = FxHashMap::default();
     for &sym in alphabet.leaves().iter() {
-        let raw = compose(walker.slot(sym), None, &mut stats);
+        let raw = walker.compose(walker.slot(sym), None, &mut ws, &mut stats);
         let q = intern_signature(raw, &mut projs, &mut states, &mut index, limit)
             .inspect_err(|_| over_budget(&stats, states.len(), projs.projs.len(), 0))?;
         leaf.insert(sym, q);
@@ -1648,7 +1673,7 @@ pub fn walking_to_dbta_with(
         // so interning each result right away cannot change a later job.
         for &(table, l, r) in &jobs {
             let children = (&projs.projs[l as usize], &projs.projs[r as usize]);
-            let raw = compose(table, Some(children), &mut stats);
+            let raw = walker.compose(table, Some(children), &mut ws, &mut stats);
             let q = intern_signature(raw, &mut projs, &mut states, &mut index, limit)
                 .inspect_err(|_| over_budget(&stats, states.len(), projs.projs.len(), rounds))?;
             memo.insert((table, l, r), q);
@@ -1708,6 +1733,258 @@ pub fn walking_to_dbta(a: &PebbleAutomaton) -> Result<Dbta, TypecheckError> {
     walking_to_dbta_with(a, &WalkOptions::default()).map(|(d, _)| d)
 }
 
+/// The (signature, τ₁-state) pairs of [`walking_to_nta_within`]: pair `p`
+/// is `list[p]`, the states of the automaton it returns.
+#[derive(Default)]
+struct TauPairs {
+    list: Vec<(State, u32)>,
+    index: FxHashMap<(State, u32), u32>,
+}
+
+impl TauPairs {
+    fn add(&mut self, sig: State, q: u32) -> u32 {
+        let next = self.list.len() as u32;
+        let p = *self.index.entry((sig, q)).or_insert(next);
+        if p == next {
+            self.list.push((sig, q));
+        }
+        p
+    }
+}
+
+/// Converts a 1-pebble automaton `A` into a tree automaton for
+/// `τ₁ ∩ inst(A)`, composing only the subtrees that some run of `τ₁` can
+/// label. Returns the construction counters alongside, and records them
+/// as [`walking_to_dbta_with`] does, plus `walk.tau1_pairs`.
+///
+/// Discovery is bottom-up reachability over (signature, τ₁-state) pairs,
+/// the states of the result: a leaf's signature pairs with each state
+/// `τ₁` gives that leaf, and for every binary symbol `b` and τ₁ state `q`
+/// the left and right projections seen so far under `q` are kept, a new
+/// one joined with the opposite side's through `τ₁`'s rules indexed by
+/// `(b, q₁)` and by `(b, q₂)`. A joined `(b, left, right)` is composed
+/// once (the full walk's composition and memo), and its signature paired
+/// with the rule's target. Job order is a pure function of the pair
+/// sequence and of `τ₁`'s rules, sorted, so pair numbering and the abort
+/// point are deterministic. The result's transitions are expanded at the
+/// end from the memo: `b((s₁, q₁), (s₂, q₂)) → (s, q)` for every rule
+/// `b(q₁, q₂) → q`; a pair is final when its signature accepts and its τ₁
+/// state is final.
+///
+/// `limit` counts signatures, as in the full walk. Every signature found
+/// here is the signature of some tree, hence one the full walk finds too,
+/// so this stops only where the full walk would also stop.
+///
+/// Errors when `k ≠ 1`, when `τ₁` is over another alphabet, or when the
+/// signature budget is exceeded.
+pub fn walking_to_nta_within(
+    a: &PebbleAutomaton,
+    tau1: &Nta,
+    opts: &WalkOptions,
+) -> Result<(Nta, WalkStats), TypecheckError> {
+    let alphabet = a.input_alphabet();
+    if !Alphabet::same(alphabet, tau1.alphabet()) {
+        return Err(TypecheckError::Tree(TreeError::AlphabetMismatch));
+    }
+    let mut stats = WalkStats::default();
+    let (walker, mut ws) = Walker::new(a, &mut stats)?;
+    stats.words = walker.words as u64;
+    let limit = opts.limit;
+    let jour = walker.jour;
+    let over_budget = |stats: &WalkStats, n: usize, projections: usize, pairs: usize, rounds| {
+        WalkStats {
+            compositions: stats.memo_misses,
+            dbta_states: n as u64,
+            projections_interned: projections as u64,
+            tau1_pairs: pairs as u64,
+            rounds,
+            ..*stats
+        }
+        .record_within()
+    };
+
+    // τ₁'s rules b(q₁, q₂) → q, sorted, as `(q₂, q)` under key `b · n₁ + q₁`
+    // for a left child and as `(q₁, q)` under `b · n₁ + q₂` for a right one.
+    let n1 = tau1.n_states() as usize;
+    let binaries = alphabet.binaries();
+    let mut bin_of = vec![u32::MAX; alphabet.len()];
+    for (b, s) in binaries.iter().enumerate() {
+        bin_of[s.index()] = b as u32;
+    }
+    let mut rules: Vec<(u32, u32, u32, u32)> = tau1
+        .node_transitions()
+        .map(|(s, q1, q2, q)| (bin_of[s.index()], q1.0, q2.0, q.0))
+        .collect();
+    rules.sort_unstable();
+    let key = |b: u32, q: u32| b as usize * n1 + q as usize;
+    let mut by_side: [Vec<Vec<(u32, u32)>>; 2] = [
+        vec![Vec::new(); binaries.len() * n1],
+        vec![Vec::new(); binaries.len() * n1],
+    ];
+    for &(b, q1, q2, q) in &rules {
+        by_side[0][key(b, q1)].push((q2, q));
+        by_side[1][key(b, q2)].push((q1, q));
+    }
+
+    let mut projs = ProjArena::default();
+    let mut states: Vec<Signature<ProjId>> = Vec::new();
+    let mut index: FxHashMap<Signature<ProjId>, State> = FxHashMap::default();
+    let mut pairs = TauPairs::default();
+
+    // Leaves, in alphabet order: one composition per symbol `τ₁` labels.
+    let mut leaf_rules: Vec<(Symbol, u32)> = Vec::new();
+    let mut leaves = 0u64;
+    for &sym in alphabet.leaves().iter() {
+        let qs = tau1.leaf_states(sym);
+        if qs.is_empty() {
+            continue;
+        }
+        let raw = walker.compose(walker.slot(sym), None, &mut ws, &mut stats);
+        let s = intern_signature(raw, &mut projs, &mut states, &mut index, limit)
+            .inspect_err(|_| over_budget(&stats, states.len(), projs.projs.len(), 0, 0))?;
+        leaves += 1;
+        for q in qs {
+            leaf_rules.push((sym, pairs.add(s, q.0)));
+        }
+    }
+
+    // Discovery. `seen[side][b · n₁ + q]` lists the side's projections of
+    // `b` under τ₁ state `q` in discovery order, each with its group:
+    // `members[g]` are the pairs carrying it. A new projection is joined
+    // with every opposite-side projection under each rule that reads it,
+    // so each (rule, left, right) join happens once, the generation after
+    // the later of its two projections first appears.
+    let mut seen: [Vec<Vec<(ProjId, u32)>>; 2] = [
+        vec![Vec::new(); binaries.len() * n1],
+        vec![Vec::new(); binaries.len() * n1],
+    ];
+    let mut group: FxHashMap<(u8, usize, ProjId), u32> = FxHashMap::default();
+    let mut members: Vec<Vec<u32>> = Vec::new();
+    let mut memo: FxHashMap<(u32, ProjId, ProjId), State> = FxHashMap::default();
+    let mut jobs: Vec<(u32, ProjId, ProjId, u32)> = Vec::new();
+    let mut enumerated = 0;
+    let mut rounds = 0u64;
+    while enumerated < pairs.list.len() {
+        jobs.clear();
+        for p in enumerated..pairs.list.len() {
+            let (s, q) = pairs.list[p];
+            let sig = &states[s.index()];
+            for b in 0..binaries.len() as u32 {
+                let k = key(b, q);
+                for side in 0..2 {
+                    if by_side[side][k].is_empty() {
+                        continue;
+                    }
+                    let proj = if side == 0 {
+                        sig.left[b as usize]
+                    } else {
+                        sig.right[b as usize]
+                    };
+                    let next = members.len() as u32;
+                    let g = *group.entry((side as u8, k, proj)).or_insert(next);
+                    if g == next {
+                        members.push(Vec::new());
+                        for &(other, target) in &by_side[side][k] {
+                            for &(o, _) in &seen[1 - side][key(b, other)] {
+                                let (l, r) = if side == 0 { (proj, o) } else { (o, proj) };
+                                jobs.push((b, l, r, target));
+                            }
+                        }
+                        seen[side][k].push((proj, g));
+                    }
+                    members[g as usize].push(p as u32);
+                }
+            }
+        }
+        enumerated = pairs.list.len();
+        if jobs.is_empty() {
+            break;
+        }
+        rounds += 1;
+        if jour {
+            journal::instant("walk.round");
+            journal::counter("walk.frontier_jobs", jobs.len() as u64);
+        }
+        for &(b, l, r, target) in &jobs {
+            let s = match memo.get(&(b, l, r)) {
+                Some(&s) => s,
+                None => {
+                    let children = (&projs.projs[l as usize], &projs.projs[r as usize]);
+                    let table = walker.binaries[b as usize];
+                    let raw = walker.compose(table, Some(children), &mut ws, &mut stats);
+                    let s = intern_signature(raw, &mut projs, &mut states, &mut index, limit)
+                        .inspect_err(|_| {
+                            over_budget(
+                                &stats,
+                                states.len(),
+                                projs.projs.len(),
+                                pairs.list.len(),
+                                rounds,
+                            )
+                        })?;
+                    memo.insert((b, l, r), s);
+                    s
+                }
+            };
+            pairs.add(s, target);
+        }
+        if jour {
+            journal::counter("walk.dbta_states", states.len() as u64);
+            journal::counter("walk.projections_arena", projs.projs.len() as u64);
+            journal::counter("walk.memo_misses", leaves + memo.len() as u64);
+        }
+    }
+
+    // Expansion: b((s₁, q₁), (s₂, q₂)) → (memo[b, left, right], q) for
+    // every rule b(q₁, q₂) → q and every pair of each joined group.
+    let mut nta = Nta::new(alphabet, pairs.list.len() as u32);
+    for (sym, p) in leaf_rules {
+        nta.add_leaf(sym, State(p));
+    }
+    let mut entries = 0u64;
+    for (b, &sym) in binaries.iter().enumerate() {
+        let b = b as u32;
+        for q1 in 0..n1 as u32 {
+            let k = key(b, q1);
+            for &(l, g1) in &seen[0][k] {
+                for &(q2, target) in &by_side[0][k] {
+                    for &(r, g2) in &seen[1][key(b, q2)] {
+                        let s = memo[&(b, l, r)];
+                        let to = State(pairs.index[&(s, target)]);
+                        for &p1 in &members[g1 as usize] {
+                            for &p2 in &members[g2 as usize] {
+                                nta.add_node(sym, State(p1), State(p2), to);
+                            }
+                        }
+                        entries += (members[g1 as usize].len() * members[g2 as usize].len()) as u64;
+                    }
+                }
+            }
+        }
+    }
+    let memo_hits = entries - memo.len() as u64;
+    if jour {
+        journal::counter("walk.memo_hits", memo_hits);
+    }
+    for (p, &(s, q)) in pairs.list.iter().enumerate() {
+        if states[s.index()].accepting && tau1.finals().contains(State(q)) {
+            nta.add_final(State(p as u32));
+        }
+    }
+    let stats = WalkStats {
+        pairs: entries,
+        compositions: leaves + entries,
+        memo_hits,
+        rounds,
+        dbta_states: states.len() as u64,
+        projections_interned: projs.projs.len() as u64,
+        tau1_pairs: pairs.list.len() as u64,
+        ..stats
+    };
+    stats.record_within();
+    Ok((nta, stats))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1733,9 +2010,25 @@ mod tests {
         "f(f(f(x, x), x), y)",
     ];
 
+    /// The one-state automaton for every tree over `al`.
+    fn universal(al: &Arc<Alphabet>) -> Nta {
+        let mut u = Nta::new(al, 1);
+        for leaf in al.leaves() {
+            u.add_leaf(leaf, State(0));
+        }
+        for f in al.binaries() {
+            u.add_node(f, State(0), State(0), State(0));
+        }
+        u.add_final(State(0));
+        u
+    }
+
     fn agree(a: &PebbleAutomaton) {
         let al = a.input_alphabet().clone();
         let (d, s) = walking_to_dbta_with(a, &WalkOptions::default()).unwrap();
+        // Guided by the universal type, the walk reaches every signature,
+        // each with the type's one state.
+        let (g, gs) = walking_to_nta_within(a, &universal(&al), &WalkOptions::default()).unwrap();
         for src in TREES {
             let t = BinaryTree::parse(src, &al).unwrap();
             assert_eq!(
@@ -1743,7 +2036,15 @@ mod tests {
                 accepts(a, &t).unwrap(),
                 "disagreement on {src}"
             );
+            assert_eq!(
+                g.accepts(&t).unwrap(),
+                d.accepts(&t).unwrap(),
+                "guided on {src}"
+            );
         }
+        assert_eq!(gs.dbta_states, s.dbta_states);
+        assert_eq!(gs.tau1_pairs, s.dbta_states);
+        assert_eq!(gs.memo_hits + gs.memo_misses, gs.compositions);
         // The construction is a pure function of the machine: a second
         // build has the same states, transitions, finals and counters.
         let (d2, s2) = walking_to_dbta_with(a, &WalkOptions::default()).unwrap();
@@ -2118,13 +2419,21 @@ mod tests {
         let full = walking_to_dbta(&a).unwrap();
         assert!(full.n_states() >= 2);
         let limited = |limit| walking_to_dbta_with(&a, &WalkOptions { limit }).map(|(d, _)| d);
+        let tau1 = universal(&al);
+        let guided = |limit| walking_to_nta_within(&a, &tau1, &WalkOptions { limit });
         for limit in 0..full.n_states() {
             match limited(limit) {
                 Err(TypecheckError::TooManyStates { n }) => assert_eq!(n, limit + 1),
                 other => panic!("limit {limit}: expected budget abort, got {other:?}"),
             }
+            // The guided walk counts signatures too.
+            match guided(limit) {
+                Err(TypecheckError::TooManyStates { n }) => assert_eq!(n, limit + 1),
+                other => panic!("limit {limit}: expected guided abort, got {other:?}"),
+            }
         }
         assert_eq!(limited(full.n_states()).unwrap(), full);
+        assert!(guided(full.n_states()).is_ok());
     }
 
     // ---- bisimulation quotient ------------------------------------------

@@ -29,7 +29,9 @@ use xmltc_obs::explain::{
     TransformRecord, ViolationRecord,
 };
 use xmltc_trees::{decode, UnrankedTree};
-use xmltc_typecheck::{replay_counterexample, typecheck, TypecheckOptions, TypecheckOutcome};
+use xmltc_typecheck::{
+    replay_counterexample, typecheck_within, TypecheckOptions, TypecheckOutcome,
+};
 use xmltc_xml::raw_to_xml;
 
 /// Trace steps kept in a report; longer runs are truncated (the recorded
@@ -49,7 +51,7 @@ impl DocumentPipeline {
 
         let route_name = opts.route_for(self.transducer().k()).name();
 
-        let outcome = typecheck(self.transducer(), self.tau1(), &tau2, opts)?;
+        let outcome = typecheck_within(self.transducer(), self.tau1(), &tau2, opts)?;
         let (input, bad_output) = match outcome {
             TypecheckOutcome::Ok => {
                 return Ok((DocumentVerdict::Ok, ExplainReport::ok(route_name)))

@@ -26,7 +26,8 @@ use xmltc_core::{MachineError, PebbleTransducer};
 use xmltc_dtd::{Dtd, DtdError};
 use xmltc_obs as obs;
 use xmltc_trees::{decode_raw, encode, Alphabet, EncodedAlphabet, RawTree, UnrankedTree};
-use xmltc_typecheck::{typecheck, TypecheckError, TypecheckOptions, TypecheckOutcome};
+use xmltc_typecheck::inverse::violations_within;
+use xmltc_typecheck::{typecheck_within, TypecheckError, TypecheckOptions, TypecheckOutcome};
 
 /// A compiled stylesheet pipeline over documents.
 pub struct DocumentPipeline {
@@ -189,15 +190,25 @@ impl DocumentPipeline {
     }
 
     /// [`DocumentPipeline::typecheck_against`] with explicit
-    /// [`TypecheckOptions`] (the state budget).
+    /// [`TypecheckOptions`] (the state budget). The Theorem 4.7 walk is
+    /// guided by the input DTD ([`xmltc_typecheck::typecheck_within`]).
     pub fn typecheck_against_with(
         &self,
         output_dtd_text: &str,
         opts: &TypecheckOptions,
     ) -> Result<DocumentVerdict, PipelineError> {
         let tau2 = self.compile_output_dtd(output_dtd_text)?;
-        let outcome = typecheck(&self.transducer, &self.tau1, &tau2, opts)?;
+        let outcome = typecheck_within(&self.transducer, &self.tau1, &tau2, opts)?;
         self.decode_outcome(outcome)
+    }
+
+    /// The Theorem 4.7 automaton the document decision searches against a
+    /// compiled `τ₂`: for a 1-pebble transducer, the input DTD's trees
+    /// that violate `τ₂` ([`violations_within`]). It depends on the input
+    /// DTD, the stylesheet, `τ₂` and the state budget, which is what the
+    /// `xmltc serve` artifact cache keys it on.
+    pub fn violations(&self, tau2: &Nta, opts: &TypecheckOptions) -> Result<Nta, PipelineError> {
+        Ok(violations_within(&self.transducer, &self.tau1, tau2, opts)?)
     }
 
     /// Parses and compiles an output DTD (text syntax over the
@@ -215,10 +226,11 @@ impl DocumentPipeline {
     }
 
     /// Typechecks against a pre-built `τ₂` *and* a precomputed violation
-    /// automaton (the Theorem 4.7 output for `(transducer, τ₂)`): only the
-    /// final emptiness check runs — no walk/MSO construction. This is the
-    /// warm path of the `xmltc serve` artifact cache; the caller is
-    /// responsible for the pairing invariant documented on
+    /// automaton — [`DocumentPipeline::violations`] for this `τ₂`, or the
+    /// whole violation language of `(transducer, τ₂)`: only the final
+    /// emptiness check runs, no walk/MSO construction. This is the warm
+    /// path of the `xmltc serve` artifact cache; the caller is responsible
+    /// for the pairing invariant documented on
     /// [`xmltc_typecheck::typecheck_with_violations`].
     pub fn typecheck_with_violations_nta(
         &self,

@@ -441,7 +441,10 @@ fn typecheck_engine_flag_is_unknown() {
 }
 
 /// A walk stopped by its state budget still says how far it got: the
-/// partial table's `typecheck.walk` row carries the walk's counters.
+/// partial table's `typecheck.walk` row carries the walk's counters. The
+/// document path's walk is guided by the input DTD: it has interned 5
+/// signatures and reached 10 (signature, τ₁-state) pairs in 4 generations
+/// when the sixth signature breaks the budget, on its eighth composition.
 #[test]
 fn typecheck_walk_budget_abort_reports_partial_progress() {
     let out = run(&[
@@ -463,7 +466,12 @@ fn typecheck_walk_budget_abort_reports_partial_progress() {
         .lines()
         .find(|l| l.trim_start().starts_with("typecheck.walk "))
         .unwrap_or_else(|| panic!("no typecheck.walk row in:\n{s}"));
-    for counter in ["walk.dbta_states=5", "walk.rounds=2"] {
+    for counter in [
+        "walk.dbta_states=5",
+        "walk.rounds=4",
+        "walk.compositions=8",
+        "walk.tau1_pairs=10",
+    ] {
         assert!(row.contains(counter), "missing `{counter}` in:\n{row}");
     }
 }
@@ -831,14 +839,15 @@ fn typecheck_trace_out_writes_chrome_trace() {
         assert!(counters.contains(&gauge), "missing counter `{gauge}`");
     }
     assert!(with_ph("C").all(|e| e.at("args.value").and_then(Json::as_u64).is_some()));
-    // One composition span per fixpoint run (the leaf plus 66 projection
-    // pairs), opened and closed in matched pairs.
+    // One composition span per fixpoint run (the leaf plus the 9
+    // projection pairs a tree of the input DTD can contain), opened and
+    // closed in matched pairs.
     let span_count = |ph: &'static str| {
         with_ph(ph)
             .filter(|e| e.at("name").and_then(Json::as_str) == Some("walk.job"))
             .count()
     };
-    assert_eq!(span_count("B"), 67);
+    assert_eq!(span_count("B"), 10);
     assert_eq!(span_count("B"), span_count("E"));
     // Every frontier round dropped an instant marker.
     assert!(with_ph("i").any(|e| e.at("name").and_then(Json::as_str) == Some("walk.round")));

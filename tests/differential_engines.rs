@@ -7,6 +7,13 @@
 //! contradict either. Every counterexample is independently re-verified
 //! against `τ₂`.
 //!
+//! Every instance is also decided by the walk guided by its `τ₁`
+//! ([`typecheck_within`], the document path's decision): wherever the
+//! full walk decides, the guided decision's verdict, least input and bad
+//! output must equal the full walk's, byte for byte. An instance only the
+//! guided walk decides (the full walk ran out of budget) is counted and
+//! printed, not failed.
+//!
 //! Seeded random (input DTD, transducer, output DTD) triples drawn from
 //! the in-tree [`SmallRng`]. The Theorem 4.7 walk construction depends
 //! only on (transducer, output DTD), so its (expensive) violation
@@ -29,7 +36,10 @@ use xmltc::trees::{BinaryTree, SmallRng};
 use xmltc::typecheck::bounded::{bounded_typecheck, BoundedOutcome};
 use xmltc::typecheck::differential::differential_emptiness;
 use xmltc::typecheck::inverse::violation_nta;
-use xmltc::typecheck::{replay_counterexample, ReplayEvidence, TypecheckError, TypecheckOptions};
+use xmltc::typecheck::{
+    replay_counterexample, typecheck_within, ReplayEvidence, TypecheckError, TypecheckOptions,
+    TypecheckOutcome,
+};
 use xmltc::xmlql::{Stylesheet, Template};
 
 /// Input DTDs (the `τ₁` pool). All share the tag set `{root, a}` so any
@@ -122,6 +132,49 @@ fn bad_outputs(out_lang: &Nta, tau2: &Nta) -> [Option<BinaryTree>; 2] {
 /// The output automaton of `t` on `input` (Proposition 3.8).
 fn output_language(t: &xmltc::core::PebbleTransducer, input: &BinaryTree) -> Nta {
     xmltc::core::output_automaton(t, input).unwrap().to_nta()
+}
+
+/// A decision as text: `typechecks`, or the least input and its least bad
+/// output.
+fn answer_text(input: Option<&BinaryTree>, bad: Option<&BinaryTree>) -> String {
+    match input {
+        None => "typechecks".into(),
+        Some(w) => format!("{w} -> {}", bad.map_or("-".into(), |b| b.to_string())),
+    }
+}
+
+/// The full walk's decision, from its least witness: the bad output comes
+/// from the search `typecheck` runs, under `opts`' budget. `None` when
+/// that budget runs out.
+fn full_answer(
+    t: &xmltc::core::PebbleTransducer,
+    tau2: &Nta,
+    witness: Option<&BinaryTree>,
+    opts: &TypecheckOptions,
+) -> Option<String> {
+    let Some(w) = witness else {
+        return Some(answer_text(None, None));
+    };
+    let (bad, _) = lazy::difference_witness(&output_language(t, w), tau2, opts.state_limit).ok()?;
+    Some(answer_text(Some(w), bad.into_witness().as_ref()))
+}
+
+/// The guided walk's decision ([`typecheck_within`]); `None` when its
+/// budget runs out.
+fn guided_answer(
+    t: &xmltc::core::PebbleTransducer,
+    tau1: &Nta,
+    tau2: &Nta,
+    opts: &TypecheckOptions,
+) -> Option<String> {
+    match typecheck_within(t, tau1, tau2, opts) {
+        Ok(TypecheckOutcome::Ok) => Some(answer_text(None, None)),
+        Ok(TypecheckOutcome::CounterExample { input, bad_output }) => {
+            Some(answer_text(Some(&input), bad_output.as_ref()))
+        }
+        Err(TypecheckError::TooManyStates { .. }) => None,
+        Err(e) => panic!("guided decision failed: {e}"),
+    }
 }
 
 /// Re-verifies a counterexample independently of the search that found
@@ -285,6 +338,16 @@ fn engines_never_disagree() {
         assert!(
             stats.states_materialized <= stats.states_eager,
             "{ctx}: the search made more pairs than the product has states"
+        );
+
+        // The walk guided by τ₁ decides the same, witness bytes included.
+        let opts = TypecheckOptions::default();
+        let full = full_answer(&c.t, &c.tau2, eager_witness.as_ref(), &opts)
+            .expect("the default budget decides every pool triple");
+        assert_eq!(
+            guided_answer(&c.t, &tau1, &c.tau2, &opts),
+            Some(full),
+            "{ctx}: the guided walk and the full walk disagree"
         );
 
         // The bounded-exhaustive oracle: enumerates τ₁ inputs up to a
@@ -464,16 +527,43 @@ fn violations_of(c: &xmltc::dsl::CompiledScenario) -> Result<Nta, TypecheckError
     violation_nta(&c.transducer, &c.tau2, &corpus_opts())
 }
 
-/// Runs `cases` corpus cases of one family through the search and the
-/// built product; returns
-/// `(ok, failing, skipped)` verdict counts. Every witness disagreement and
-/// every replay failure is reported as a minimized triple. A case whose
-/// Theorem 4.7 construction exceeds the corpus state budget (see
-/// [`corpus_opts`]) is counted in `skipped` — callers bound the skip rate
-/// so a budget regression cannot silently hollow out the sweep.
-fn run_corpus_family(family: Family, seed: u64, cases: u64) -> (u64, u64, u64) {
+/// True when the candidate still lowers, both walks decide it, and the
+/// guided walk's decision differs from the full walk's — the minimizer
+/// predicate for guided-walk mismatches.
+fn guided_still_disagrees(cand: &Scenario) -> bool {
+    let Ok(c) = cand.compile() else {
+        return false;
+    };
     let opts = corpus_opts();
-    let (mut ok, mut failing, mut skipped) = (0u64, 0u64, 0u64);
+    let Ok(v) = differential_emptiness(&c.transducer, &c.tau1, &c.tau2, &opts) else {
+        return false;
+    };
+    let full = full_answer(&c.transducer, &c.tau2, v.lazy_witness.as_ref(), &opts);
+    full.is_some() && guided_answer(&c.transducer, &c.tau1, &c.tau2, &opts) != full
+}
+
+/// A family's verdict counts from [`run_corpus_family`].
+#[derive(Default)]
+struct Counts {
+    ok: u64,
+    failing: u64,
+    /// Cases the full walk's budget stopped.
+    skipped: u64,
+    /// Of those, the cases the guided walk decided.
+    guided_only: u64,
+}
+
+/// Runs `cases` corpus cases of one family through the search, the built
+/// product and the guided walk, and returns the verdict counts. Every
+/// witness disagreement, guided-walk mismatch and replay failure is
+/// reported as a minimized triple. A case whose Theorem 4.7 construction
+/// exceeds the corpus state budget (see [`corpus_opts`]) is counted in
+/// `skipped` — callers bound the skip rate so a budget regression cannot
+/// silently hollow out the sweep — and in `guided_only` too when the
+/// guided walk decides it.
+fn run_corpus_family(family: Family, seed: u64, cases: u64) -> Counts {
+    let opts = corpus_opts();
+    let mut n = Counts::default();
     for index in 0..cases {
         let scenario = generate(seed, family, index);
         let ctx = format!("corpus {} #{index} (seed {seed:#x})", family.name());
@@ -483,11 +573,16 @@ fn run_corpus_family(family: Family, seed: u64, cases: u64) -> (u64, u64, u64) {
                 scenario.render()
             )
         });
+        let guided = guided_answer(&c.transducer, &c.tau1, &c.tau2, &opts);
         let v = match differential_emptiness(&c.transducer, &c.tau1, &c.tau2, &opts) {
             Ok(v) => v,
-            Err(TypecheckError::TooManyStates { n }) => {
-                eprintln!("{ctx}: resource skip (state budget exceeded at {n})");
-                skipped += 1;
+            Err(TypecheckError::TooManyStates { n: at }) => {
+                eprintln!("{ctx}: resource skip (state budget exceeded at {at})");
+                n.skipped += 1;
+                if let Some(answer) = guided {
+                    eprintln!("{ctx}: decided by the guided walk alone: {answer}");
+                    n.guided_only += 1;
+                }
                 continue;
             }
             Err(e) => panic!("{ctx}: pipeline error: {e}\n{}", scenario.render()),
@@ -504,15 +599,24 @@ fn run_corpus_family(family: Family, seed: u64, cases: u64) -> (u64, u64, u64) {
             );
             fail_minimized(&ctx, &scenario, &reason, still_disagrees);
         }
+        if let Some(full) = full_answer(&c.transducer, &c.tau2, v.lazy_witness.as_ref(), &opts) {
+            if guided.as_ref() != Some(&full) {
+                let reason = format!(
+                    "the guided walk and the full walk decide differently: \
+                     full {full:?}, guided {guided:?}"
+                );
+                fail_minimized(&ctx, &scenario, &reason, guided_still_disagrees);
+            }
+        }
         match &v.eager_witness {
             Some(w) => {
-                failing += 1;
+                n.failing += 1;
                 verify_corpus_cex(&ctx, &scenario, &c, w);
             }
-            None => ok += 1,
+            None => n.ok += 1,
         }
     }
-    (ok, failing, skipped)
+    n
 }
 
 /// Asserts resource skips stay rare (≤ 2% of the sweep): the budget is
@@ -534,18 +638,27 @@ fn assert_skips_rare(ctx: &str, skipped: u64, total: u64) {
 fn corpus_families_agree() {
     let per_family = env_u64("XMLTC_CORPUS_CASES", 40);
     let seed = env_u64("XMLTC_CORPUS_SEED", 0xc0de);
-    let (mut ok, mut failing, mut skipped) = (0u64, 0u64, 0u64);
+    let mut total = Counts::default();
     for &family in &FAMILIES {
-        let (o, f, s) = run_corpus_family(family, seed, per_family);
-        ok += o;
-        failing += f;
-        skipped += s;
+        let n = run_corpus_family(family, seed, per_family);
+        total.ok += n.ok;
+        total.failing += n.failing;
+        total.skipped += n.skipped;
+        total.guided_only += n.guided_only;
     }
+    eprintln!(
+        "corpus sweep (seed {seed:#x}): {} skipped by the full walk, {} of them decided by the guided walk",
+        total.skipped, total.guided_only
+    );
     // The corpus must exercise both verdicts or the comparison proves
     // nothing.
-    assert!(failing > 0, "no failing corpus instances");
-    assert!(ok > 0, "no passing corpus instances");
-    assert_skips_rare("corpus sweep", skipped, per_family * FAMILIES.len() as u64);
+    assert!(total.failing > 0, "no failing corpus instances");
+    assert!(total.ok > 0, "no passing corpus instances");
+    assert_skips_rare(
+        "corpus sweep",
+        total.skipped,
+        per_family * FAMILIES.len() as u64,
+    );
 }
 
 /// Satellite focus: the silent-transition-heavy family alone, at depth —
@@ -557,10 +670,17 @@ fn corpus_families_agree() {
 fn silent_chains_stress() {
     let cases = env_u64("XMLTC_SILENT_CASES", 200);
     let seed = env_u64("XMLTC_CORPUS_SEED", 0xc0de) ^ 0x51f3;
-    let (ok, failing, skipped) = run_corpus_family(Family::SilentChains, seed, cases);
-    assert!(ok > 0, "no passing silent-chain instances in {cases}");
-    assert!(failing > 0, "no failing silent-chain instances in {cases}");
-    assert_skips_rare("silent-chain stress", skipped, cases);
+    let n = run_corpus_family(Family::SilentChains, seed, cases);
+    eprintln!(
+        "silent-chain stress (seed {seed:#x}): {} skipped by the full walk, {} of them decided by the guided walk",
+        n.skipped, n.guided_only
+    );
+    assert!(n.ok > 0, "no passing silent-chain instances in {cases}");
+    assert!(
+        n.failing > 0,
+        "no failing silent-chain instances in {cases}"
+    );
+    assert_skips_rare("silent-chain stress", n.skipped, cases);
 }
 
 /// Satellite: minimizer property test against the real differential

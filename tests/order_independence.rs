@@ -3,14 +3,17 @@
 //! cases typecheck to the same verdict, input and bad output when `τ₁` and
 //! `τ₂` are rebuilt with their states renumbered by a random permutation
 //! and their transitions and finals inserted in a shuffled order (same
-//! alphabets, same languages).
+//! alphabets, same languages). That holds for the full walk's decision
+//! (`typecheck`) and for the document path's, whose walk is guided by `τ₁`
+//! and numbers its pairs in the order of `τ₁`'s states and rules
+//! (`typecheck_within`).
 
 use xmltc::automata::{Nta, State};
 use xmltc::core::PebbleTransducer;
 use xmltc::dsl::{generate, CORPUS_STATE_LIMIT, FAMILIES};
 use xmltc::dtd::Dtd;
 use xmltc::trees::{SmallRng, Symbol};
-use xmltc::typecheck::{typecheck, TypecheckOptions, TypecheckOutcome};
+use xmltc::typecheck::{typecheck, typecheck_within, TypecheckOptions, TypecheckOutcome};
 use xmltc::xmlql::Stylesheet;
 
 /// The committed fixture triples: input DTD, stylesheet, output DTD.
@@ -82,15 +85,19 @@ fn reinserted(a: &Nta, rng: &mut SmallRng) -> Nta {
     out
 }
 
-/// The verdict, counterexample input and bad output, as text.
+/// The verdict, counterexample input and bad output, as text, of the full
+/// walk's decision and of the guided walk's.
 fn answer(t: &PebbleTransducer, tau1: &Nta, tau2: &Nta, opts: &TypecheckOptions) -> String {
-    match typecheck(t, tau1, tau2, opts) {
-        Ok(TypecheckOutcome::Ok) => "typechecks".into(),
+    let text = |outcome| match outcome {
+        Ok(TypecheckOutcome::Ok) => "typechecks".to_string(),
         Ok(TypecheckOutcome::CounterExample { input, bad_output }) => {
             format!("counterexample {input} -> {bad_output:?}")
         }
         Err(e) => format!("error {e}"),
-    }
+    };
+    let full = text(typecheck(t, tau1, tau2, opts));
+    let guided = text(typecheck_within(t, tau1, tau2, opts));
+    format!("{full}; guided: {guided}")
 }
 
 /// Typechecks (T, τ₁, τ₂) once as built and `shuffles` times rebuilt, and

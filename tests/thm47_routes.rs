@@ -1,6 +1,7 @@
 //! Theorem 4.7 cross-validation: the behaviour-composition route and the
 //! paper's MSO route must produce equivalent tree automata for 1-pebble
-//! machines, and both must agree with direct AGAP acceptance.
+//! machines, and both must agree with direct AGAP acceptance; so must the
+//! walk guided by an input type, within that type.
 //!
 //! Driven by the workspace's deterministic [`SmallRng`]; runs a fixed
 //! number of seeded cases. Also the budget-honoring property: with a tiny
@@ -17,7 +18,7 @@ use xmltc::dsl::{MachineSpec, Syms};
 use xmltc::obs;
 use xmltc::trees::{Alphabet, BinaryTree, SmallRng};
 use xmltc::typecheck::mso_route::pebble_to_nta;
-use xmltc::typecheck::walk::walking_to_dbta;
+use xmltc::typecheck::walk::{walking_to_dbta, walking_to_nta_within, WalkOptions};
 use xmltc::typecheck::TypecheckError;
 
 fn alpha() -> Arc<Alphabet> {
@@ -96,6 +97,79 @@ fn walk_route_agrees_with_agap() {
     // A machine that accepts every tree or none checks little; about a
     // third of these (20) split the trees.
     assert!(mixed >= 16, "only {mixed}/64 machines split the trees");
+}
+
+/// A random input type over `al`: a complete deterministic automaton with
+/// two or three states and each rule's target drawn at random, so its
+/// states split the trees into classes. The final states are a random
+/// non-empty proper subset of the reachable ones, so the type is neither
+/// empty nor universal (unless only one state is reachable).
+fn rand_tau1(rng: &mut SmallRng, al: &Arc<Alphabet>) -> Nta {
+    let n = rng.gen_range(2..4);
+    let pick = |rng: &mut SmallRng| State(rng.gen_range(0..n) as u32);
+    let mut a = Nta::new(al, n as u32);
+    for leaf in al.leaves() {
+        a.add_leaf(leaf, pick(rng));
+    }
+    for f in al.binaries() {
+        for q1 in 0..n as u32 {
+            for q2 in 0..n as u32 {
+                a.add_node(f, State(q1), State(q2), pick(rng));
+            }
+        }
+    }
+    let reachable: Vec<State> = a.reachable_states().iter().collect();
+    let first = *rng.choose(&reachable);
+    let mut finals: Vec<State> = reachable
+        .iter()
+        .copied()
+        .filter(|&q| q == first || rng.gen_bool(0.3))
+        .collect();
+    if finals.len() == reachable.len() && finals.len() > 1 {
+        finals.retain(|&q| q == first);
+    }
+    for q in finals {
+        a.add_final(q);
+    }
+    a
+}
+
+/// The walk guided by a random input type accepts exactly the trees that
+/// both the type and the machine (AGAP) accept, on every tree of depth at
+/// most 4.
+#[test]
+fn guided_walk_agrees_with_agap() {
+    let al = alpha();
+    let trees = all_trees(&al, 4);
+    let mut rng = SmallRng::seed_from_u64(0x4705);
+    let (mut mixed, mut excluded) = (0, 0);
+    for case in 0..64 {
+        let a = rand_machine(&mut rng, &al, 6..20);
+        let tau1 = rand_tau1(&mut rng, &al);
+        let (g, _) = walking_to_nta_within(&a, &tau1, &WalkOptions::default()).unwrap();
+        let (mut accepted, mut untyped) = (0, 0);
+        for t in &trees {
+            let (typed, agap) = (tau1.accepts(t).unwrap(), accepts(&a, t).unwrap());
+            assert_eq!(g.accepts(t).unwrap(), typed && agap, "case {case} on {t}");
+            accepted += usize::from(typed && agap);
+            untyped += usize::from(!typed && agap);
+        }
+        if accepted > 0 && accepted < trees.len() {
+            mixed += 1;
+        }
+        excluded += usize::from(untyped > 0);
+    }
+    // An automaton that accepts every tree or none checks little; about
+    // half of these (33) split the trees. In 28 cases the type excludes
+    // a tree the machine accepts, which the full walk would have kept.
+    assert!(
+        mixed >= 16,
+        "only {mixed}/64 guided automata split the trees"
+    );
+    assert!(
+        excluded >= 16,
+        "the type excludes a machine's tree in only {excluded}/64"
+    );
 }
 
 /// The MSO route never runs the walk, so it checks the walk — and the

@@ -192,6 +192,15 @@ fn two_pebble_transducer_typechecks_through_the_mso_route() {
     ] {
         assert!(metric(&report, name) > Some(0), "{name}");
     }
+    // The compiler's counters sit on its `mso.compile` row alone, not
+    // again on the enclosing `typecheck.mso` row.
+    let table = report.render_table();
+    let rows: Vec<&str> = table
+        .lines()
+        .filter(|l| l.contains("mso.operations=121"))
+        .collect();
+    assert_eq!(rows.len(), 1, "{table}");
+    assert!(rows[0].trim_start().starts_with("mso.compile "), "{table}");
 
     let tau1 = input_type(&al, true);
     assert!(typecheck(&t, &tau1, &tau2, &opts).unwrap().is_ok());
