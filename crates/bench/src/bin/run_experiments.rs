@@ -18,7 +18,7 @@ use xmltc_regex::Regex;
 use xmltc_trees::{decode, encode, Alphabet, EncodedAlphabet, SmallRng, UnrankedTree};
 use xmltc_typecheck::inverse::violation_nta;
 use xmltc_typecheck::mso_route::pebble_to_nta;
-use xmltc_typecheck::walk::walking_to_dbta;
+use xmltc_typecheck::walk::{walking_to_dbta_with, WalkOptions};
 use xmltc_typecheck::{typecheck, TypecheckOptions, TypecheckOutcome};
 
 #[derive(Default)]
@@ -359,7 +359,7 @@ fn e8_routes(report: &mut Report) {
     for m in [1usize, 2, 3, 4] {
         let a = walking_chain(&al, m);
         let t0 = Instant::now();
-        let d = walking_to_dbta(&a).unwrap();
+        let (d, _) = walking_to_dbta_with(&a, &WalkOptions::default()).unwrap();
         let t_walk = ms(t0);
         let t0 = Instant::now();
         let (nta, stats) = pebble_to_nta(&a, 4_000_000).unwrap();

@@ -18,7 +18,7 @@ use xmltc::dsl::{MachineSpec, Syms};
 use xmltc::obs;
 use xmltc::trees::{Alphabet, BinaryTree, SmallRng};
 use xmltc::typecheck::mso_route::pebble_to_nta;
-use xmltc::typecheck::walk::{walking_to_dbta, walking_to_nta_within, WalkOptions};
+use xmltc::typecheck::walk::{walking_to_dbta_with, walking_to_nta_within, WalkOptions};
 use xmltc::typecheck::TypecheckError;
 
 fn alpha() -> Arc<Alphabet> {
@@ -83,7 +83,7 @@ fn walk_route_agrees_with_agap() {
     let mut mixed = 0;
     for case in 0..64 {
         let a = rand_machine(&mut rng, &al, 6..20);
-        let d = walking_to_dbta(&a).unwrap();
+        let (d, _) = walking_to_dbta_with(&a, &WalkOptions::default()).unwrap();
         let mut accepted = 0;
         for t in &trees {
             let agap = accepts(&a, t).unwrap();
@@ -172,8 +172,8 @@ fn guided_walk_agrees_with_agap() {
     );
 }
 
-/// The MSO route never runs the walk, so it checks the walk — and the
-/// bisimulation quotient the walk compiles — independently.
+/// The MSO route never runs the walk, so it checks the walk
+/// independently.
 #[test]
 fn mso_route_agrees_with_walk_route() {
     let al = alpha();
@@ -182,7 +182,7 @@ fn mso_route_agrees_with_walk_route() {
     let mut mixed = 0;
     for case in 0..64 {
         let a = rand_machine(&mut rng, &al, 6..20);
-        let d = walking_to_dbta(&a).unwrap();
+        let (d, _) = walking_to_dbta_with(&a, &WalkOptions::default()).unwrap();
         let (m, _stats) = pebble_to_nta(&a, 500_000).unwrap();
         // Full language equivalence, not just sampled agreement.
         assert!(d.to_nta().equivalent(&m), "case {case}: routes disagree");

@@ -63,15 +63,14 @@ fn q2_mod3_walk_has_nine_signature_states() {
     assert_eq!(s.pairs, 243);
     // One fixpoint run per distinct projection pair (66) plus the leaf.
     assert_eq!(s.memo_misses, 67);
-    // The walk compiles the 227-state product's bisimulation quotient, 80
-    // classes. The kernel evaluates their actions, not states: 3 364 action
-    // evaluations, at most 32 queued at once. Every exit set lies within
-    // the up-move targets, which fit one word.
-    assert_eq!(s.classes, 80);
-    assert_eq!(s.fixpoint_steps, 3364);
-    assert_eq!(s.worklist_peak, 32);
+    // The walk compiles the 227-state product's rules. The kernel
+    // evaluates their actions, not states: 5 044 action evaluations, at
+    // most 56 queued at once. Every exit set lies within the up-move
+    // targets, which fit one word.
+    assert_eq!(s.fixpoint_steps, 5044);
+    assert_eq!(s.worklist_peak, 56);
     assert_eq!(s.words, 1);
-    assert_eq!(s.kernel_rows, 3411);
+    assert_eq!(s.kernel_rows, 6581);
     assert_eq!(s.projections_interned, 21);
     // The leaf plus one request per table entry; all but the 67 runs
     // above share a composition.
@@ -84,8 +83,9 @@ fn q2_m8_walk_collapses_to_fourteen_signatures() {
     let s = walk(&q2_family(8, 8, 8));
     // 177 distinct behaviour triples, 14 signatures.
     assert_eq!(s.dbta_states, 14);
-    // The 822-state product has 375 bisimulation classes.
-    assert_eq!(s.classes, 375);
+    // The 822-state product's up-moves reach 208 states, so an exit-set
+    // row is 4 words.
+    assert_eq!(s.words, 4);
 }
 
 #[test]
